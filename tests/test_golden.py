@@ -1,0 +1,40 @@
+"""Byte-exact stdout of a fixed command set.
+
+Identical inputs give identical bytes: this is a documented contract, and
+these fixtures pin it across changes to the exact core.  To re-record one
+after an intended output change, run the command from the repository root
+with ``PYTHONPATH=src python -m relshape ... > tests/fixtures/golden/<file>``.
+``verify`` is left out because its detail text carries elapsed seconds.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from relshape import cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
+
+COMMANDS = {
+    "analyze_path6.json": ["analyze", "--family", "path:6", "--json"],
+    "analyze_cycle50.json": ["analyze", "--family", "cycle:50", "--json"],
+    "analyze_union_star20_complete1.json":
+        ["analyze", "--family", "union(star:20,complete:1)", "--json"],
+    "analyze_bonded_complete_leaf10.json":
+        ["analyze", "--family", "bonded-complete-leaf:10", "--json"],
+    "analyze_three_inflection_order7.json":
+        ["analyze", "--edges", str(FIXTURES / "three_inflection_order7.edges"), "--json"],
+    "coeffs_star6.txt": ["coeffs", "--family", "star:6"],
+    "plot_path6_f2.csv": ["plot", "--family", "path:6", "--which", "f2"],
+    "census_n6.json": ["census", "--n", "6", "--json"],
+    "census_n7.json": ["census", "--n", "7", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("RELSHAPE_TOL", raising=False)
+    assert cli.main(COMMANDS[name]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / name).read_text(encoding="ascii")
