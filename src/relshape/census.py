@@ -20,6 +20,7 @@ from pathlib import Path
 from .connsets import count_connected_sets
 from .graphs import Graph, Graph6ParseError, canonical_graph, is_connected, parse_graph6, to_graph6
 from .shape import DEFAULT_TOL, analyze_profile
+from .sturm import InternalCheckError
 
 GENERATE_MIN = 2
 GENERATE_MAX = 8
@@ -159,7 +160,10 @@ class _Aggregator:
 
 
 def _census_record(g: Graph, tol: Fraction):
-    report = analyze_profile(count_connected_sets(g), tol)
+    try:
+        report = analyze_profile(count_connected_sets(g), tol)
+    except InternalCheckError as exc:
+        raise InternalCheckError(f"graph {to_graph6(g)}: {exc}") from exc
     tag = to_graph6(canonical_graph(g)) if g.n <= 10 else to_graph6(g)
     return (g.n, tag, len(report.decrease_intervals), len(report.inflections),
             len(report.fixed_points), report.shape_class)

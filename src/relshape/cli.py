@@ -174,12 +174,15 @@ def _root_doc(record) -> dict:
 
 def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) -> dict:
     profile = resolve_profile(g, spec)
-    report = analyze_profile(profile, tol)
+    try:  # the calls that run internal checks
+        report = analyze_profile(profile, tol)
+        sparse = check_sparse_decrease(g, profile)
+    except InternalCheckError as exc:
+        raise InternalCheckError(f"graph {to_graph6(g)}: {exc}") from exc
     poly = from_profile(profile)
     d = d_coefficients(profile)
     identities = check_coefficient_identities(g, profile)
     bounds = check_coefficient_bounds(profile)
-    sparse = check_sparse_decrease(g, profile)
     witness = check_fixed_point_witness(g, profile=profile)
 
     if is_complete(g):

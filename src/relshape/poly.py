@@ -7,10 +7,10 @@ nonempty and induce a connected subgraph:
     nRel(p) = sum_k c_k p^k (1-p)^(n-k)
 
 with c_k the number of connected k-sets.  This module expands that c-form
-into the ordinary power basis exactly (integer coefficients, kept as
-rationals), provides the closed forms for the standard families, exact
-differentiation and evaluation, the second-derivative coefficients d_k, and a
-seeded Monte Carlo estimator used as an end-to-end cross-check.
+into the ordinary power basis exactly (integer coefficients), provides the
+closed forms for the standard families, exact differentiation and evaluation
+at rational points, the second-derivative coefficients d_k, and a seeded
+Monte Carlo estimator used as an end-to-end cross-check.
 """
 
 from __future__ import annotations
@@ -22,10 +22,7 @@ from math import comb, sqrt
 
 from .connsets import ConnSetProfile, profile_closed_form
 from .graphs import FamilySpec, Graph, mask_is_connected
-
-
-class InternalCheckError(AssertionError):
-    """A can't-happen algebraic identity failed; indicates a library bug."""
+from .sturm import InternalCheckError
 
 
 # -- plain coefficient-sequence helpers (lowest degree first) ---------------
@@ -102,7 +99,7 @@ class ReliabilityPoly:
     """
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     c_source: ConnSetProfile | None = None
 
     def __post_init__(self):
@@ -116,12 +113,12 @@ class ReliabilityPoly:
 
     @property
     def value_at_one(self) -> int:
-        return int(sum(self.coeffs))
+        return sum(self.coeffs)
 
 
 def from_profile(profile: ConnSetProfile) -> ReliabilityPoly:
     coeffs = expand_c_form(profile.c, profile.n)
-    return ReliabilityPoly(profile.n, tuple(Fraction(x) for x in coeffs), profile)
+    return ReliabilityPoly(profile.n, tuple(coeffs), profile)
 
 
 def closed_form(spec: FamilySpec) -> ReliabilityPoly:
@@ -159,10 +156,10 @@ def closed_form(spec: FamilySpec) -> ReliabilityPoly:
         raise ValueError(f"no closed form for family kind {kind!r}")
     n = spec.order
     coeffs = coeffs + [0] * (n + 1 - len(coeffs))
-    return ReliabilityPoly(n, tuple(Fraction(x) for x in coeffs))
+    return ReliabilityPoly(n, tuple(coeffs))
 
 
-def derivative(poly: ReliabilityPoly) -> tuple[Fraction, ...]:
+def derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
     """Formal first derivative; cross-checked against the coefficient form
     sum_k [k c_k - (n-k+1) c_{k-1}] p^(k-1) (1-p)^(n-k) when the source
     profile is available."""
@@ -210,7 +207,7 @@ def d_coefficients(profile: ConnSetProfile) -> DCoefficients:
     return DCoefficients(n, values)
 
 
-def second_derivative(poly: ReliabilityPoly) -> tuple[Fraction, ...]:
+def second_derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
     """Formal second derivative; cross-checked against the d-coefficient form
     when the source profile is available."""
     formal = tuple(poly_diff(poly_diff(list(poly.coeffs))))

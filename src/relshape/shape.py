@@ -2,17 +2,16 @@
 
 All structural decisions (how many inflection points, whether an interval is
 one of decrease, whether a fixed point is a crossing) are made with exact
-rational arithmetic: roots are isolated by Sturm sign-variation counts on the
-square-free part and then narrowed by bisection, and interval signs come from
-exact evaluation at interior rational points.  Floating point appears only in
-the sparse-threshold optimizer, which is a plain one-dimensional search.
+arithmetic: roots are counted on integer Sturm sequences of the square-free
+part and bisected on integer numerators over a doubling common denominator
+into exact rational brackets, and interval signs come from exact evaluation
+at interior points.  Floating point appears only in the sparse-threshold
+optimizer, which is a plain one-dimensional search.
 
 Classification vocabulary (assigned from the exact report, never from
 samples):
 
 * ``identity``: the polynomial is p itself (single-vertex graph).
-* ``S``: increasing on (0,1) with exactly one crossing fixed point, below the
-  identity before it and above after it.
 * ``N``: value 1 at p=1 and exactly one maximal decrease interval, with
   increase on both sides.
 * ``M``: exactly two maximal decrease intervals.
@@ -40,12 +39,13 @@ from .poly import (
     second_derivative,
 )
 from .sturm import (
+    InternalCheckError,
     ZeroPolynomialError,
     count_roots_open,
     deflate_root,
     degree,
     sign_at,
-    square_free_part,
+    sign_at_ratio,
     sturm_chain,
     to_primitive_int,
 )
@@ -87,29 +87,30 @@ def isolate_roots(coeffs, lo=Fraction(0), hi=Fraction(1),
                   tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     """Isolate the distinct real roots in the open interval (lo, hi).
 
-    The square-free part is Sturm-counted and bisected until each interval
-    holds one root, then narrowed below ``tol``.  Roots at the interval
-    endpoints are excluded.  Raises ZeroPolynomialError for the identically
-    zero polynomial.
+    Endpoint roots are deflated; one Sturm chain of the rest gives its
+    square-free part, which is counted and bisected until each interval
+    holds one root, then narrowed below ``tol``.  Raises
+    ZeroPolynomialError for the identically zero polynomial.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     tol = Fraction(tol)
-    p_int = to_primitive_int(list(coeffs))
+    p_int = to_primitive_int(coeffs)
     if not p_int:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if degree(p_int) == 0:
         return []
-    q = square_free_part(p_int)
-    while q and sign_at(q, lo) == 0:
-        q = deflate_root(q, lo)
-    while q and sign_at(q, hi) == 0:
-        q = deflate_root(q, hi)
-    if degree(q) < 1:
+    inner = p_int
+    while sign_at(inner, lo) == 0:
+        inner = deflate_root(inner, lo)
+    while sign_at(inner, hi) == 0:
+        inner = deflate_root(inner, hi)
+    if degree(inner) < 1:
         return []
-    chain = sturm_chain(q)
+    chain = sturm_chain(inner)
+    q = chain[0]
     # when the original polynomial vanishes at a domain endpoint (those roots
-    # were deflated from q) pull the endpoint inward across a root-free gap,
-    # so no bracket can touch a zero of the original
+    # were deflated before the chain) pull the endpoint inward across a
+    # root-free gap, so no bracket can touch a zero of the original
     if sign_at(p_int, lo) == 0:
         lo = _pull_inward(chain, q, lo, hi, from_left=True)
     if sign_at(p_int, hi) == 0:
@@ -158,25 +159,31 @@ def _interior_nonroot(q, a: Fraction, b: Fraction) -> Fraction:
         cand = a + (b - a) * Fraction(i, parts)
         if sign_at(q, cand) != 0:
             return cand
-    raise AssertionError("no interior non-root found")
+    raise InternalCheckError("no interior non-root found")
 
 
 def _refine(q, p_int, a: Fraction, b: Fraction, tol: Fraction) -> RootRecord:
-    # exactly one (simple) root of q lies in (a, b), so the signs bracket
-    sa = sign_at(q, a)
-    while b - a >= tol:
-        mid = (a + b) / 2
-        sm = sign_at(q, mid)
+    """Bisect (a, b), which holds exactly one (simple) root of q, on integer
+    numerators A/den < B/den; den doubles at every step."""
+    den = math.lcm(a.denominator, b.denominator)
+    lo_num, hi_num = int(a * den), int(b * den)
+    sa = sign_at_ratio(q, lo_num, den)
+    while (hi_num - lo_num) * tol.denominator >= tol.numerator * den:  # b - a >= tol
+        mid_num = lo_num + hi_num
+        lo_num, hi_num, den = 2 * lo_num, 2 * hi_num, 2 * den
+        sm = sign_at_ratio(q, mid_num, den)
         if sm == 0:
             # landed exactly on the root; shrink a symmetric bracket
-            delta = min(mid - a, b - mid, tol) / 2
+            mid = Fraction(mid_num, den)
+            delta = min(Fraction(mid_num - lo_num, den), tol) / 2
             a, b = mid - delta, mid + delta
             return RootRecord(a, b, mid, _changes_sign(p_int, a, b))
         if sm == sa:
-            a = mid
+            lo_num = mid_num
         else:
-            b = mid
-    return RootRecord(a, b, (a + b) / 2, _changes_sign(p_int, a, b))
+            hi_num = mid_num
+    a, b = Fraction(lo_num, den), Fraction(hi_num, den)
+    return RootRecord(a, b, Fraction(lo_num + hi_num, 2 * den), _changes_sign(p_int, a, b))
 
 
 def _changes_sign(p_int, a: Fraction, b: Fraction) -> bool:
@@ -237,13 +244,13 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> Sha
             fixed_points=(), concave_down_near_0=concave_down_near_0,
             concavity_near_1=concavity_near_1, shape_class="identity")
 
-    critical = tuple(isolate_roots(f1, tol=tol)) if any(f1) else ()
+    critical = tuple(_isolate(f1, "f'", tol)) if any(f1) else ()
     decrease = _decrease_intervals(f1, critical)
     inflections = tuple(
-        r for r in (isolate_roots(f2, tol=tol) if any(f2) else ()) if r.sign_change)
-    fixed = tuple(isolate_roots(shifted, tol=tol))
+        r for r in (_isolate(f2, "f''", tol) if any(f2) else ()) if r.sign_change)
+    fixed = tuple(_isolate(shifted, "f - p", tol))
 
-    shape_class = _classify(poly, decrease, fixed, shifted)
+    shape_class = _classify(poly, decrease, fixed)
     return ShapeReport(
         n=n, connected=profile.connected,
         deriv_at_0=deriv_at_0, deriv_at_1=deriv_at_1,
@@ -253,6 +260,14 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> Sha
         concavity_near_1=concavity_near_1, shape_class=shape_class)
 
 
+def _isolate(coeffs, stage: str, tol: Fraction) -> list[RootRecord]:
+    """isolate_roots on (0,1), naming the polynomial when a check fails."""
+    try:
+        return isolate_roots(coeffs, tol=tol)
+    except InternalCheckError as exc:
+        raise InternalCheckError(f"{stage}: {exc}") from exc
+
+
 def _decrease_intervals(f1, critical) -> tuple[Interval, ...]:
     """Maximal open intervals where the polynomial strictly decreases.
 
@@ -260,7 +275,6 @@ def _decrease_intervals(f1, critical) -> tuple[Interval, ...]:
     exactly at the odd-multiplicity ones, so negative stretches merge across
     tangential stationary points.
     """
-    f1_int = to_primitive_int(list(f1))
     bounds: list[tuple[Fraction, RootRecord | None]] = [(Fraction(0), None)]
     bounds += [(r.approx, r) for r in critical]
     bounds.append((Fraction(1), None))
@@ -268,7 +282,7 @@ def _decrease_intervals(f1, critical) -> tuple[Interval, ...]:
     for i in range(len(bounds) - 1):
         left = bounds[i][1].hi if bounds[i][1] else bounds[i][0]
         right = bounds[i + 1][1].lo if bounds[i + 1][1] else bounds[i + 1][0]
-        segment_signs.append(sign_at(f1_int, (left + right) / 2))
+        segment_signs.append(sign_at(f1, (left + right) / 2))
     intervals = []
     i = 0
     while i < len(segment_signs):
@@ -285,8 +299,7 @@ def _decrease_intervals(f1, critical) -> tuple[Interval, ...]:
     return tuple(intervals)
 
 
-def _classify(poly: ReliabilityPoly, decrease, fixed, shifted) -> str:
-    crossings = [r for r in fixed if r.sign_change]
+def _classify(poly: ReliabilityPoly, decrease, fixed) -> str:
     if len(decrease) == 2:
         return "M"
     if len(decrease) == 1:
@@ -295,18 +308,8 @@ def _classify(poly: ReliabilityPoly, decrease, fixed, shifted) -> str:
         if poly.value_at_one == 1 and lo_inside and hi_inside:
             return "N"
         return "other"
-    if len(decrease) == 0:
-        if not crossings:
-            return "monotone-no-interior-fixed-point"
-        if len(crossings) == 1:
-            shifted_int = to_primitive_int(shifted)
-            lo_edge = min(r.lo for r in fixed)
-            hi_edge = max(r.hi for r in fixed)
-            below_before = sign_at(shifted_int, lo_edge / 2) < 0
-            above_after = sign_at(shifted_int, (hi_edge + 1) / 2) > 0
-            if below_before and above_after:
-                return "S"
-        return "other"
+    if not decrease and not any(r.sign_change for r in fixed):
+        return "monotone-no-interior-fixed-point"
     return "other"
 
 

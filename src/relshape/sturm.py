@@ -1,15 +1,19 @@
-"""Exact real-root machinery for integer/rational polynomials.
+"""Exact real-root machinery for integer polynomials.
 
-Everything here works on plain coefficient lists (lowest degree first).
-Rational inputs are normalized once to primitive integer polynomials;
-afterwards all sign decisions are integer arithmetic, so root counting and
-isolation carry no rounding anywhere.
+Coefficient lists are lowest degree first.  Rational input is scaled once
+into a primitive integer polynomial; every later step is integer arithmetic.
+Remainder sequences are primitive PRS (W. S. Brown, JACM 18, 1971; Knuth,
+TAOCP vol. 2, 4.6.1): integer pseudo-remainders by a divisor with positive
+leading coefficient, content removed, hence positive multiples of the
+rational remainders with the same signs.  A Sturm chain is one sequence of
+p, p'; it ends in g = gcd(p, p'), and dividing every element by g leaves a
+Sturm sequence of the square-free part of p, which is its first element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ZeroPolynomialError(ValueError):
@@ -17,22 +21,22 @@ class ZeroPolynomialError(ValueError):
     sensible answer (the caller decides what an all-roots polynomial means)."""
 
 
+class InternalCheckError(AssertionError):
+    """A can't-happen algebraic identity failed; indicates a library bug."""
+
+
 def to_primitive_int(coeffs) -> list[int]:
     """Scale a rational coefficient list by a positive rational into a
     primitive (content 1) integer list, trimming trailing zeros."""
-    fracs = [Fraction(c) for c in coeffs]
-    while fracs and fracs[-1] == 0:
-        fracs.pop()
-    if not fracs:
-        return []
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
-    return [x // content for x in ints]
+    coeffs = list(coeffs)
+    if not all(isinstance(c, int) for c in coeffs):
+        fracs = [Fraction(c) for c in coeffs]
+        denom_lcm = lcm(*(f.denominator for f in fracs))
+        coeffs = [f.numerator * (denom_lcm // f.denominator) for f in fracs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    content = gcd(*coeffs)
+    return coeffs if content <= 1 else [x // content for x in coeffs]
 
 
 def degree(coeffs) -> int:
@@ -44,11 +48,15 @@ def diff_int(coeffs: list[int]) -> list[int]:
 
 
 def sign_at(coeffs: list[int], point: Fraction) -> int:
-    """Sign of the polynomial at an exact rational point (integer Horner on
-    the homogenized form)."""
+    """Sign of the polynomial at an exact rational point."""
+    return sign_at_ratio(coeffs, point.numerator, point.denominator)
+
+
+def sign_at_ratio(coeffs: list[int], num: int, den: int) -> int:
+    """Sign of the polynomial at num/den for den > 0 (integer Horner on the
+    homogenized form)."""
     if not coeffs:
         return 0
-    num, den = point.numerator, point.denominator
     acc = coeffs[-1]
     dp = den
     for c in coeffs[-2::-1]:
@@ -57,104 +65,88 @@ def sign_at(coeffs: list[int], point: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        shift = len(r) - 1 - db
-        factor = r[-1] / lead
-        for i, bc in enumerate(b):
-            r[shift + i] -= factor * bc
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
 def _rem_primitive(a: list[int], b: list[int]) -> list[int]:
-    return to_primitive_int(_frac_rem([Fraction(x) for x in a], [Fraction(x) for x in b]))
-
-
-def poly_gcd_int(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd via the Euclidean chain (sign of the leading coefficient
-    not normalized; callers only use it for exact division)."""
-    a, b = to_primitive_int(a), to_primitive_int(b)
-    while b:
-        a, b = b, _rem_primitive(a, b)
-    return a
+    """Primitive remainder of a by b: the pseudo-remainder by b with its
+    leading coefficient made positive (which leaves the remainder as it is),
+    content removed."""
+    if b[-1] < 0:
+        b = [-x for x in b]
+    lead = b[-1]
+    db = len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        top = r.pop()
+        if not top:
+            continue
+        # r <- (lead/g) r - (top/g) x^shift b; the positive scale keeps signs
+        g = gcd(top, lead)
+        scale, factor = lead // g, top // g
+        if scale != 1:
+            r = [scale * x for x in r]
+        shift = len(r) - db
+        for i in range(db):
+            r[shift + i] -= factor * b[i]
+    return to_primitive_int(r)
 
 
 def exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact polynomial quotient a / b, primitive-normalized."""
-    r = [Fraction(x) for x in a]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    """Exact quotient a / b by a primitive b (integral by Gauss's lemma)."""
+    r = list(a)
     db = len(b) - 1
-    lead = Fraction(b[-1])
-    while len(r) - 1 >= db:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        shift = len(r) - 1 - db
-        factor = r[-1] / lead
+    lead = b[-1]
+    q = [0] * (len(a) - db)
+    for shift in range(len(q) - 1, -1, -1):
+        factor, rest = divmod(r.pop(), lead)
+        if rest:
+            raise InternalCheckError("polynomial division was not exact")
         q[shift] = factor
-        for i, bc in enumerate(b):
-            r[shift + i] -= factor * bc
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    if r:
-        raise ArithmeticError("division was not exact")
-    return to_primitive_int(q)
-
-
-def square_free_part(coeffs: list[int]) -> list[int]:
-    """The radical: same roots, all simple."""
-    if degree(coeffs) < 1:
-        return list(coeffs)
-    g = poly_gcd_int(coeffs, diff_int(coeffs))
-    if degree(g) < 1:
-        return to_primitive_int(coeffs)
-    return exact_div(to_primitive_int(coeffs), g)
+        for i in range(db):
+            r[shift + i] -= factor * b[i]
+    if any(r):
+        raise InternalCheckError("polynomial division was not exact")
+    return q
 
 
 def deflate_root(coeffs: list[int], root: Fraction) -> list[int]:
-    """Divide out a known rational root exactly (synthetic division)."""
-    out: list[Fraction] = []
-    acc = Fraction(0)
+    """Divide out a known rational root u/v exactly: synthetic division by
+    the primitive factor v x - u, so a primitive input stays primitive."""
+    u, v = root.numerator, root.denominator
+    out = []
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * root + c
+        acc, rest = divmod(c + u * acc, v)
+        if rest:
+            raise InternalCheckError(f"{root} is not a root")
         out.append(acc)
-    if out[-1] != 0:
-        raise ArithmeticError(f"{root} is not a root")
-    return to_primitive_int(list(reversed(out[:-1])))
+    if out.pop():
+        raise InternalCheckError(f"{root} is not a root")
+    return out[::-1]
 
 
 def sturm_chain(coeffs: list[int]) -> list[list[int]]:
-    """Sturm sequence of a square-free integer polynomial, each element
-    primitive (positive scaling preserves all sign information)."""
+    """Sturm sequence of the square-free part of an integer polynomial, each
+    element primitive; the first element is the square-free part itself."""
     chain = [to_primitive_int(coeffs)]
-    d = diff_int(chain[0])
+    d = to_primitive_int(diff_int(chain[0]))
     if d:
-        chain.append(to_primitive_int(d))
+        chain.append(d)
     while degree(chain[-1]) >= 1:
         rem = _rem_primitive(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-x for x in rem])
+    g = chain[-1]
+    if degree(g) >= 1:
+        chain = [exact_div(element, g) for element in chain]
     return chain
 
 
 def variations(chain: list[list[int]], point: Fraction) -> int:
+    num, den = point.numerator, point.denominator
     count = 0
     prev = 0
     for element in chain:
-        s = sign_at(element, point)
+        s = sign_at_ratio(element, num, den)
         if s == 0:
             continue
         if prev and s != prev:
@@ -164,6 +156,6 @@ def variations(chain: list[list[int]], point: Fraction) -> int:
 
 
 def count_roots_open(chain, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in the open interval for a square-free polynomial
-    that does not vanish at either endpoint."""
+    """Distinct real roots in the open interval for a Sturm chain whose first
+    element does not vanish at either endpoint."""
     return variations(chain, lo) - variations(chain, hi)

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import jsonschema
 import pytest
 
 from conftest import checkout_env
-from relshape import cli
+from relshape import cli, shape
+from relshape.graphs import parse_graph6
 from relshape.verification import THREE_INFLECTION_ORDER7
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -228,6 +230,38 @@ def test_census_determinism():
     doc = json.loads(a.stdout)
     assert doc["order"] == 5
     assert doc["total_connected"] == 21  # connected graphs of order 5, OEIS A001349
+
+
+# -- internal checks -------------------------------------------------------------
+
+@pytest.fixture
+def broken_deflation(monkeypatch):
+    """Deflate every endpoint root at a point 1/7 off it, so the exact
+    synthetic division fails its check (f - p always has the root p = 0)."""
+    real = shape.deflate_root
+    monkeypatch.setattr(shape, "deflate_root",
+                        lambda coeffs, root: real(coeffs, root + Fraction(1, 7)))
+
+
+def test_internal_check_names_graph_and_stage(capsys, broken_deflation):
+    code, out, err = run_inproc(capsys, "analyze", "--family", "path:6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal invariant violation: graph EhCG: f - p: ")
+    assert "1/7 is not a root" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_internal_check_names_graph(capsys, broken_deflation, jobs):
+    code, out, err = run_inproc(capsys, "census", "--n", "4", "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    prefix = "internal invariant violation: graph "
+    assert err.startswith(prefix)
+    tag, _, rest = err[len(prefix):].partition(": ")
+    assert parse_graph6(tag).n == 4
+    assert rest.partition(": ")[0] in ("f'", "f''", "f - p")
+    assert "is not a root" in rest
 
 
 # -- verify ----------------------------------------------------------------------

@@ -1,0 +1,177 @@
+"""Integer Sturm machinery against rational long division and known roots."""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relshape.sturm import (
+    InternalCheckError,
+    _rem_primitive,
+    count_roots_open,
+    deflate_root,
+    degree,
+    diff_int,
+    exact_div,
+    sign_at,
+    sturm_chain,
+    to_primitive_int,
+)
+
+# -- oracle: rational long division, kept independent of the module ---------------
+
+
+def frac_rem(a, b):
+    """Remainder of a by b by rational long division (lowest degree first)."""
+    r = [Fraction(x) for x in a]
+    while r and r[-1] == 0:
+        r.pop()
+    while len(r) >= len(b):
+        factor = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        for i, bc in enumerate(b):
+            r[shift + i] -= factor * bc
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def primitive_reference(fracs):
+    """Positive rational multiple with integer coefficients of content 1."""
+    if not fracs:
+        return []
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    content = gcd(*ints)
+    return [x // content for x in ints]
+
+
+def mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# -- strategies -------------------------------------------------------------------
+
+int_polys = st.lists(st.integers(-40, 40), min_size=1, max_size=9).filter(lambda c: c[-1] != 0)
+
+# roots u/v with 0 < u/v < 1 or outside [0, 1]; distinct by value
+rational_roots = st.lists(
+    st.tuples(st.integers(-6, 14), st.integers(1, 7)).map(lambda t: Fraction(*t))
+    .filter(lambda r: r not in (0, 1)),
+    max_size=4, unique=True)
+
+
+@st.composite
+def polys_with_known_roots(draw):
+    """(coefficients, distinct real roots, degree of the part without real
+    roots): a positive or negative multiple of prod (v x - u)^m times a
+    product of quadratics x^2 + s x + t with s^2 < 4t."""
+    roots = draw(rational_roots)
+    coeffs = [draw(st.sampled_from([-3, -1, 1, 2, 5]))]
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = mul(coeffs, [-r.numerator, r.denominator])
+    quadratics = draw(st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(1, 9)).filter(lambda q: q[0] ** 2 < 4 * q[1]),
+        max_size=2))
+    for s, t in quadratics:
+        coeffs = mul(coeffs, [t, s, 1])
+    return coeffs, roots, 2 * len(set(quadratics))
+
+
+# -- remainders -------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(int_polys, int_polys)
+def test_integer_remainder_matches_rational_division(a, b):
+    assert _rem_primitive(a, b) == primitive_reference(frac_rem(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_with_known_roots())
+def test_integer_remainder_on_derivative_matches(case):
+    coeffs, _, _ = case
+    d = diff_int(coeffs)
+    if d:
+        assert _rem_primitive(coeffs, d) == primitive_reference(frac_rem(coeffs, d))
+
+
+# -- chains -----------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_known_roots())
+def test_variations_count_distinct_roots_in_unit_interval(case):
+    coeffs, roots, _ = case
+    if degree(coeffs) < 1:
+        return
+    chain = sturm_chain(coeffs)
+    inside = sum(1 for r in roots if 0 < r < 1)
+    assert count_roots_open(chain, Fraction(0), Fraction(1)) == inside
+    assert count_roots_open(chain, Fraction(-10), Fraction(20)) == len(roots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_known_roots())
+def test_chain_head_is_square_free_part(case):
+    coeffs, roots, complex_degree = case
+    if degree(coeffs) < 1:
+        return
+    head = sturm_chain(coeffs)[0]
+    assert degree(head) == len(roots) + complex_degree
+    assert head == to_primitive_int(head)
+    derivative = diff_int(head)
+    for r in roots:
+        assert sign_at(head, r) == 0
+        assert sign_at(derivative, r) != 0  # simple
+
+
+def test_chain_of_constant_is_itself():
+    assert sturm_chain([-6]) == [[-1]]
+
+
+# -- exact division and deflation ---------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(int_polys, int_polys)
+def test_exact_div_inverts_product_and_rejects_remainder(a, b):
+    b = to_primitive_int(b)
+    product = mul(a, b)
+    assert exact_div(product, b) == a
+    if degree(b) >= 1:  # then a b + 1 leaves remainder 1
+        with pytest.raises(InternalCheckError):
+            exact_div([product[0] + 1] + product[1:], b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_known_roots(), st.tuples(st.integers(-9, 9), st.integers(1, 9)))
+def test_deflate_root_divides_known_roots_and_rejects_others(case, probe):
+    coeffs, roots, _ = case
+    for r in roots:
+        quotient = deflate_root(coeffs, r)
+        assert mul(quotient, [-r.numerator, r.denominator]) == coeffs
+    point = Fraction(*probe)
+    if sign_at(coeffs, point) != 0:
+        with pytest.raises(InternalCheckError):
+            deflate_root(coeffs, point)
+
+
+def test_inexact_division_is_an_internal_check_error():
+    with pytest.raises(InternalCheckError, match="not exact"):
+        exact_div([1, 0, 1], [-1, 1])  # x^2 + 1 by x - 1
+    with pytest.raises(InternalCheckError, match="not exact"):
+        exact_div([0, 1], [1, 2])  # x by 2x + 1: the leading term already fails
+    with pytest.raises(InternalCheckError, match="1/2 is not a root"):
+        deflate_root([1, 0, 1], Fraction(1, 2))
+
+
+def test_rational_input_is_scaled_to_primitive_integers():
+    assert to_primitive_int([Fraction(-1, 4), 0, Fraction(1, 2), 0]) == [-1, 0, 2]
+    assert to_primitive_int([6, -4, 0]) == [3, -2]
+    assert to_primitive_int([0, 0]) == []
