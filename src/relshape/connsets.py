@@ -2,11 +2,26 @@
 
 The profile ``c_0..c_n`` of a graph (``c_k`` = number of k-vertex subsets
 whose induced subgraph is connected) is the raw material for every
-reliability polynomial in this package.  The default counter enumerates each
-connected set exactly once by rooted extension; an exhaustive subset scan is
-kept alongside as an independent oracle.  Closed-form profiles exist for the
-standard families, and report-style checks verify the bounds and identities
-the counts are known to satisfy.
+reliability polynomial in this package.  Two exact counters produce it:
+
+* rooted extension visits each connected set once, so its cost grows with
+  their number (about 3x per added vertex on sparse graphs);
+* a frontier dynamic program over a vertex order (Kawahara, Inoue,
+  Iwashita and Minato, IEICE Trans. Fundamentals E100-A(9), 2017; Knuth,
+  TAOCP 4A 7.1.4) tracks how the selected vertices on the frontier are
+  connected, so its cost grows with the number of such states, at most
+  ``Bell(w + 1)`` for a frontier of width ``w``.
+
+``count_connected_sets`` picks between them from the graph alone: below
+order ``FRONTIER_MIN_ORDER`` enumeration is always cheaper in practice, and
+from there on the frontier program runs when its state bound
+``sum_i Bell(w_i + 1)`` lies below ``2^n``, the bound on connected sets.  So
+sparse graphs of order 16 and more go through the frontier program, while
+small and dense graphs (the censuses, trees, K_18, G(20, 1/2)) are
+enumerated.  An exhaustive subset scan is kept alongside as an independent
+oracle.  Closed-form profiles exist for the standard families, and
+report-style checks verify the bounds and identities the counts are known
+to satisfy.
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ from .graphs import (
 
 DEFAULT_COUNT_CAP = 30
 BRUTEFORCE_CAP = 20
+FRONTIER_MIN_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -46,18 +62,31 @@ class ConnSetProfile:
 
 
 def count_connected_sets(g: Graph, cap: int = DEFAULT_COUNT_CAP) -> ConnSetProfile:
-    """Count connected sets by rooted extension.
+    """Count connected sets with whichever exact counter is cheaper for g.
 
-    Every connected set is visited exactly once: it is grown from its minimum
-    vertex, extending by frontier vertices with already-tried extensions
-    banned on the remaining branches.  Cost is proportional to the number of
-    connected sets, so the cap guards order, not density; use a closed-form
-    profile for large families.
+    The frontier program runs when :func:`frontier_plan` returns an order,
+    rooted extension otherwise; both give the same profile.  The cap guards
+    order, not density; use a closed-form profile for large families.
     """
     n = g.n
     if n > cap:
         raise ValueError(
             f"order {n} above counting cap {cap}; use a closed-form profile")
+    order = frontier_plan(g)
+    if order is not None:
+        return _frontier_profile(g, order)
+    return count_connected_sets_by_extension(g)
+
+
+def count_connected_sets_by_extension(g: Graph) -> ConnSetProfile:
+    """Count connected sets by rooted extension.
+
+    Every connected set is visited exactly once: it is grown from its minimum
+    vertex, extending by frontier vertices with already-tried extensions
+    banned on the remaining branches.  Cost is proportional to the number of
+    connected sets.
+    """
+    n = g.n
     adj = g.adj
     counts = [0] * (n + 1)
 
@@ -82,6 +111,140 @@ def count_connected_sets(g: Graph, cap: int = DEFAULT_COUNT_CAP) -> ConnSetProfi
         above = ~((2 << root) - 1)
         grow(1 << root, 1, adj[root] & above, above)
     return ConnSetProfile(n, tuple(counts))
+
+
+# ---------------------------------------------------------------------------
+# frontier dynamic program
+
+def frontier_order(g: Graph) -> tuple[list[int], list[int]]:
+    """Greedy vertex order for the frontier program and the frontier width
+    after each step.
+
+    The frontier is the set of processed vertices with an unprocessed
+    neighbour.  Each step takes the unprocessed vertex that leaves the
+    smallest frontier, then the one with more processed neighbours, then the
+    lowest index.  ``ones`` holds the processed vertices with exactly one
+    unprocessed neighbour, so a candidate is scored with two popcounts.
+    """
+    n, adj = g.n, g.adj
+    unprocessed = (1 << n) - 1
+    processed = frontier = ones = 0
+    order: list[int] = []
+    widths: list[int] = []
+    for _ in range(n):
+        best = None
+        rest = unprocessed
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            width = (frontier.bit_count() - (adj[u] & ones).bit_count()
+                     + bool(adj[u] & unprocessed & ~bit))
+            key = (width, -(adj[u] & processed).bit_count(), u)
+            if best is None or key < best:
+                best = key
+        width, _, u = best
+        bit = 1 << u
+        unprocessed ^= bit
+        processed |= bit
+        touched = adj[u] & processed | bit
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            left = (adj[low.bit_length() - 1] & unprocessed).bit_count()
+            frontier = frontier | low if left else frontier & ~low
+            ones = ones | low if left == 1 else ones & ~low
+        order.append(u)
+        widths.append(width)
+    return order, widths
+
+
+def _bell_numbers(count: int) -> list[int]:
+    """Bell(0..count-1) from the Bell triangle."""
+    bells = [1]
+    row = [1]
+    while len(bells) < count:
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        bells.append(row[0])
+    return bells
+
+
+def frontier_plan(g: Graph) -> list[int] | None:
+    """The vertex order to count g by the frontier program, or None when
+    rooted extension is the cheaper counter.
+
+    A step with frontier width w has at most Bell(w + 1) states (set
+    partitions of the frontier plus an unselected block), and there are at
+    most 2^n connected sets; the program is chosen when the first bound is
+    the smaller, from order ``FRONTIER_MIN_ORDER`` on.
+    """
+    if g.n < FRONTIER_MIN_ORDER:
+        return None
+    order, widths = frontier_order(g)
+    bell = _bell_numbers(max(widths) + 2)
+    if sum(bell[w + 1] for w in widths) >= 1 << g.n:
+        return None
+    return order
+
+
+def count_connected_sets_frontier(g: Graph) -> ConnSetProfile:
+    """Count connected sets by the frontier program over :func:`frontier_order`."""
+    return _frontier_profile(g, frontier_order(g)[0])
+
+
+def _frontier_profile(g: Graph, order: list[int]) -> ConnSetProfile:
+    """Process the vertices in ``order``, each either left out or selected.
+
+    A state labels the frontier vertices with their component among the
+    selected vertices (0 = not selected; labels numbered by first
+    appearance).  Its value is the polynomial sum count * x^size packed into
+    one int, ``n + 1`` bits per coefficient (every count is below 2^n), so
+    adding values is one ``+`` and selecting a vertex one shift.  When a
+    selected vertex leaves the frontier and takes the last vertex of its
+    label with it, the selection is finished: it counts if no other label
+    remains and dies otherwise.  Finished selections accumulate in
+    ``closed``, which no later vertex may join, so once every vertex has
+    left the frontier ``closed`` is the whole profile (c_0 = 0 included).
+    """
+    n, adj = g.n, g.adj
+    shift = n + 1
+    unprocessed = (1 << n) - 1
+    frontier: list[int] = []
+    states = {(): 1}
+    closed = 0
+    for v in order:
+        unprocessed &= ~(1 << v)
+        joins = [i for i, u in enumerate(frontier) if adj[v] >> u & 1]
+        extended = frontier + [v]
+        keep = [i for i, u in enumerate(extended) if adj[u] & unprocessed]
+        leave = [i for i, u in enumerate(extended) if not adj[u] & unprocessed]
+        frontier = [extended[i] for i in keep]
+        fresh = len(extended)
+        step: dict[tuple[int, ...], int] = {}
+        for state, value in states.items():
+            merged = {state[i] for i in joins} - {0}
+            if merged:
+                target = min(merged)
+                taken = tuple(target if x in merged else x for x in state) + (target,)
+            else:
+                taken = state + (fresh,)
+            for labels, val in ((state + (0,), value), (taken, value << shift)):
+                kept = [labels[i] for i in keep]
+                ending = {labels[i] for i in leave} - {0} - set(kept)
+                if ending:
+                    if len(ending) == 1 and not any(kept):
+                        closed += val
+                    continue
+                relabel: dict[int, int] = {}
+                key = tuple(relabel.setdefault(x, len(relabel) + 1) if x else 0
+                            for x in kept)
+                step[key] = step.get(key, 0) + val
+        states = step
+    mask = (1 << shift) - 1
+    return ConnSetProfile(n, tuple(closed >> (k * shift) & mask for k in range(n + 1)))
 
 
 def count_connected_sets_bruteforce(g: Graph, cap: int = BRUTEFORCE_CAP) -> ConnSetProfile:

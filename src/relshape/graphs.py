@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 MAX_ORDER = 62
@@ -87,6 +88,11 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
+
+    @cached_property
+    def _cut_vertices(self) -> tuple[int, ...]:
+        # computed once per graph: one analysis asks for it several times
+        return _articulation_points(self.adj)
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -364,14 +370,56 @@ def component_count(g: Graph, removed: int = 0) -> int:
 
 def cut_vertices(g: Graph) -> tuple[int, ...]:
     """Vertices whose removal increases the number of connected components."""
-    base = component_count(g)
-    out = []
-    for v in range(g.n):
-        if g.n == 1:
-            break
-        if component_count(g, removed=1 << v) > base:
-            out.append(v)
-    return tuple(out)
+    return g._cut_vertices
+
+
+def _articulation_points(adj) -> tuple[int, ...]:
+    """Hopcroft-Tarjan articulation points in one iterative depth-first pass.
+
+    A non-root vertex v cuts when some DFS child's subtree reaches no vertex
+    discovered before v (``low[child] >= disc[v]``); a root cuts when it has
+    two or more DFS children.  Linear in n + m.
+    """
+    n = len(adj)
+    disc = [0] * n  # discovery time from 1; 0 = not yet visited
+    low = [0] * n
+    time = 0
+    cuts = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        time += 1
+        disc[root] = low[root] = time
+        root_children = 0
+        stack = [[root, adj[root]]]  # vertex, neighbours not yet scanned
+        while stack:
+            top = stack[-1]
+            v, rest = top
+            if rest:
+                bit = rest & -rest
+                top[1] = rest ^ bit
+                u = bit.bit_length() - 1
+                if disc[u]:
+                    # the edge back to the DFS parent lands here too; it only
+                    # lowers low[v] to disc[parent], which keeps the test
+                    low[v] = min(low[v], disc[u])
+                else:
+                    time += 1
+                    disc[u] = low[u] = time
+                    stack.append([u, adj[u]])
+                continue
+            stack.pop()
+            if not stack:
+                break
+            parent = stack[-1][0]
+            low[parent] = min(low[parent], low[v])
+            if parent == root:
+                root_children += 1
+            elif low[v] >= disc[parent]:
+                cuts |= 1 << parent
+        if root_children >= 2:
+            cuts |= 1 << root
+    return tuple(v for v in range(n) if cuts >> v & 1)
 
 
 def is_two_connected(g: Graph) -> bool:

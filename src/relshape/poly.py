@@ -43,9 +43,16 @@ def poly_shift(a, k):
     return [0] * k + list(a)
 
 
+_PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
 def one_minus_p_power(k):
-    """(1-p)^k as power-basis coefficients."""
-    return [comb(k, j) * (-1) ** j for j in range(k + 1)]
+    """(1-p)^k as power-basis coefficients: row k of the signed Pascal
+    triangle, each row built once from the one before and shared."""
+    while len(_PASCAL_ROWS) <= k:
+        row = _PASCAL_ROWS[-1]
+        _PASCAL_ROWS.append((1, *(b - a for a, b in zip(row, row[1:])), -row[-1]))
+    return _PASCAL_ROWS[k]
 
 
 def poly_eval(coeffs, p):

@@ -3,13 +3,15 @@
 Each check pins one quantitative claim the package is built around: exact
 census counts, decrease-interval endpoints, threshold constants, coefficient
 identities and bounds, family closed forms, shape theorems on their witness
-families, and a seeded Monte Carlo cross-check.  Checks are pure functions of
+families, and a seeded Monte Carlo cross-check.  A sweep fails when no graph
+applies, so no check passes vacuously.  Checks are pure functions of
 a shared census cache so the CLI and the acceptance test suite run exactly
 the same code.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +46,8 @@ from .poly import (
 )
 from .shape import (
     DEFAULT_TOL,
+    SPARSE_THRESHOLD_DEN,
+    SPARSE_THRESHOLD_NUM,
     analyze_profile,
     check_fixed_point_witness,
     check_sparse_decrease,
@@ -192,7 +196,7 @@ def check_coefficient_identities_sweep(cache, tol):
         total += 1
         if not check_coefficient_identities(g, count_connected_sets(g)).passed:
             bad += 1
-    return CheckResult("coefficient-identities-sweep", bad == 0,
+    return CheckResult("coefficient-identities-sweep", total > 0 and bad == 0,
                        f"{total} census graphs orders 2..7, {bad} failures")
 
 
@@ -202,7 +206,7 @@ def check_coefficient_bounds_sweep(cache, tol):
         total += 1
         if not check_coefficient_bounds(count_connected_sets(g)).passed:
             bad += 1
-    return CheckResult("coefficient-bounds-sweep", bad == 0,
+    return CheckResult("coefficient-bounds-sweep", total > 0 and bad == 0,
                        f"{total} census graphs orders 2..7, {bad} failures")
 
 
@@ -213,7 +217,7 @@ def check_early_concavity_sweep(cache, tol):
         d1 = d_coefficients(count_connected_sets(g)).at(1)
         if not d1 <= -n * (n - 1):
             bad += 1
-    return CheckResult("early-concavity-sweep", bad == 0,
+    return CheckResult("early-concavity-sweep", total > 0 and bad == 0,
                        f"d_1 <= -n(n-1) on {total} census graphs, {bad} failures")
 
 
@@ -224,7 +228,7 @@ def check_endpoint_derivative_sweep(cache, tol):
         d1 = derivative(from_profile(count_connected_sets(g)))
         if eval_exact(d1, 0) != n or eval_exact(d1, 1) != len(cut_vertices(g)):
             bad += 1
-    return CheckResult("endpoint-derivative-sweep", bad == 0,
+    return CheckResult("endpoint-derivative-sweep", total > 0 and bad == 0,
                        f"f'(0)=n and f'(1)=cut count on {total} census graphs, {bad} failures")
 
 
@@ -234,7 +238,7 @@ def check_sperner_sweep(cache, tol):
         total += 1
         if sperner_failure(count_connected_sets(g)) == is_complete(g):
             bad += 1
-    return CheckResult("sperner-failure-sweep", bad == 0,
+    return CheckResult("sperner-failure-sweep", total > 0 and bad == 0,
                        f"failure iff non-complete on {total} census graphs, {bad} failures")
 
 
@@ -247,22 +251,54 @@ def check_late_concavity_two_connected(cache, tol):
         report = analyze_profile(count_connected_sets(g), tol)
         if report.concavity_near_1 != -1:
             bad += 1
-    return CheckResult("late-concavity-two-connected-sweep", bad == 0,
+    return CheckResult("late-concavity-two-connected-sweep", total > 0 and bad == 0,
                        f"{total} 2-connected census graphs concave down near 1, {bad} failures")
+
+
+SPARSE_DECREASE_SEED = 1
+
+
+def sparse_decrease_graphs() -> list[Graph]:
+    """One seeded sparse connected graph per order n = 11..24.
+
+    A connected graph has m >= n - 1, so m <= 0.0851 n^2 needs n >= 11 and
+    no census graph (order <= 8) falls under the threshold.  Each graph is a
+    random recursive spanning tree plus a random number of extra edges, up
+    to the most the threshold allows.
+    """
+    rng = random.Random(SPARSE_DECREASE_SEED)
+    out = []
+    for n in range(11, 25):
+        adj = [0] * n
+        for v in range(1, n):
+            u = rng.randrange(v)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        extra = rng.randint(0, SPARSE_THRESHOLD_NUM * n * n // SPARSE_THRESHOLD_DEN - (n - 1))
+        while extra:
+            u, v = rng.sample(range(n), 2)
+            if not adj[u] >> v & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                extra -= 1
+        out.append(Graph(n, tuple(adj)))
+    return out
 
 
 def check_sparse_decrease_census(cache, tol):
     applicable = bad = 0
-    for n, g in _sweep_orders(cache):
-        chk = check_sparse_decrease(g)
+    for g in sparse_decrease_graphs():
+        profile = count_connected_sets(g)
+        chk = check_sparse_decrease(g, profile)
         if not chk.applicable:
             continue
         applicable += 1
-        report = analyze_profile(count_connected_sets(g), tol)
+        report = analyze_profile(profile, tol)
         if chk.deriv_value >= 0 or not report.decrease_intervals:
             bad += 1
-    return CheckResult("sparse-decrease-census", bad == 0,
-                       f"{applicable} census graphs under the density threshold, {bad} failures")
+    return CheckResult("sparse-decrease-census", applicable > 0 and bad == 0,
+                       f"{applicable} seeded sparse graphs of orders 11..24 under the "
+                       f"density threshold, {bad} failures")
 
 
 def check_sparse_decrease_instances(cache, tol):
@@ -301,7 +337,7 @@ def check_tree_inflections(cache, tol):
             report = analyze_profile(count_connected_sets(tree), tol)
             if len(report.inflections) < 1:
                 bad += 1
-    return CheckResult("tree-inflection-sweep", bad == 0,
+    return CheckResult("tree-inflection-sweep", total > 0 and bad == 0,
                        f"{total} trees of orders 4..8, {bad} without an inflection")
 
 
@@ -314,7 +350,7 @@ def check_two_cut_fixed_point(cache, tol):
         report = analyze_profile(count_connected_sets(g), tol)
         if len(report.fixed_points) < 1:
             bad += 1
-    return CheckResult("two-cut-fixed-point-sweep", bad == 0,
+    return CheckResult("two-cut-fixed-point-sweep", total > 0 and bad == 0,
                        f"{total} census graphs with >= 2 cut vertices, {bad} without a fixed point")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -50,6 +51,21 @@ def test_order6_count(graphs6):
 
 def test_order7_count(graphs7):
     assert len(graphs7) == 853
+
+
+# sha256 of the sorted graph6 tags of all connected graphs of one order, one
+# tag per line with a trailing newline
+CENSUS_CHECKSUMS = {
+    7: "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93",
+    8: "370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145",
+}
+
+
+@pytest.mark.parametrize("n", [7, pytest.param(8, marks=pytest.mark.slow)])
+def test_census_checksum(n, vcache):
+    tags = sorted(to_graph6(g) for g in vcache.graphs(n))
+    listing = "".join(tag + "\n" for tag in tags)
+    assert hashlib.sha256(listing.encode("ascii")).hexdigest() == CENSUS_CHECKSUMS[n]
 
 
 def test_generated_graphs_connected_and_distinct(graphs6):

@@ -4,19 +4,31 @@ import pytest
 from hypothesis import given, settings
 
 from relshape.connsets import (
+    FRONTIER_MIN_ORDER,
     ConnSetProfile,
     check_coefficient_bounds,
     check_coefficient_identities,
     count_connected_sets,
     count_connected_sets_bruteforce,
+    count_connected_sets_by_extension,
+    count_connected_sets_frontier,
     f_coefficients,
+    frontier_order,
+    frontier_plan,
     first_sperner_violation,
     profile_closed_form,
     profile_disjoint_union,
     sperner_failure,
 )
-from relshape.graphs import FamilySpec, Graph, is_complete, make_family
-from strategies import graphs
+from relshape.graphs import (
+    FamilySpec,
+    Graph,
+    disjoint_union,
+    graph_from_edges,
+    is_complete,
+    make_family,
+)
+from strategies import graphs, sparse_graphs
 
 
 def fam(kind, *params):
@@ -110,6 +122,116 @@ def test_monotone_under_edge_addition():
         after = count_connected_sets(Graph(n, tuple(bigger_adj))).c
         assert all(b >= a for a, b in zip(before, after))
         checked += 1
+
+
+# -- frontier dynamic program and the counter dispatch ---------------------------
+
+def grid(rows, cols):
+    return graph_from_edges(rows * cols, [
+        (r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)
+    ] + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
+
+
+def random_graph(rng, n, p):
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p])
+
+
+def seeded_sparse_graph(rng, n, extra):
+    """Random recursive spanning tree plus ``extra`` random edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return graph_from_edges(n, edges)
+
+
+@given(graphs(max_n=12))
+def test_frontier_matches_exhaustive_scan(g):
+    assert count_connected_sets_frontier(g) == count_connected_sets_bruteforce(g)
+
+
+def test_frontier_matches_enumeration_on_order7_census(graphs7):
+    for g in graphs7:
+        assert count_connected_sets_frontier(g) == count_connected_sets_by_extension(g)
+
+
+@given(sparse_graphs(max_n=14))
+def test_frontier_matches_exhaustive_scan_on_sparse_graphs(g):
+    assert count_connected_sets_frontier(g) == count_connected_sets_bruteforce(g)
+
+
+def test_frontier_matches_enumeration_on_sparse_graphs():
+    rng = random.Random(16)
+    cases = [seeded_sparse_graph(rng, n, n // 4) for n in range(16, 26)]
+    cases += [disjoint_union(seeded_sparse_graph(rng, a, 2), seeded_sparse_graph(rng, b, 3))
+              for a, b in ((9, 9), (4, 14))]
+    cases.append(disjoint_union(make_family(fam("complete", 1)), seeded_sparse_graph(rng, 20, 4)))
+    for g in cases:
+        assert frontier_plan(g) is not None
+        assert count_connected_sets_frontier(g) == count_connected_sets_by_extension(g)
+        assert count_connected_sets(g) == count_connected_sets_frontier(g)
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle", "star"])
+def test_closed_form_matches_frontier_program(kind):
+    for n in range(FRONTIER_MIN_ORDER, 31):
+        spec = fam(kind, n)
+        g = make_family(spec)
+        assert frontier_plan(g) is not None
+        assert count_connected_sets(g) == profile_closed_form(spec)
+
+
+def test_frontier_order_widths():
+    order, widths = frontier_order(grid(3, 8))
+    assert sorted(order) == list(range(24))
+    assert max(widths) == 3 and widths[-1] == 0
+    # star: the centre (lowest index among the ties) first, then one leaf at a time
+    order, widths = frontier_order(make_family(fam("star", 6)))
+    assert order == [0, 1, 2, 3, 4, 5] and widths == [1, 1, 1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("g, use_frontier", [
+    (make_family(fam("path", FRONTIER_MIN_ORDER - 1)), False),
+    (grid(3, 5), False),
+    (make_family(fam("complete", 18)), False),
+    (random_graph(random.Random(20), 20, 0.5), False),
+    (grid(5, 5), True),
+    (make_family(fam("path", FRONTIER_MIN_ORDER)), True),
+], ids=["path15", "grid3x5", "K18", "G(20,1/2)", "grid5x5", "path16"])
+def test_counter_dispatch(g, use_frontier):
+    assert (frontier_plan(g) is not None) == use_frontier
+
+
+# Bell numbers B_0..B_20 (OEIS A000110)
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597,
+        27644437, 190899322, 1382958545, 10480142147, 82864869804,
+        682076806159, 5832742205057, 51724158235372]
+
+
+def test_dispatch_follows_state_bound():
+    # the frontier program runs exactly when sum_i Bell(w_i + 1) < 2^n
+    rng = random.Random(3)
+    sides = set()
+    for _ in range(60):
+        n = rng.randint(FRONTIER_MIN_ORDER, 20)
+        g = random_graph(rng, n, rng.choice([0.15, 0.2, 0.25, 0.3, 0.4]))
+        order, widths = frontier_order(g)
+        cheaper = sum(BELL[w + 1] for w in widths) < 2**n
+        assert frontier_plan(g) == (order if cheaper else None)
+        sides.add(cheaper)
+    assert sides == {True, False}
+
+
+def test_grid_profile_by_frontier_program():
+    # 5x5 grid: 2,301,877 connected sets, counted without visiting them
+    g = grid(5, 5)
+    profile = count_connected_sets(g)
+    assert sum(profile.c) == 2301877
+    # c_3 = wedges (4*1 + 12*3 + 9*6), c_24 = n - 0 cut vertices
+    assert profile.c[:4] == (0, 25, 40, 94)
+    assert profile.c[-2:] == (25, 1)
+    assert check_coefficient_identities(g, profile).passed
 
 
 # -- report checks ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from relshape.graphs import (
     EdgeListParseError,
     canonical_graph,
     canonical_key,
+    component_count,
     cut_vertices,
     is_connected,
     is_two_connected,
@@ -23,7 +24,7 @@ from relshape.graphs import (
     to_graph6,
     triangle_count,
 )
-from strategies import graphs
+from strategies import graphs, sparse_graphs
 
 
 def fam(kind, *params):
@@ -170,6 +171,36 @@ def test_degree_sum_is_twice_edge_count(g):
 def test_two_connected_equivalence(g):
     expected = is_connected(g) and not cut_vertices(g) and g.n >= 3
     assert is_two_connected(g) == expected
+
+
+def cut_vertices_by_removal(g):
+    """Oracle: the vertices whose removal increases the component count."""
+    base = component_count(g)
+    return tuple(v for v in range(g.n)
+                 if g.n > 1 and component_count(g, removed=1 << v) > base)
+
+
+@given(graphs(min_n=1, max_n=12))
+def test_cut_vertices_match_removal_definition(g):
+    assert cut_vertices(g) == cut_vertices_by_removal(g)
+
+
+@given(sparse_graphs(min_n=1, max_n=16))
+def test_cut_vertices_match_removal_definition_on_sparse_graphs(g):
+    assert cut_vertices(g) == cut_vertices_by_removal(g)
+
+
+@pytest.mark.parametrize("g, expected", [
+    (Graph(1, (0,)), ()),
+    (fam("empty", 4), ()),
+    (fam("complete", 2), ()),
+    (make_family(FamilySpec("disjoint-union",
+                            parts=(FamilySpec("path", (3,)), FamilySpec("star", (4,))))), (1, 3)),
+    (make_family(FamilySpec("disjoint-union",
+                            parts=(FamilySpec("cycle", (5,)), FamilySpec("path", (4,))))), (6, 7)),
+])
+def test_cut_vertices_small_and_disconnected(g, expected):
+    assert cut_vertices(g) == expected == cut_vertices_by_removal(g)
 
 
 def test_path5_cut_vertices():
