@@ -3,7 +3,7 @@
 
 Usage: python scripts/census_sweep.py [--max-order 7] [--jobs N] [--json OUT.json]
 
-Order 8 takes a couple of minutes; orders up to 7 run in seconds.
+Order 8 takes about a minute; orders up to 7 run in seconds.
 """
 
 import argparse
@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from relshape.census import generate_connected, run_census
+from relshape.census import census_document, generate_connected, run_census
 
 
 def main() -> int:
@@ -44,17 +44,7 @@ def main() -> int:
             print(f"  three-inflection exemplars: {' '.join(three)}")
 
     if args.json:
-        doc = {
-            str(n): {
-                "total_connected": s.total_connected,
-                "with_decrease": s.with_decrease,
-                "inflection_histogram": {str(k): v for k, v in s.inflection_histogram.items()},
-                "fixed_point_histogram": {str(k): v for k, v in s.fixed_point_histogram.items()},
-                "class_histogram": dict(s.class_histogram),
-                "exemplars": {k: list(v) for k, v in s.exemplars.items()},
-            }
-            for n, s in collected.items()
-        }
+        doc = {str(n): census_document(s) for n, s in collected.items()}
         Path(args.json).write_text(json.dumps(doc, indent=2, sort_keys=True))
         print(f"wrote {args.json}")
     return 0

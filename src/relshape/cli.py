@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .census import run_census, generate_connected, stream_graph6
+from .census import census_document, generate_connected, run_census, stream_graph6
 from .connsets import (
     check_coefficient_bounds,
     check_coefficient_identities,
@@ -429,18 +429,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _census_doc(summary) -> dict:
-    return {
-        "order": summary.order,
-        "total_connected": summary.total_connected,
-        "with_decrease": summary.with_decrease,
-        "inflection_histogram": {str(k): v for k, v in summary.inflection_histogram.items()},
-        "fixed_point_histogram": {str(k): v for k, v in summary.fixed_point_histogram.items()},
-        "class_histogram": dict(summary.class_histogram),
-        "exemplars": {k: list(v) for k, v in summary.exemplars.items()},
-    }
-
-
 def cmd_census(args) -> int:
     if bool(args.n) == bool(args.input):
         raise ValueError("need exactly one of --n or --input")
@@ -460,7 +448,7 @@ def cmd_census(args) -> int:
     summary = run_census(itertools.chain([first], source), tol=tol,
                          jobs=args.jobs, exemplar_cap=args.exemplars)
     if args.json:
-        print(json.dumps(_census_doc(summary), indent=2, sort_keys=True))
+        print(json.dumps(census_document(summary), indent=2, sort_keys=True))
         return 0
     print(f"order {summary.order} census: {summary.total_connected} graphs")
     print(f"  decrease: {summary.with_decrease}/{summary.total_connected}")

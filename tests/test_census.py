@@ -1,10 +1,14 @@
 import hashlib
+import json
 import random
 from itertools import combinations
 
 import pytest
 
 from relshape.census import (
+    _attach,
+    _rejected,
+    census_document,
     generate_connected,
     generate_trees,
     run_census,
@@ -13,9 +17,13 @@ from relshape.census import (
 from relshape.graphs import (
     Graph,
     Graph6ParseError,
+    _canonical_order,
+    canonical_graph,
     canonical_key,
+    cut_vertices,
     is_connected,
     parse_graph6,
+    relabel,
     to_graph6,
 )
 
@@ -182,3 +190,74 @@ def test_census_from_stream_matches_generator(fixtures_dir, vcache):
     streamed = run_census(stream_graph6(fixtures_dir / "connected_order6.g6"))
     generated, _ = vcache.summary(6)
     assert streamed == generated
+
+
+# -- canonical augmentation ----------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_generators_emit_canonical_forms(n):
+    graphs = list(generate_trees(n))
+    if 2 <= n <= 7:
+        graphs += generate_connected(n)
+    assert all(canonical_graph(g) == g for g in graphs)
+
+
+@pytest.mark.parametrize("n,count", [(9, 47), (10, 106)])
+def test_tree_counts_orders_9_and_10(n, count):
+    # OEIS A000055
+    assert sum(1 for _ in generate_trees(n)) == count
+
+
+def _invariant(g, v):
+    return g.degree(v), sorted(g.degree(u) for u in range(g.n) if g.has_edge(u, v))
+
+
+def _random_connected(rng, n):
+    adj = [0] * n
+    for v in range(1, n):
+        u = rng.randrange(v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    density = rng.choice((0.1, 0.3, 0.6))
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, tuple(adj)), perm)
+
+
+def test_rejection_keeps_max_invariant_deletion():
+    """Delete a non-cut vertex of maximum invariant, attach it back to the
+    canonical parent, and the child must survive the rejection test."""
+    rng = random.Random(2024)
+    for _ in range(400):
+        g = _random_connected(rng, rng.randint(2, 8))
+        cuts = set(cut_vertices(g))
+        top = max(_invariant(g, v) for v in range(g.n) if v not in cuts)
+        v = rng.choice([u for u in range(g.n)
+                        if u not in cuts and _invariant(g, u) == top])
+        rest = [u for u in range(g.n) if u != v]
+        parent = Graph(g.n - 1, tuple(
+            sum(1 << i for i, w in enumerate(rest) if g.has_edge(u, w)) for u in rest))
+        order, _ = _canonical_order(parent)
+        pos = {rest[old]: new for new, old in enumerate(order)}
+        mask = sum(1 << pos[u] for u in rest if g.has_edge(u, v))
+        child = _attach(canonical_graph(parent).adj, mask)
+        assert canonical_key(Graph(g.n, child)) == canonical_key(g)
+        assert not _rejected(child), to_graph6(g)
+
+
+def test_census_of_relabelled_stream_matches_generated(fixtures_dir):
+    lines = (fixtures_dir / "connected_order6.g6").read_text().split()
+    rng = random.Random(6)
+    relabelled = []
+    for line in lines:
+        perm = list(range(6))
+        rng.shuffle(perm)
+        relabelled.append(to_graph6(relabel(parse_graph6(line), perm)))
+    assert sum(a != b for a, b in zip(lines, relabelled)) > 50
+    doc = json.dumps(census_document(run_census(stream_graph6(relabelled))),
+                     indent=2, sort_keys=True) + "\n"
+    assert doc == (fixtures_dir / "golden" / "census_n6.json").read_text()
