@@ -10,13 +10,14 @@ commutative, so censuses can be parallelized and merged.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from multiprocessing import Pool
 from pathlib import Path
+from typing import NamedTuple
 
-from .connsets import count_connected_sets
+from .connsets import ConnSetProfile, count_connected_sets
 from .graphs import (CANONICAL_MAX_ORDER, Graph, Graph6ParseError, canonical_graph,
                      mask_is_connected, parse_graph6, to_graph6)
 from .shape import DEFAULT_TOL, analyze_profile
@@ -140,60 +141,109 @@ def census_document(summary: CensusSummary) -> dict:
     }
 
 
-@dataclass
-class _Aggregator:
-    order: int | None = None
-    total: int = 0
-    with_decrease: int = 0
-    inflections: dict[int, int] = field(default_factory=dict)
-    fixed_points: dict[int, int] = field(default_factory=dict)
-    classes: dict[str, int] = field(default_factory=dict)
-    exemplars: dict[str, list[str]] = field(default_factory=dict)
-    cap: int = 10
+class ShapeCounts(NamedTuple):
+    """The fields of a shape report that the census and the verify sweeps
+    read: a few counts, the class and the concavity sign near 1.  Every graph
+    with one profile shares one instance."""
 
-    def add(self, record):
-        order, tag, n_decrease, n_inflections, n_fixed, shape_class = record
-        if self.order is None:
-            self.order = order
-        elif order != self.order:
-            raise ValueError(f"mixed orders in census stream: {self.order} and {order}")
-        self.total += 1
-        if n_decrease:
-            self.with_decrease += 1
-        self.inflections[n_inflections] = self.inflections.get(n_inflections, 0) + 1
-        self.fixed_points[n_fixed] = self.fixed_points.get(n_fixed, 0) + 1
-        self.classes[shape_class] = self.classes.get(shape_class, 0) + 1
-        keys = [f"inflections={n_inflections}", f"fixed_points={n_fixed}",
-                f"class={shape_class}"]
-        if n_decrease:
+    decreases: int
+    inflections: int
+    fixed_points: int
+    shape_class: str
+    concavity_near_1: int
+
+
+def shape_counts(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
+                 g: Graph | None = None) -> ShapeCounts:
+    """Analyze a profile and keep only its ShapeCounts; a failed internal
+    check names ``g`` when given."""
+    try:
+        report = analyze_profile(profile, tol)
+    except InternalCheckError as exc:
+        if g is None:
+            raise
+        raise InternalCheckError(f"graph {to_graph6(g)}: {exc}") from exc
+    return ShapeCounts(len(report.decrease_intervals), len(report.inflections),
+                       len(report.fixed_points), report.shape_class,
+                       report.concavity_near_1)
+
+
+def analyze_stream(source, tol: Fraction = DEFAULT_TOL, jobs: int = 1):
+    """Yield ``(graph, profile, counts)`` for every graph of the stream,
+    analyzing each distinct profile once.
+
+    The analysis depends on the profile alone, so it is memoized on the
+    profile's ``c`` tuple for the length of one stream.  With ``jobs`` <= 1
+    the stream is consumed lazily.  With ``jobs`` > 1 worker processes count
+    every graph, then analyze one graph per distinct profile; the items come
+    back in source order either way.
+    """
+    if jobs <= 1:
+        memo: dict[tuple[int, ...], ShapeCounts] = {}
+        for g in source:
+            profile = count_connected_sets(g)
+            counts = memo.get(profile.c)
+            if counts is None:
+                counts = memo[profile.c] = shape_counts(profile, tol, g)
+            yield g, profile, counts
+        return
+    graphs = list(source)
+    with Pool(jobs) as pool:
+        chunk = max(1, len(graphs) // (jobs * 8))
+        profiles = pool.map(count_connected_sets, graphs, chunksize=chunk)
+        first = {}
+        for g, profile in zip(graphs, profiles):
+            first.setdefault(profile.c, (profile, tol, g))
+        memo = dict(zip(first, pool.starmap(
+            shape_counts, first.values(), chunksize=max(1, len(first) // (jobs * 8)))))
+    for g, profile in zip(graphs, profiles):
+        yield g, profile, memo[profile.c]
+
+
+def summarize(items, exemplar_cap: int = 10) -> CensusSummary:
+    """Aggregate ``(graph, counts)`` pairs of one order into a summary.
+
+    Graphs are tagged by their graph6 string as given, so they must be
+    canonical representatives.  The result does not depend on the order of
+    the pairs.
+    """
+    order = None
+    total = with_decrease = 0
+    inflections: dict[int, int] = {}
+    fixed_points: dict[int, int] = {}
+    classes: dict[str, int] = {}
+    exemplars: dict[str, list[str]] = {}
+    for g, counts in items:
+        if order is None:
+            order = g.n
+        elif g.n != order:
+            raise ValueError(f"mixed orders in census stream: {order} and {g.n}")
+        total += 1
+        with_decrease += counts.decreases > 0
+        inflections[counts.inflections] = inflections.get(counts.inflections, 0) + 1
+        fixed_points[counts.fixed_points] = fixed_points.get(counts.fixed_points, 0) + 1
+        classes[counts.shape_class] = classes.get(counts.shape_class, 0) + 1
+        keys = [f"inflections={counts.inflections}", f"fixed_points={counts.fixed_points}",
+                f"class={counts.shape_class}"]
+        if counts.decreases:
             keys.append("decrease")
+        tag = to_graph6(g)
         for key in keys:
-            kept = self.exemplars.setdefault(key, [])
+            kept = exemplars.setdefault(key, [])
             if tag not in kept:
                 bisect.insort(kept, tag)
-                del kept[self.cap:]
-
-    def summary(self) -> CensusSummary:
-        if self.order is None:
-            raise ValueError("census stream was empty")
-        return CensusSummary(
-            order=self.order,
-            total_connected=self.total,
-            with_decrease=self.with_decrease,
-            inflection_histogram=dict(sorted(self.inflections.items())),
-            fixed_point_histogram=dict(sorted(self.fixed_points.items())),
-            class_histogram=dict(sorted(self.classes.items())),
-            exemplars={k: tuple(v) for k, v in sorted(self.exemplars.items())},
-        )
-
-
-def _census_record(g: Graph, tol: Fraction):
-    try:
-        report = analyze_profile(count_connected_sets(g), tol)
-    except InternalCheckError as exc:
-        raise InternalCheckError(f"graph {to_graph6(g)}: {exc}") from exc
-    return (g.n, to_graph6(g), len(report.decrease_intervals), len(report.inflections),
-            len(report.fixed_points), report.shape_class)
+                del kept[exemplar_cap:]
+    if order is None:
+        raise ValueError("census stream was empty")
+    return CensusSummary(
+        order=order,
+        total_connected=total,
+        with_decrease=with_decrease,
+        inflection_histogram=dict(sorted(inflections.items())),
+        fixed_point_histogram=dict(sorted(fixed_points.items())),
+        class_histogram=dict(sorted(classes.items())),
+        exemplars={k: tuple(v) for k, v in sorted(exemplars.items())},
+    )
 
 
 def run_census(source, tol: Fraction = DEFAULT_TOL, jobs: int = 1,
@@ -202,20 +252,9 @@ def run_census(source, tol: Fraction = DEFAULT_TOL, jobs: int = 1,
 
     Graphs are tagged by their graph6 string as given: the source must yield
     canonical representatives, as the generators and ``stream_graph6`` do.
-
-    ``jobs`` > 1 distributes the per-graph analysis over worker processes;
-    the aggregation is order-independent, so the result is identical.
+    Each distinct profile is analyzed once (``analyze_stream``); ``jobs`` > 1
+    spreads counting and analysis over worker processes with an identical
+    result.
     """
-    agg = _Aggregator(cap=exemplar_cap)
-    if jobs <= 1:
-        for g in source:
-            agg.add(_census_record(g, tol))
-    else:
-        graphs = list(source)
-        with Pool(jobs) as pool:
-            chunk = max(1, len(graphs) // (jobs * 8))
-            for record in pool.imap_unordered(
-                    partial(_census_record, tol=tol), graphs, chunksize=chunk):
-                agg.add(record)
-    return agg.summary()
-
+    return summarize(((g, counts) for g, _, counts in analyze_stream(source, tol, jobs)),
+                     exemplar_cap)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import itertools
 import json
 import os
@@ -174,16 +175,17 @@ def _root_doc(record) -> dict:
 
 def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) -> dict:
     profile = resolve_profile(g, spec)
+    poly = from_profile(profile)
     try:  # the calls that run internal checks
-        report = analyze_profile(profile, tol)
-        sparse = check_sparse_decrease(g, profile)
+        f1 = derivative(poly)
+        report = analyze_profile(profile, tol, poly=poly, f1=f1)
+        sparse = check_sparse_decrease(g, f1=f1)
     except InternalCheckError as exc:
         raise InternalCheckError(f"graph {to_graph6(g)}: {exc}") from exc
-    poly = from_profile(profile)
     d = d_coefficients(profile)
     identities = check_coefficient_identities(g, profile)
     bounds = check_coefficient_bounds(profile)
-    witness = check_fixed_point_witness(g, profile=profile)
+    witness = check_fixed_point_witness(g, poly=poly)
 
     if is_complete(g):
         min_cut = "none"
@@ -479,7 +481,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="relshape",
         description="Exact node-reliability polynomials and their shape on (0,1)")

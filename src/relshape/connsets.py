@@ -33,7 +33,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     cut_vertices,
-    is_complete,
     mask_is_connected,
     triangle_count,
 )
@@ -399,12 +398,3 @@ def first_sperner_violation(profile: ConnSetProfile) -> int | None:
 def sperner_failure(profile: ConnSetProfile) -> bool:
     return first_sperner_violation(profile) is not None
 
-
-def graph_profile_checks_pass(g: Graph, profile: ConnSetProfile) -> bool:
-    """Convenience: identities plus bounds plus the expected Sperner outcome
-    (failure exactly for non-complete graphs with a connected profile)."""
-    if not check_coefficient_identities(g, profile).passed:
-        return False
-    if not check_coefficient_bounds(profile).passed:
-        return False
-    return sperner_failure(profile) != is_complete(g)

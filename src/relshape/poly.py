@@ -257,21 +257,24 @@ def monte_carlo_estimate(g: Graph, p: float, trials: int, seed: int) -> MonteCar
     """Simulate independent vertex survival and check induced connectivity.
 
     Deterministic under a fixed seed; the generator algorithm itself is not
-    part of any contract.
+    part of any contract.  Each distinct surviving set is tested for
+    connectivity once.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = random.Random(seed)
-    adj = g.adj
-    n = g.n
+    draw = random.Random(seed).random
+    bits = [1 << v for v in range(g.n)]
+    connected = {0: False}
     successes = 0
     for _ in range(trials):
         mask = 0
-        for v in range(n):
-            if rng.random() < p:
-                mask |= 1 << v
-        if mask and mask_is_connected(adj, mask):
-            successes += 1
+        for bit in bits:
+            if draw() < p:
+                mask |= bit
+        ok = connected.get(mask)
+        if ok is None:
+            ok = connected[mask] = mask_is_connected(g.adj, mask)
+        successes += ok
     mean = successes / trials
     stderr = sqrt(mean * (1.0 - mean) / trials)
     return MonteCarloEstimate(mean, stderr, trials, successes)

@@ -55,6 +55,7 @@ DEFAULT_TOL = Fraction(1, 10**9)
 SPARSE_THRESHOLD_NUM = 851  # applicability cutoff m <= 0.0851 n^2, exact
 SPARSE_THRESHOLD_DEN = 10**4
 R_HAT = Fraction(1729474372, 10**9)  # rational stand-in for the optimizer's argmax
+FLOAT_ROOT_STEPS = 60  # float Newton/bisection steps that estimate a root before refining
 
 
 @dataclass(frozen=True)
@@ -164,10 +165,18 @@ def _interior_nonroot(q, a: Fraction, b: Fraction) -> Fraction:
 
 def _refine(q, p_int, a: Fraction, b: Fraction, tol: Fraction) -> RootRecord:
     """Bisect (a, b), which holds exactly one (simple) root of q, on integer
-    numerators A/den < B/den; den doubles at every step."""
+    numerators A/den < B/den; den doubles at every step.
+
+    The bracket the bisection ends in is tried first from a float estimate of
+    the root (``_final_cell``); only when that is not confirmed exactly does
+    the bisection run step by step.  Both give the same bracket.
+    """
     den = math.lcm(a.denominator, b.denominator)
     lo_num, hi_num = int(a * den), int(b * den)
     sa = sign_at_ratio(q, lo_num, den)
+    cell = _final_cell(q, sa, lo_num, hi_num, den, tol)
+    if cell is not None:
+        lo_num, hi_num, den = cell
     while (hi_num - lo_num) * tol.denominator >= tol.numerator * den:  # b - a >= tol
         mid_num = lo_num + hi_num
         lo_num, hi_num, den = 2 * lo_num, 2 * hi_num, 2 * den
@@ -184,6 +193,58 @@ def _refine(q, p_int, a: Fraction, b: Fraction, tol: Fraction) -> RootRecord:
             hi_num = mid_num
     a, b = Fraction(lo_num, den), Fraction(hi_num, den)
     return RootRecord(a, b, Fraction(lo_num + hi_num, 2 * den), _changes_sign(p_int, a, b))
+
+
+def _final_cell(q, sa: int, lo_num: int, hi_num: int, den: int, tol: Fraction):
+    """The bracket (A, B, D) that bisecting (lo_num/den, hi_num/den) below
+    ``tol`` ends in, or None.
+
+    After k halvings the bracket is cell j of width (hi_num - lo_num)/(den 2^k)
+    for the k the bisection loop stops at.  A safeguarded float Newton
+    iteration estimates the root and picks j; the cell is returned only when q
+    has sign ``sa`` at its left end and the opposite sign at its right end.
+    As q has one simple root in the interval, the root is then strictly inside
+    the cell, so no midpoint of the bisection hits it and the bisection ends
+    in this very cell.
+    """
+    width = hi_num - lo_num
+    k = (width * tol.denominator // (tol.numerator * den)).bit_length()
+    try:
+        coeffs = [float(c) for c in reversed(q)]
+        lo, hi = lo_num / den, hi_num / den
+    except OverflowError:
+        return None
+    cell_width = (hi - lo) / (1 << k)
+    x = (lo + hi) / 2
+    for _ in range(FLOAT_ROOT_STEPS):
+        value = slope = 0.0
+        for c in coeffs:
+            slope = slope * x + value
+            value = value * x + c
+        if value == 0:
+            break
+        if (value > 0) == (sa > 0):
+            lo = x
+        else:
+            hi = x
+        step = value / slope if slope else hi - lo
+        nxt = x - step
+        if not lo < nxt < hi:
+            nxt = (lo + hi) / 2
+        if abs(nxt - x) < cell_width / 8:
+            x = nxt
+            break
+        x = nxt
+    den_k = den << k
+    xf = Fraction(x)
+    j = (xf.numerator * den_k - (lo_num << k) * xf.denominator) // (width * xf.denominator)
+    if not 0 <= j < 1 << k:
+        return None
+    lo_k = (lo_num << k) + j * width
+    if (sign_at_ratio(q, lo_k, den_k) == sa
+            and sign_at_ratio(q, lo_k + width, den_k) == -sa):
+        return lo_k, lo_k + width, den_k
+    return None
 
 
 def _changes_sign(p_int, a: Fraction, b: Fraction) -> bool:
@@ -217,11 +278,19 @@ def analyze(g: Graph, tol: Fraction = DEFAULT_TOL) -> ShapeReport:
     return analyze_profile(count_connected_sets(g), tol)
 
 
-def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> ShapeReport:
-    """Full exact shape report for the reliability polynomial of a profile."""
+def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
+                    poly: ReliabilityPoly | None = None,
+                    f1: tuple[int, ...] | None = None) -> ShapeReport:
+    """Full exact shape report for the reliability polynomial of a profile.
+
+    A caller that already holds ``from_profile(profile)`` or its
+    ``derivative`` passes them as ``poly`` and ``f1``; they are not
+    expanded again.
+    """
     tol = Fraction(tol)
     n, c = profile.n, profile.c
-    poly = from_profile(profile)
+    if poly is None:
+        poly = from_profile(profile)
     deriv_at_0 = c[1]
     deriv_at_1 = n * c[n] - c[n - 1] if n >= 1 else 0
 
@@ -230,7 +299,8 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> Sha
     last = d.last_nonzero()
     concavity_near_1 = 0 if last is None else (1 if last[1] > 0 else -1)
 
-    f1 = derivative(poly)
+    if f1 is None:
+        f1 = derivative(poly)
     f2 = second_derivative(poly)
     shifted = list(poly.coeffs)
     shifted[1] -= 1  # f(p) - p
@@ -331,18 +401,20 @@ class SparseDecreaseCheck:
         return self.deriv_value < 0
 
 
-def check_sparse_decrease(g: Graph, profile: ConnSetProfile | None = None) -> SparseDecreaseCheck:
+def check_sparse_decrease(g: Graph, profile: ConnSetProfile | None = None,
+                          f1: tuple[int, ...] | None = None) -> SparseDecreaseCheck:
     """For graphs with m <= 0.0851 n^2 (and n >= 2), evaluate f' exactly at
     p = 1.729474372/n; sparseness guarantees a negative value there, hence an
-    interval of decrease."""
+    interval of decrease.  ``f1``, when given, is that f'; otherwise it is
+    expanded from ``profile`` (counted when None)."""
     n, m = g.n, g.m
     applicable = n >= 2 and m * SPARSE_THRESHOLD_DEN <= SPARSE_THRESHOLD_NUM * n * n
     if not applicable:
         return SparseDecreaseCheck(False, m, n, None, None)
-    if profile is None:
-        profile = count_connected_sets(g)
+    if f1 is None:
+        f1 = derivative(from_profile(profile or count_connected_sets(g)))
     point = R_HAT / n
-    value = eval_exact(derivative(from_profile(profile)), point)
+    value = eval_exact(f1, point)
     return SparseDecreaseCheck(True, m, n, point, value)
 
 
@@ -389,21 +461,23 @@ class FixedPointWitness:
 
 
 def check_fixed_point_witness(g: Graph, max_degree: int | None = None,
-                              profile: ConnSetProfile | None = None) -> FixedPointWitness:
+                              profile: ConnSetProfile | None = None,
+                              poly: ReliabilityPoly | None = None) -> FixedPointWitness:
     """Compare f(1/D^2) with 1/D^2 for maximum degree D.
 
     For a 2-connected graph, f' is n at 0 and 0 at 1, so f starts and ends
     above the identity on (0,1); a value below 1/D^2 at p = 1/D^2 therefore
     certifies at least two interior fixed points.  The comparison is recorded
     either way (small graphs may fail it); edgeless graphs have no evaluation
-    point.
+    point.  ``poly``, when given, is f; otherwise it is expanded from
+    ``profile`` (counted when None).
     """
     if max_degree is None:
         max_degree = max(g.degrees())
     if max_degree == 0:
         return FixedPointWitness(False, 0, None, None)
-    if profile is None:
-        profile = count_connected_sets(g)
+    if poly is None:
+        poly = from_profile(profile or count_connected_sets(g))
     point = Fraction(1, max_degree * max_degree)
-    value = eval_exact(from_profile(profile), point)
+    value = eval_exact(poly, point)
     return FixedPointWitness(is_two_connected(g), max_degree, point, value)

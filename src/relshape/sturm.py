@@ -33,6 +33,12 @@ def to_primitive_int(coeffs) -> list[int]:
         fracs = [Fraction(c) for c in coeffs]
         denom_lcm = lcm(*(f.denominator for f in fracs))
         coeffs = [f.numerator * (denom_lcm // f.denominator) for f in fracs]
+    return _primitive(coeffs)
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """Trim trailing zeros of an integer list in place and divide out its
+    content."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     content = gcd(*coeffs)
@@ -86,7 +92,7 @@ def _rem_primitive(a: list[int], b: list[int]) -> list[int]:
         shift = len(r) - db
         for i in range(db):
             r[shift + i] -= factor * b[i]
-    return to_primitive_int(r)
+    return _primitive(r)
 
 
 def exact_div(a: list[int], b: list[int]) -> list[int]:
@@ -127,7 +133,7 @@ def sturm_chain(coeffs: list[int]) -> list[list[int]]:
     """Sturm sequence of the square-free part of an integer polynomial, each
     element primitive; the first element is the square-free part itself."""
     chain = [to_primitive_int(coeffs)]
-    d = to_primitive_int(diff_int(chain[0]))
+    d = _primitive(diff_int(chain[0]))
     if d:
         chain.append(d)
     while degree(chain[-1]) >= 1:

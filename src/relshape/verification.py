@@ -15,9 +15,18 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .census import generate_connected, generate_trees, run_census
+from .census import (
+    ShapeCounts,
+    analyze_stream,
+    generate_connected,
+    generate_trees,
+    shape_counts,
+    summarize,
+)
 from .connsets import (
+    ConnSetProfile,
     check_coefficient_bounds,
     check_coefficient_identities,
     count_connected_sets,
@@ -43,12 +52,12 @@ from .poly import (
     eval_exact,
     from_profile,
     monte_carlo_estimate,
+    second_derivative,
 )
 from .shape import (
     DEFAULT_TOL,
     SPARSE_THRESHOLD_DEN,
     SPARSE_THRESHOLD_NUM,
-    analyze_profile,
     check_fixed_point_witness,
     check_sparse_decrease,
     maximize_threshold_constant,
@@ -72,14 +81,32 @@ class CheckResult:
     detail: str
 
 
+class GraphRecord(NamedTuple):
+    """What the checks read about one graph besides its shape: its
+    connected-set profile and its number of cut vertices."""
+
+    graph: Graph
+    profile: ConnSetProfile
+    cut_count: int
+
+
 class CensusCache:
-    """Memoized census graphs and summaries shared by the checks."""
+    """Census graphs, their records and summaries, shared by the checks.
+
+    Within one cache every graph is counted once (``profile``) and every
+    distinct profile analyzed once (``shape``), however many checks read it;
+    a graph's shape counts are ``shape(record.profile)``.  With ``jobs`` > 1
+    a census order is counted and analyzed in worker processes first.
+    """
 
     def __init__(self, tol: Fraction = DEFAULT_TOL, jobs: int = 1):
         self.tol = tol
         self.jobs = jobs
         self._graphs: dict[int, tuple[list[Graph], float]] = {}
+        self._records: dict[int, list[GraphRecord]] = {}
         self._summaries: dict[int, tuple] = {}
+        self._profiles: dict[Graph, ConnSetProfile] = {}
+        self._shapes: dict[tuple[int, ...], ShapeCounts] = {}
 
     def graphs(self, n: int):
         if n not in self._graphs:
@@ -88,14 +115,39 @@ class CensusCache:
             self._graphs[n] = (graphs, time.monotonic() - start)
         return self._graphs[n][0]
 
+    def profile(self, g: Graph) -> ConnSetProfile:
+        profile = self._profiles.get(g)
+        if profile is None:
+            profile = self._profiles[g] = count_connected_sets(g)
+        return profile
+
+    def shape(self, profile: ConnSetProfile, g: Graph | None = None) -> ShapeCounts:
+        shape = self._shapes.get(profile.c)
+        if shape is None:
+            shape = self._shapes[profile.c] = shape_counts(profile, self.tol, g)
+        return shape
+
+    def record(self, g: Graph) -> GraphRecord:
+        return GraphRecord(g, self.profile(g), len(cut_vertices(g)))
+
+    def records(self, n: int) -> list[GraphRecord]:
+        """One record per census graph of order n, built once."""
+        if n not in self._records:
+            self._records[n] = [self.record(g) for g in self.graphs(n)]
+        return self._records[n]
+
     def summary(self, n: int):
         """(summary, elapsed seconds including generation)."""
         if n not in self._summaries:
             graphs = self.graphs(n)
-            gen_elapsed = self._graphs[n][1]
             start = time.monotonic()
-            summary = run_census(graphs, tol=self.tol, jobs=self.jobs)
-            self._summaries[n] = (summary, gen_elapsed + time.monotonic() - start)
+            if self.jobs > 1:
+                for g, profile, shape in analyze_stream(graphs, self.tol, self.jobs):
+                    self._profiles.setdefault(g, profile)
+                    self._shapes.setdefault(profile.c, shape)
+            summary = summarize((r.graph, self.shape(r.profile, r.graph))
+                                for r in self.records(n))
+            self._summaries[n] = (summary, self._graphs[n][1] + time.monotonic() - start)
         return self._summaries[n]
 
 
@@ -138,17 +190,24 @@ def check_census_order_8(cache, tol):
     return _census_check(cache, 8)
 
 
+def _signs(coeffs, points) -> list[int]:
+    return [(v > 0) - (v < 0) for v in (eval_exact(coeffs, x) for x in points)]
+
+
 def check_path6_decrease_endpoints(cache, tol):
-    report = analyze_profile(profile_closed_form(FamilySpec("path", (6,))), tol)
+    """The one decrease interval of P6 ends within 5e-5 of 0.2137 and
+    0.5851: f' turns negative inside the first window and positive again
+    inside the second, so with a single interval its ends lie there."""
+    profile = profile_closed_form(FamilySpec("path", (6,)))
+    decreases = cache.shape(profile).decreases
     slack = Fraction(5, 10**5)
-    ok = (len(report.decrease_intervals) == 1
-          and abs(report.decrease_intervals[0].lo - Fraction(2137, 10**4)) <= slack
-          and abs(report.decrease_intervals[0].hi - Fraction(5851, 10**4)) <= slack)
-    if report.decrease_intervals:
-        iv = report.decrease_intervals[0]
-        detail = f"decrease ({float(iv.lo):.6f}, {float(iv.hi):.6f}) vs (0.2137, 0.5851) +-5e-5"
-    else:
-        detail = "no decrease interval found"
+    lo, hi = Fraction(2137, 10**4), Fraction(5851, 10**4)
+    signs = _signs(derivative(from_profile(profile)),
+                   (lo - slack, lo + slack, hi - slack, hi + slack))
+    ok = decreases == 1 and signs == [1, -1, -1, 1]
+    detail = ("one decrease interval, f' changes sign within 5e-5 of 0.2137 and of 0.5851"
+              if ok else f"{decreases} decrease intervals, f' signs {signs} at "
+                         f"0.2137 -+5e-5 and 0.5851 -+5e-5")
     return CheckResult("path6-decrease-endpoints", ok, detail)
 
 
@@ -176,7 +235,7 @@ def check_closed_form_equivalence(cache, tol):
     bad = []
     for spec in _closed_form_specs():
         direct = closed_form(spec)
-        counted = from_profile(count_connected_sets(make_family(spec)))
+        counted = from_profile(cache.profile(make_family(spec)))
         if direct.coeffs != counted.coeffs:
             bad.append(spec.label())
     return CheckResult("closed-form-equivalence", not bad,
@@ -184,75 +243,59 @@ def check_closed_form_equivalence(cache, tol):
                        if not bad else f"mismatch: {', '.join(bad)}")
 
 
-def _sweep_orders(cache):
-    for n in range(2, 8):
-        for g in cache.graphs(n):
-            yield n, g
+def _census_records(cache) -> list[GraphRecord]:
+    """The records of every census graph of orders 2..7."""
+    return [r for n in range(2, 8) for r in cache.records(n)]
+
+
+def _sweep(name: str, records, holds, detail: str) -> CheckResult:
+    """Check ``holds`` on every record; fails when there is none."""
+    bad = sum(1 for r in records if not holds(r))
+    return CheckResult(name, bool(records) and bad == 0,
+                       detail.format(total=len(records), bad=bad))
 
 
 def check_coefficient_identities_sweep(cache, tol):
-    bad = total = 0
-    for n, g in _sweep_orders(cache):
-        total += 1
-        if not check_coefficient_identities(g, count_connected_sets(g)).passed:
-            bad += 1
-    return CheckResult("coefficient-identities-sweep", total > 0 and bad == 0,
-                       f"{total} census graphs orders 2..7, {bad} failures")
+    return _sweep("coefficient-identities-sweep", _census_records(cache),
+                  lambda r: check_coefficient_identities(r.graph, r.profile).passed,
+                  "{total} census graphs orders 2..7, {bad} failures")
 
 
 def check_coefficient_bounds_sweep(cache, tol):
-    bad = total = 0
-    for n, g in _sweep_orders(cache):
-        total += 1
-        if not check_coefficient_bounds(count_connected_sets(g)).passed:
-            bad += 1
-    return CheckResult("coefficient-bounds-sweep", total > 0 and bad == 0,
-                       f"{total} census graphs orders 2..7, {bad} failures")
+    return _sweep("coefficient-bounds-sweep", _census_records(cache),
+                  lambda r: check_coefficient_bounds(r.profile).passed,
+                  "{total} census graphs orders 2..7, {bad} failures")
 
 
 def check_early_concavity_sweep(cache, tol):
-    bad = total = 0
-    for n, g in _sweep_orders(cache):
-        total += 1
-        d1 = d_coefficients(count_connected_sets(g)).at(1)
-        if not d1 <= -n * (n - 1):
-            bad += 1
-    return CheckResult("early-concavity-sweep", total > 0 and bad == 0,
-                       f"d_1 <= -n(n-1) on {total} census graphs, {bad} failures")
+    def holds(r):
+        n = r.graph.n
+        return d_coefficients(r.profile).at(1) <= -n * (n - 1)
+
+    return _sweep("early-concavity-sweep", _census_records(cache), holds,
+                  "d_1 <= -n(n-1) on {total} census graphs, {bad} failures")
 
 
 def check_endpoint_derivative_sweep(cache, tol):
-    bad = total = 0
-    for n, g in _sweep_orders(cache):
-        total += 1
-        d1 = derivative(from_profile(count_connected_sets(g)))
-        if eval_exact(d1, 0) != n or eval_exact(d1, 1) != len(cut_vertices(g)):
-            bad += 1
-    return CheckResult("endpoint-derivative-sweep", total > 0 and bad == 0,
-                       f"f'(0)=n and f'(1)=cut count on {total} census graphs, {bad} failures")
+    def holds(r):
+        d1 = derivative(from_profile(r.profile))
+        return eval_exact(d1, 0) == r.graph.n and eval_exact(d1, 1) == r.cut_count
+
+    return _sweep("endpoint-derivative-sweep", _census_records(cache), holds,
+                  "f'(0)=n and f'(1)=cut count on {total} census graphs, {bad} failures")
 
 
 def check_sperner_sweep(cache, tol):
-    bad = total = 0
-    for n, g in _sweep_orders(cache):
-        total += 1
-        if sperner_failure(count_connected_sets(g)) == is_complete(g):
-            bad += 1
-    return CheckResult("sperner-failure-sweep", total > 0 and bad == 0,
-                       f"failure iff non-complete on {total} census graphs, {bad} failures")
+    return _sweep("sperner-failure-sweep", _census_records(cache),
+                  lambda r: sperner_failure(r.profile) != is_complete(r.graph),
+                  "failure iff non-complete on {total} census graphs, {bad} failures")
 
 
 def check_late_concavity_two_connected(cache, tol):
-    bad = total = 0
-    for n, g in _sweep_orders(cache):
-        if n < 3 or not is_two_connected(g):
-            continue
-        total += 1
-        report = analyze_profile(count_connected_sets(g), tol)
-        if report.concavity_near_1 != -1:
-            bad += 1
-    return CheckResult("late-concavity-two-connected-sweep", total > 0 and bad == 0,
-                       f"{total} 2-connected census graphs concave down near 1, {bad} failures")
+    records = [r for r in _census_records(cache) if is_two_connected(r.graph)]
+    return _sweep("late-concavity-two-connected-sweep", records,
+                  lambda r: cache.shape(r.profile, r.graph).concavity_near_1 == -1,
+                  "{total} 2-connected census graphs concave down near 1, {bad} failures")
 
 
 SPARSE_DECREASE_SEED = 1
@@ -288,13 +331,12 @@ def sparse_decrease_graphs() -> list[Graph]:
 def check_sparse_decrease_census(cache, tol):
     applicable = bad = 0
     for g in sparse_decrease_graphs():
-        profile = count_connected_sets(g)
+        profile = cache.profile(g)
         chk = check_sparse_decrease(g, profile)
         if not chk.applicable:
             continue
         applicable += 1
-        report = analyze_profile(profile, tol)
-        if chk.deriv_value >= 0 or not report.decrease_intervals:
+        if chk.deriv_value >= 0 or not cache.shape(profile, g).decreases:
             bad += 1
     return CheckResult("sparse-decrease-census", applicable > 0 and bad == 0,
                        f"{applicable} seeded sparse graphs of orders 11..24 under the "
@@ -309,8 +351,7 @@ def check_sparse_decrease_instances(cache, tol):
         g = make_family(spec)
         profile = profile_closed_form(spec)
         chk = check_sparse_decrease(g, profile)
-        report = analyze_profile(profile, tol)
-        if not (chk.applicable and chk.deriv_value < 0 and report.decrease_intervals):
+        if not (chk.applicable and chk.deriv_value < 0 and cache.shape(profile).decreases):
             bad.append(spec.label())
     return CheckResult("sparse-decrease-instances", not bad,
                        f"{len(cases)} sparse family instances decrease"
@@ -321,8 +362,7 @@ def check_sparse_two_inflections(cache, tol):
     bad = []
     for n in range(12, 17):
         spec = FamilySpec("cycle", (n,))
-        report = analyze_profile(profile_closed_form(spec), tol)
-        if len(report.inflections) < 2:
+        if cache.shape(profile_closed_form(spec)).inflections < 2:
             bad.append(spec.label())
     return CheckResult("sparse-two-inflection-instances", not bad,
                        "sparse 2-connected cycles n=12..16 all have >= 2 inflections"
@@ -330,28 +370,15 @@ def check_sparse_two_inflections(cache, tol):
 
 
 def check_tree_inflections(cache, tol):
-    bad = total = 0
-    for n in range(4, 9):
-        for tree in generate_trees(n):
-            total += 1
-            report = analyze_profile(count_connected_sets(tree), tol)
-            if len(report.inflections) < 1:
-                bad += 1
-    return CheckResult("tree-inflection-sweep", total > 0 and bad == 0,
-                       f"{total} trees of orders 4..8, {bad} without an inflection")
+    records = [cache.record(tree) for n in range(4, 9) for tree in generate_trees(n)]
+    return _sweep("tree-inflection-sweep", records, lambda r: cache.shape(r.profile, r.graph).inflections >= 1,
+                  "{total} trees of orders 4..8, {bad} without an inflection")
 
 
 def check_two_cut_fixed_point(cache, tol):
-    bad = total = 0
-    for n, g in _sweep_orders(cache):
-        if len(cut_vertices(g)) < 2:
-            continue
-        total += 1
-        report = analyze_profile(count_connected_sets(g), tol)
-        if len(report.fixed_points) < 1:
-            bad += 1
-    return CheckResult("two-cut-fixed-point-sweep", total > 0 and bad == 0,
-                       f"{total} census graphs with >= 2 cut vertices, {bad} without a fixed point")
+    records = [r for r in _census_records(cache) if r.cut_count >= 2]
+    return _sweep("two-cut-fixed-point-sweep", records, lambda r: cache.shape(r.profile, r.graph).fixed_points >= 1,
+                  "{total} census graphs with >= 2 cut vertices, {bad} without a fixed point")
 
 
 def check_clique_leaf_decreasing(cache, tol):
@@ -367,12 +394,15 @@ def check_clique_leaf_decreasing(cache, tol):
 
 
 def check_star_single_inflection(cache, tol):
+    """Each star has one inflection, and f'' changes sign within ``tol`` of
+    2/n, so that is where it lies."""
     bad = []
     for n in range(4, 21):
-        report = analyze_profile(profile_closed_form(FamilySpec("star", (n,))), tol)
+        profile = profile_closed_form(FamilySpec("star", (n,)))
         target = Fraction(2, n)
-        if not (len(report.inflections) == 1
-                and report.inflections[0].lo <= target <= report.inflections[0].hi):
+        below, above = _signs(second_derivative(from_profile(profile)),
+                              (target - tol, target + tol))
+        if cache.shape(profile).inflections != 1 or below * above >= 0:
             bad.append(str(n))
     return CheckResult("star-single-inflection", not bad,
                        "stars n=4..20 have exactly one inflection bracketing 2/n"
@@ -385,8 +415,8 @@ def check_star_union_m_shape(cache, tol):
         profile = profile_disjoint_union(
             profile_closed_form(FamilySpec("star", (n,))),
             profile_closed_form(FamilySpec("complete", (1,))))
-        report = analyze_profile(profile, tol)
-        if len(report.decrease_intervals) != 2 or report.shape_class != "M":
+        shape = cache.shape(profile)
+        if shape.decreases != 2 or shape.shape_class != "M":
             bad.append(str(n))
     return CheckResult("star-union-m-shape", not bad,
                        "star plus isolated vertex has exactly two decrease intervals, n=12..20"
@@ -397,11 +427,11 @@ def check_cycle50_fixed_points(cache, tol):
     profile = profile_closed_form(FamilySpec("cycle", (50,)))
     g = make_family(FamilySpec("cycle", (50,)))
     witness = check_fixed_point_witness(g, profile=profile)
-    report = analyze_profile(profile, tol)
-    ok = witness.applicable and witness.below and len(report.fixed_points) >= 2
+    fixed_points = cache.shape(profile).fixed_points
+    ok = witness.applicable and witness.below and fixed_points >= 2
     return CheckResult("cycle50-fixed-points", ok,
                        f"f(1/4) {'<' if witness.below else '>='} 1/4, "
-                       f"{len(report.fixed_points)} fixed points")
+                       f"{fixed_points} fixed points")
 
 
 MONTE_CARLO_TRIALS = 25000
@@ -436,7 +466,7 @@ def check_monte_carlo(cache, tol):
     bad = []
     for spec, p, seed in MONTE_CARLO_CASES:
         g = make_family(spec)
-        exact = float(eval_exact(from_profile(count_connected_sets(g)), Fraction(p)))
+        exact = float(eval_exact(from_profile(cache.profile(g)), Fraction(p)))
         est = monte_carlo_estimate(g, p, MONTE_CARLO_TRIALS, seed)
         if abs(est.mean - exact) > 4.0 * est.stderr + 1e-12:
             bad.append(f"{spec.label()}@p={p}")

@@ -21,6 +21,22 @@ def checkout_env():
     return env
 
 
+def count_calls(monkeypatch, modules, name):
+    """Route every module's binding of function ``name`` through one shared
+    counter; returns the list of first arguments, one entry per call."""
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in modules:
+        assert getattr(module, name) is original
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def vcache():
     """One census cache for the whole session; orders are generated and

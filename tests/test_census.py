@@ -5,15 +5,19 @@ from itertools import combinations
 
 import pytest
 
+from conftest import count_calls
+from relshape import census
 from relshape.census import (
     _attach,
     _rejected,
+    analyze_stream,
     census_document,
     generate_connected,
     generate_trees,
     run_census,
     stream_graph6,
 )
+from relshape.connsets import count_connected_sets
 from relshape.graphs import (
     Graph,
     Graph6ParseError,
@@ -26,6 +30,7 @@ from relshape.graphs import (
     relabel,
     to_graph6,
 )
+from relshape.shape import analyze_profile
 
 KNOWN_CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -159,6 +164,24 @@ def test_order_independence(graphs6):
 
 def test_parallel_equals_sequential(graphs6):
     assert run_census(graphs6, jobs=2) == run_census(graphs6)
+    assert list(analyze_stream(graphs6, jobs=2)) == list(analyze_stream(graphs6))
+
+
+def test_census_analyzes_each_distinct_profile_once(monkeypatch):
+    graphs = list(generate_connected(7))
+    analyzed = count_calls(monkeypatch, [census], "analyze_profile")
+    run_census(graphs)
+    assert len(analyzed) == len({p.c for p in analyzed}) == 477
+
+
+@pytest.mark.parametrize("n", [7, pytest.param(8, marks=pytest.mark.slow)])
+def test_census_has_no_tangential_fixed_point(n, vcache):
+    # census fixed-point counts include tangential roots and inflections
+    # count only crossings; with none tangential the two conventions agree
+    profiles = {p.c: p for p in map(count_connected_sets, vcache.graphs(n))}
+    tangential = sum(len(analyze_profile(p).tangential_fixed_points)
+                     for p in profiles.values())
+    assert tangential == 0
 
 
 def test_exemplar_cap_and_determinism(graphs6):

@@ -9,8 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import checkout_env
-from relshape import cli, shape
+from conftest import checkout_env, count_calls
+from relshape import cli, poly, shape
 from relshape.graphs import parse_graph6
 from relshape.verification import THREE_INFLECTION_ORDER7
 
@@ -30,6 +30,21 @@ def run_inproc(capsys, *args):
 
 
 # -- analyze ---------------------------------------------------------------------
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    outputs = [run_inproc(capsys, "analyze", "--family", "cycle:9", "--json") for _ in range(2)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_analyze_expands_the_profile_once(monkeypatch, capsys):
+    expanded = count_calls(monkeypatch, [poly, shape, cli], "from_profile")
+    differentiated = count_calls(monkeypatch, [poly, shape, cli], "derivative")
+    code, _, _ = run_inproc(capsys, "analyze", "--family", "path:14", "--json")
+    assert code == 0
+    assert len(expanded) == len(differentiated) == 1
+
 
 def test_analyze_path6_text(capsys):
     code, out, _ = run_inproc(capsys, "analyze", "--family", "path:6")

@@ -219,6 +219,17 @@ def test_monte_carlo_zero_probability():
     assert est.mean == 0.0
 
 
+@pytest.mark.parametrize("spec, p, seed, successes", [
+    (fam("complete", 5), 0.5, 1001, 24231),
+    (FamilySpec("disjoint-union", parts=(fam("star", 5), fam("complete", 1))), 0.4, 1017, 9896),
+])
+def test_monte_carlo_successes_are_pinned(spec, p, seed, successes):
+    # the verify cross-check's cases at its trial count; the connectivity
+    # memo must leave the random stream and every outcome as they were
+    est = monte_carlo_estimate(make_family(spec), p, 25000, seed)
+    assert est.successes == successes
+
+
 def test_monte_carlo_deterministic_under_seed():
     g = make_family(fam("cycle", 5))
     a = monte_carlo_estimate(g, 0.3, 2000, seed=42)

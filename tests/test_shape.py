@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from relshape import shape
 from relshape.connsets import count_connected_sets, profile_closed_form, profile_disjoint_union
 from relshape.graphs import FamilySpec, is_two_connected, make_family, parse_edge_list
 from relshape.poly import derivative, eval_exact, from_profile, second_derivative
@@ -49,6 +50,22 @@ def test_isolating_intervals_meet_tolerance():
     records = isolate_roots(derivative(from_profile(
         count_connected_sets(make_family(fam("path", 6))))), tol=tol)
     assert all(r.hi - r.lo < tol for r in records)
+
+
+def test_float_estimate_keeps_the_bisection_bracket(graphs6, monkeypatch):
+    # exact rational roots (landing on a bisection midpoint), census
+    # polynomials and wide-coefficient family polynomials of degree 62
+    polys = [[-1, 2], [3, -16, 16], [1, -6, 9], [-1, 3, -3, 1]]
+    for profile in [*map(count_connected_sets, graphs6[::4]),
+                    profile_closed_form(fam("cycle", 62)), profile_closed_form(fam("star", 62))]:
+        poly = from_profile(profile)
+        shifted = list(poly.coeffs)
+        shifted[1] -= 1
+        polys += [derivative(poly), second_derivative(poly), shifted]
+    tols = (Fraction(1, 10**9), Fraction(1, 7), Fraction(1, 2**40))
+    estimated = [isolate_roots(c, tol=tol) for c in polys for tol in tols]
+    monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
+    assert estimated == [isolate_roots(c, tol=tol) for c in polys for tol in tols]
 
 
 def test_root_multiplicity_mixed():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from relshape import verification
+from conftest import count_calls
+from relshape import census, cli, connsets, shape, verification
 from relshape.graphs import is_connected
 from relshape.shape import check_sparse_decrease
 
@@ -23,7 +24,9 @@ SWEEPS = [
 ]
 
 
-class EmptyCensus:
+class EmptyCensus(verification.CensusCache):
+    """A cache whose census orders hold no graph."""
+
     def graphs(self, n):
         return []
 
@@ -49,3 +52,13 @@ def test_sparse_decrease_census_counts_every_seeded_graph():
     result = verification.check_sparse_decrease_census(EmptyCensus(), TOL)
     assert result.passed
     assert result.detail.startswith("14 seeded sparse graphs")
+
+
+def test_verify_counts_each_graph_once_and_analyzes_each_profile_once(monkeypatch):
+    counted = count_calls(monkeypatch, [connsets, census, verification, shape, cli],
+                          "count_connected_sets")
+    analyzed = count_calls(monkeypatch, [shape, census, cli], "analyze_profile")
+    results = verification.run_checks()
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert len(counted) == len({g.adj for g in counted}) == 1078
+    assert len(analyzed) == len({p.c for p in analyzed}) == 651
