@@ -371,13 +371,15 @@ def check_sparse_two_inflections(cache, tol):
 
 def check_tree_inflections(cache, tol):
     records = [cache.record(tree) for n in range(4, 9) for tree in generate_trees(n)]
-    return _sweep("tree-inflection-sweep", records, lambda r: cache.shape(r.profile, r.graph).inflections >= 1,
+    return _sweep("tree-inflection-sweep", records,
+                  lambda r: cache.shape(r.profile, r.graph).inflections >= 1,
                   "{total} trees of orders 4..8, {bad} without an inflection")
 
 
 def check_two_cut_fixed_point(cache, tol):
     records = [r for r in _census_records(cache) if r.cut_count >= 2]
-    return _sweep("two-cut-fixed-point-sweep", records, lambda r: cache.shape(r.profile, r.graph).fixed_points >= 1,
+    return _sweep("two-cut-fixed-point-sweep", records,
+                  lambda r: cache.shape(r.profile, r.graph).fixed_points >= 1,
                   "{total} census graphs with >= 2 cut vertices, {bad} without a fixed point")
 
 
