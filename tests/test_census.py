@@ -31,6 +31,7 @@ from relshape.graphs import (
     to_graph6,
 )
 from relshape.shape import analyze_profile
+from relshape.verification import CensusCache
 
 KNOWN_CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -165,6 +166,7 @@ def test_order_independence(graphs6):
 def test_parallel_equals_sequential(graphs6):
     assert run_census(graphs6, jobs=2) == run_census(graphs6)
     assert list(analyze_stream(graphs6, jobs=2)) == list(analyze_stream(graphs6))
+    assert CensusCache(jobs=2).summary(6)[0] == run_census(graphs6)
 
 
 def test_census_analyzes_each_distinct_profile_once(monkeypatch):
