@@ -358,16 +358,6 @@ def is_connected(g: Graph) -> bool:
     return mask_is_connected(g.adj, (1 << g.n) - 1)
 
 
-def component_count(g: Graph, removed: int = 0) -> int:
-    remaining = ((1 << g.n) - 1) & ~removed
-    count = 0
-    while remaining:
-        start = remaining & -remaining
-        remaining &= ~_component_mask(g.adj, start, remaining)
-        count += 1
-    return count
-
-
 def cut_vertices(g: Graph) -> tuple[int, ...]:
     """Vertices whose removal increases the number of connected components."""
     return g._cut_vertices
@@ -515,65 +505,120 @@ def _twin_classes(adj, n):
     return cls
 
 
+def _maximum_independent_sets(adj, n):
+    """Every maximum independent set of the graph, each once, as a bit mask.
+
+    Branches on the lowest candidate vertex (take it, or leave it out) and
+    cuts a branch that cannot reach the largest size found so far.
+    """
+    found = []
+    size = 0
+
+    def grow(chosen, count, cand):
+        nonlocal found, size
+        if not cand:
+            if count > size:
+                found, size = [chosen], count
+            elif count == size:
+                found.append(chosen)
+            return
+        if count + cand.bit_count() < size:
+            return
+        bit = cand & -cand
+        v = bit.bit_length() - 1
+        grow(chosen | bit, count + 1, cand & ~adj[v] & ~bit)
+        if cand & adj[v]:  # else every maximum extension takes v
+            grow(chosen, count, cand & ~bit)
+
+    grow(0, 0, (1 << n) - 1)
+    return found
+
+
 def _canonical_order(g: Graph) -> tuple[list[int], list[int]]:
     """Vertex ordering minimizing the column-major upper-triangle bit string.
 
     Returns (ordering, column values); ``ordering[j]`` is the original vertex
-    placed at position ``j``.  Exhaustive over orderings, with prefix pruning
-    against the best string found and one-representative-per-twin-class
-    branching, so highly symmetric graphs stay cheap.
+    placed at position ``j`` and the column of position j >= 1 is the j-bit
+    value with bit ``x(0, j)`` most significant.
+
+    The search is exhaustive over orderings, but it does not try the
+    orderings of the leading all-zero columns one by one:
+
+    1. Columns 1..k-1 are all zero exactly when positions 0..k-1 hold an
+       independent set, so every minimizing ordering starts with a maximum
+       independent set S, and each such S is tried once, as a set.
+    2. Placed vertices are kept as an ordered partition into cells (sets on
+       consecutive positions), starting with ``[S]``.  Every placed vertex
+       is adjacent to all or none of each cell, so its column does not
+       depend on the order inside the cells.  A candidate v gets the least
+       column that any order inside the cells allows, cell by cell the
+       |C - N(v)| non-neighbours as zeros before the |C & N(v)| neighbours as
+       ones, and only the split of each cell into (C - N(v), C & N(v))
+       reaches it.  Placing v makes that split, which changes no earlier
+       column, and appends the cell {v}.  Column by column, a branch thus
+       reaches the least string among the orderings that start with S, in
+       any order, followed by its sequence of later vertices; the least of
+       these over every S and every sequence is the least over all
+       orderings.
+
+    The branches grow one position at a time, all together: each tries the
+    unplaced vertices, one per twin class, and only the branches that reach
+    the least column of that position go on, since a branch with a larger
+    prefix cannot end at the least string.  At the end the vertices of
+    each cell are listed in ascending order; vertices sharing a cell then
+    are twins, so that order changes no bit.
     """
     n, adj = g.n, g.adj
+    full = (1 << n) - 1
     twins = _twin_classes(adj, n)
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
-
-    def rec(placed, cols, placed_mask, cand_cols):
-        nonlocal best_cols, best_perm
-        j = len(placed)
-        if j == n:
-            if best_cols is None or cols < best_cols:
-                best_cols = list(cols)
-                best_perm = list(placed)
-            return
-        options = []
-        seen = set()
-        for v in range(n):
-            if placed_mask >> v & 1:
-                continue
-            t = twins[v]
-            if t in seen:
-                continue
-            seen.add(t)
-            options.append((cand_cols[v], v))
-        options.sort()
-        for col, v in options:
-            if best_cols is not None:
-                prefix = cols + [col] if j else cols
-                if j and prefix > best_cols[: j]:
-                    break  # options ascend, the rest only get larger
-            new_cand = [
-                (cand_cols[u] << 1) | (adj[v] >> u & 1) for u in range(n)
-            ]
-            placed.append(v)
-            if j:
-                cols.append(col)
-            rec(placed, cols, placed_mask | (1 << v), new_cand)
-            placed.pop()
-            if j:
-                cols.pop()
-
-    rec([], [], 0, [0] * n)
-    assert best_perm is not None
-    return best_perm, best_cols
+    live = [([s], s) for s in _maximum_independent_sets(adj, n)]
+    cols = [0] * (live[0][1].bit_count() - 1)
+    while live[0][1] != full:
+        least = None
+        chosen = []
+        for cells, placed_mask in live:
+            sizes = [cell.bit_count() for cell in cells]
+            seen = 0
+            for v in range(n):
+                if placed_mask >> v & 1:
+                    continue
+                t = 1 << twins[v]
+                if seen & t:
+                    continue
+                seen |= t
+                nbrs = adj[v]
+                col = 0
+                for cell, size in zip(cells, sizes):
+                    col = col << size | (1 << (cell & nbrs).bit_count()) - 1
+                if least is None or col < least:
+                    least = col
+                    chosen = [(cells, placed_mask, v)]
+                elif col == least:
+                    chosen.append((cells, placed_mask, v))
+        cols.append(least)
+        live = []
+        for cells, placed_mask, v in chosen:
+            nbrs = adj[v]
+            split = []
+            for cell in cells:
+                if cell & nbrs and cell & ~nbrs:
+                    split += (cell & ~nbrs, cell & nbrs)
+                else:
+                    split.append(cell)
+            split.append(1 << v)
+            live.append((split, placed_mask | 1 << v))
+    order = []
+    for cell in live[0][0]:
+        while cell:
+            order.append((cell & -cell).bit_length() - 1)
+            cell &= cell - 1
+    return order, cols
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class (order <= 10)."""
     if g.n > CANONICAL_MAX_ORDER:
         raise ValueError(f"canonical form unsupported beyond order {CANONICAL_MAX_ORDER}")
-    if g.n == 1:
-        return g
     order, _ = _canonical_order(g)
     perm = [0] * g.n
     for pos, v in enumerate(order):
@@ -586,8 +631,6 @@ def canonical_key(g: Graph) -> bytes:
     keys hold exactly for isomorphic graphs (order <= 10)."""
     if g.n > CANONICAL_MAX_ORDER:
         raise ValueError(f"canonical form unsupported beyond order {CANONICAL_MAX_ORDER}")
-    if g.n == 1:
-        return bytes([1])
     _, cols = _canonical_order(g)
     bits = 0
     width = 0

@@ -233,6 +233,18 @@ def test_tree_counts_orders_9_and_10(n, count):
     assert sum(1 for _ in generate_trees(n)) == count
 
 
+# sha256 of the sorted graph6 tags of all trees of orders 1..10, in the
+# format of CENSUS_CHECKSUMS
+TREE_CHECKSUM = "e68dec031e08c50d42558c82919184644bfa8934df2ed3935cbcb2fd29a2ef92"
+
+
+def test_tree_checksum():
+    tags = sorted(to_graph6(g) for n in range(1, 11) for g in generate_trees(n))
+    assert len(tags) == 201  # OEIS A000055, orders 1..10
+    listing = "".join(tag + "\n" for tag in tags)
+    assert hashlib.sha256(listing.encode("ascii")).hexdigest() == TREE_CHECKSUM
+
+
 def _invariant(g, v):
     return g.degree(v), sorted(g.degree(u) for u in range(g.n) if g.has_edge(u, v))
 

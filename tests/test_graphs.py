@@ -1,18 +1,20 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 
+from relshape.census import generate_trees
 from relshape.graphs import (
+    _component_mask,
     FamilySpec,
     Graph,
     Graph6ParseError,
     EdgeListParseError,
     canonical_graph,
     canonical_key,
-    component_count,
     cut_vertices,
+    graph_from_edges,
     is_connected,
     is_two_connected,
     make_family,
@@ -173,6 +175,16 @@ def test_two_connected_equivalence(g):
     assert is_two_connected(g) == expected
 
 
+def component_count(g, removed=0):
+    remaining = ((1 << g.n) - 1) & ~removed
+    count = 0
+    while remaining:
+        start = remaining & -remaining
+        remaining &= ~_component_mask(g.adj, start, remaining)
+        count += 1
+    return count
+
+
 def cut_vertices_by_removal(g):
     """Oracle: the vertices whose removal increases the component count."""
     base = component_count(g)
@@ -299,3 +311,68 @@ def test_canonical_key_minimum_over_all_permutations():
         canon = canonical_graph(g)
         got = tuple(canon.adj[i] >> j & 1 for j in range(1, n) for i in range(j))
         assert got == best
+
+
+def upper_triangle(g):
+    return tuple(g.adj[i] >> j & 1 for j in range(1, g.n) for i in range(j))
+
+
+def min_over_all_orderings(g):
+    """Oracle: the least column-major upper-triangle string over all n!
+    orderings."""
+    pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
+    return min(tuple(g.adj[perm[i]] >> perm[j] & 1 for i, j in pairs)
+               for perm in permutations(range(g.n)))
+
+
+def assert_canonical_is_minimum(g):
+    canon = canonical_graph(g)
+    assert upper_triangle(canon) == min_over_all_orderings(g), to_graph6(g)
+    assert canonical_key(canon) == canonical_key(g)
+    assert canonical_graph(canon) == canon
+
+
+def test_order_one_canonical_form():
+    g = Graph(1, (0,))
+    assert canonical_key(g) == b"\x01"
+    assert canonical_graph(g) == g
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_graph_minimum_over_every_labelled_graph(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        assert_canonical_is_minimum(
+            graph_from_edges(n, (e for bit, e in enumerate(pairs) if mask >> bit & 1)))
+
+
+def cliques(*sizes):
+    edges, start = [], 0
+    for size in sizes:
+        edges += combinations(range(start, start + size), 2)
+        start += size
+    return graph_from_edges(start, edges)
+
+
+def test_canonical_graph_minimum_on_orders_6_and_7():
+    # the all-zero prefix of the canonical string is a maximum independent
+    # set: these families make it every vertex, one vertex, a star's leaves,
+    # one or either side of a complete bipartite graph, or one vertex per
+    # clique
+    rng = random.Random(67)
+    cases = [fam("empty", 6), fam("empty", 7), fam("complete", 6), fam("complete", 7),
+             fam("star", 6), fam("star", 7)]
+    cases += [fam("complete-bipartite", a, n - a) for n in (6, 7) for a in range(1, n // 2 + 1)]
+    cases += [cliques(*sizes) for sizes in ((3, 3), (2, 2, 2), (1, 5), (1, 1, 4), (3, 4),
+                                            (2, 5), (2, 2, 3), (1, 2, 4), (1, 1, 1, 4))]
+    cases += generate_trees(7)
+    for n in (6, 7):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(3):
+                cases.append(graph_from_edges(n, (e for e in combinations(range(n), 2)
+                                                  if rng.random() < density)))
+    assert len(cases) == 50
+    for g in cases:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert_canonical_is_minimum(relabel(g, perm))
