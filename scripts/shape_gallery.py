@@ -11,24 +11,23 @@ header and feeds any plotting tool directly.
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from relshape.census import generate_trees
 from relshape.cli import fmt_dec
-from relshape.connsets import count_connected_sets
-from relshape.graphs import FamilySpec, make_family, to_graph6
-from relshape.poly import eval_exact, family_profile, from_profile
+from relshape.connsets import count_connected_sets, family_profile
+from relshape.graphs import FamilySpec, to_graph6
+from relshape.poly import from_profile, sample
 
 
 def write_curve(path: Path, coeffs, samples: int) -> None:
+    points = sample(coeffs, samples)
     with open(path, "w", encoding="ascii") as out:
         out.write("p,value\n")
-        for i in range(samples):
-            p = Fraction(i, samples - 1)
-            out.write(f"{fmt_dec(p, 12)},{fmt_dec(eval_exact(coeffs, p), 12)}\n")
+        for p, value in points:
+            out.write(f"{fmt_dec(p, 12)},{fmt_dec(value, 12)}\n")
 
 
 def main() -> int:

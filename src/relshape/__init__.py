@@ -8,16 +8,14 @@ from .connsets import (
     count_connected_sets,
     count_connected_sets_bruteforce,
     f_coefficients,
+    family_profile,
     first_sperner_violation,
-    profile_closed_form,
     profile_disjoint_union,
-    sperner_failure,
 )
 from .graphs import (
     FamilySpec,
     Graph,
     canonical_graph,
-    canonical_key,
     cut_vertices,
     is_connected,
     is_two_connected,
@@ -25,13 +23,11 @@ from .graphs import (
     min_vertex_cut,
     parse_edge_list,
     parse_graph6,
-    structural_stats,
     to_graph6,
 )
 from .poly import (
     DCoefficients,
     ReliabilityPoly,
-    closed_form,
     d_coefficients,
     derivative,
     eval_exact,

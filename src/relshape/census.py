@@ -143,8 +143,9 @@ def census_document(summary: CensusSummary) -> dict:
 
 class ShapeCounts(NamedTuple):
     """The fields of a shape report that the census and the verify sweeps
-    read: a few counts, the class and the concavity sign near 1.  Every graph
-    with one profile shares one instance."""
+    read: a few counts, the class and the concavity sign near 1.  Like
+    inflections, fixed points count only crossings of the identity.  Every
+    graph with one profile shares one instance."""
 
     decreases: int
     inflections: int
@@ -164,7 +165,7 @@ def shape_counts(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
             raise
         raise InternalCheckError(f"graph {to_graph6(g)}: {exc}") from exc
     return ShapeCounts(len(report.decrease_intervals), len(report.inflections),
-                       len(report.fixed_points), report.shape_class,
+                       len(report.crossing_fixed_points), report.shape_class,
                        report.concavity_near_1)
 
 

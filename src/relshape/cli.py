@@ -29,7 +29,8 @@ from .connsets import (
     check_coefficient_identities,
     count_connected_sets,
     f_coefficients,
-    sperner_failure,
+    family_profile,
+    first_sperner_violation,
 )
 from .graphs import (
     EdgeListParseError,
@@ -50,9 +51,8 @@ from .poly import (
     InternalCheckError,
     d_coefficients,
     derivative,
-    eval_exact,
-    family_profile,
     from_profile,
+    sample,
     second_derivative,
 )
 from .shape import (
@@ -157,11 +157,7 @@ def resolve_graph(args) -> tuple[Graph, FamilySpec | None]:
 
 
 def resolve_profile(g: Graph, spec: FamilySpec | None):
-    if spec is not None:
-        profile = family_profile(spec)
-        if profile is not None:
-            return profile
-    return count_connected_sets(g)
+    return count_connected_sets(g) if spec is None else family_profile(spec)
 
 
 def _root_doc(record) -> dict:
@@ -247,7 +243,7 @@ def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) ->
                 "passed": bounds.passed,
                 "first_violation": list(bounds.first_violation) if bounds.first_violation else None,
             },
-            "sperner_failure": sperner_failure(profile),
+            "sperner_failure": first_sperner_violation(profile) is not None,
             "sparse_decrease": {
                 "applicable": sparse.applicable,
                 "point": None if sparse.point is None else fmt_exact(sparse.point),
@@ -354,29 +350,19 @@ def cmd_coeffs(args) -> int:
     profile = resolve_profile(g, spec)
     f = f_coefficients(profile)
     d = d_coefficients(profile)
-    identities = check_coefficient_identities(g, profile)
-    flagged = {item.label: item for item in identities.items}
+    flagged = {item.label: item for item in check_coefficient_identities(g, profile).items}
+    n = profile.n
+    # the row each identity annotates; at n <= 2 the later keys n-1 and n win
+    label_at = {0: "c0_zero", 1: "c1_order", 2: "c2_size", 3: "c3_wedges_minus_triangles",
+                n - 1: "penultimate_noncut", n: "full_set_connected"}
     rows = []
-    for k in range(profile.n + 1):
-        note = ""
-        if k == 0:
-            note = _identity_note(flagged, "c0_zero")
-        elif k == 1:
-            note = _identity_note(flagged, "c1_order")
-        elif k == 2:
-            note = _identity_note(flagged, "c2_size")
-        elif k == 3:
-            note = _identity_note(flagged, "c3_wedges_minus_triangles")
-        if k == profile.n - 1 and "penultimate_noncut" in flagged:
-            note = _identity_note(flagged, "penultimate_noncut")
-        if k == profile.n and "full_set_connected" in flagged:
-            note = _identity_note(flagged, "full_set_connected")
+    for k in range(n + 1):
         rows.append({
             "k": k,
             "c": fmt_exact(profile.c[k]),
             "f": fmt_exact(f[k]),
-            "d": fmt_exact(d.at(k)) if 1 <= k <= profile.n - 1 else None,
-            "note": note,
+            "d": fmt_exact(d.at(k)) if 1 <= k <= n - 1 else None,
+            "note": _identity_note(flagged.get(label_at.get(k))),
         })
     if args.json:
         print(json.dumps({"n": profile.n, "rows": rows}, indent=2, sort_keys=True))
@@ -399,31 +385,26 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-def _identity_note(flagged, label) -> str:
-    item = flagged.get(label)
+def _identity_note(item) -> str:
     if item is None or not item.applicable:
         return ""
-    return f"[{label}: {'ok' if item.passed else 'MISMATCH'}]"
+    return f"[{item.label}: {'ok' if item.passed else 'MISMATCH'}]"
 
 
 def cmd_plot(args) -> int:
-    if args.samples < 2:
-        raise ValueError("need at least 2 samples")
     g, spec = resolve_graph(args)
-    profile = resolve_profile(g, spec)
-    poly = from_profile(profile)
+    poly = from_profile(resolve_profile(g, spec))
     if args.which == "f":
         coeffs = poly.coeffs
     elif args.which == "f1":
         coeffs = derivative(poly)
     else:
         coeffs = second_derivative(poly)
+    points = sample(coeffs, args.samples)
     out = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     try:
         out.write("p,value\n")
-        for i in range(args.samples):
-            p = Fraction(i, args.samples - 1)
-            value = eval_exact(coeffs, p)
+        for p, value in points:
             out.write(f"{fmt_dec(p, 12)},{fmt_dec(value, 12)}\n")
     finally:
         if args.out:
@@ -497,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="connected-set, failure-set, and d coefficient table")
     _add_graph_selector(p)
-    p.add_argument("--tol", help=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_coeffs)
 
@@ -506,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=501)
     p.add_argument("--which", choices=["f", "f1", "f2"], default="f")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--tol", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("census", help="aggregate shape statistics over many graphs")

@@ -19,9 +19,9 @@ from there on the frontier program runs when its state bound
 sparse graphs of order 16 and more go through the frontier program, while
 small and dense graphs (the censuses, trees, K_18, G(20, 1/2)) are
 enumerated.  An exhaustive subset scan is kept alongside as an independent
-oracle.  Closed-form profiles exist for the standard families, and
-report-style checks verify the bounds and identities the counts are known
-to satisfy.
+oracle.  ``family_profile`` gives the closed-form profile of every named
+family, and report-style checks verify the bounds and identities the counts
+are known to satisfy.
 """
 
 from __future__ import annotations
@@ -259,31 +259,25 @@ def count_connected_sets_bruteforce(g: Graph, cap: int = BRUTEFORCE_CAP) -> Conn
     return ConnSetProfile(n, tuple(counts))
 
 
-def profile_closed_form(spec: FamilySpec) -> ConnSetProfile:
-    """Closed-form profile for complete, empty, path, cycle, and star graphs.
+# c_k for k >= 2 of each named family of order n (c_0 = 0 and c_1 = n for all)
+_CLOSED_FORMS = {
+    "complete": lambda n, params, k: comb(n, k),
+    "empty": lambda n, params, k: 0,
+    "path": lambda n, params, k: n - k + 1,
+    "cycle": lambda n, params, k: n if k < n else 1,
+    "star": lambda n, params, k: comb(n - 1, k - 1),
+    "complete-bipartite":
+        lambda n, params, k: comb(n, k) - comb(params[0], k) - comb(params[1], k),
+    "bonded-complete-leaf": lambda n, params, k: comb(n - 1, k) + comb(n - 2, k - 2),
+}
 
-    complete: c_k = C(n,k);  empty: c_1 = n only;  path: c_k = n-k+1;
-    cycle: c_k = n for k < n, c_n = 1;  star: c_1 = n, c_k = C(n-1,k-1).
-    """
-    n = spec.order
-    if spec.kind == "complete":
-        c = [comb(n, k) for k in range(n + 1)]
-        c[0] = 0
-    elif spec.kind == "empty":
-        c = [0] * (n + 1)
-        c[1] = n
-    elif spec.kind == "path":
-        c = [0] + [n - k + 1 for k in range(1, n + 1)]
-    elif spec.kind == "cycle":
-        c = [0] + [n] * (n - 1) + [1]
-    elif spec.kind == "star":
-        c = [0] * (n + 1)
-        c[1] = n
-        for k in range(2, n + 1):
-            c[k] = comb(n - 1, k - 1)
-    else:
-        raise ValueError(f"no closed-form profile for family kind {spec.kind!r}")
-    return ConnSetProfile(n, tuple(c))
+
+def family_profile(spec: FamilySpec) -> ConnSetProfile:
+    """Closed-form profile of a named family instance, unions included."""
+    if spec.kind == "disjoint-union":
+        return profile_disjoint_union(*map(family_profile, spec.parts))
+    n, c_k = spec.order, _CLOSED_FORMS[spec.kind]
+    return ConnSetProfile(n, (0, n, *(c_k(n, spec.params, k) for k in range(2, n + 1))))
 
 
 def profile_disjoint_union(a: ConnSetProfile, b: ConnSetProfile) -> ConnSetProfile:
@@ -393,8 +387,3 @@ def first_sperner_violation(profile: ConnSetProfile) -> int | None:
         if (k + 1) * f[k + 1] > (n - k) * f[k]:
             return k
     return None
-
-
-def sperner_failure(profile: ConnSetProfile) -> bool:
-    return first_sperner_violation(profile) is not None
-

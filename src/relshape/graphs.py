@@ -11,8 +11,7 @@ isomorphism-class deduplication of small graphs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -85,9 +84,6 @@ class Graph:
                 u = (w & -w).bit_length() - 1
                 w &= w - 1
                 yield (v, u)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     @cached_property
     def _cut_vertices(self) -> tuple[int, ...]:
@@ -444,48 +440,11 @@ def min_vertex_cut(g: Graph) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class StructuralStats:
-    m: int
-    max_degree: int
-    triangles: int
-    cut_vertex_count: int
-    min_cut_size: int | None
-    leaves: int
-    leaves_on_degree_two: int
-    degree_sequence: tuple[int, ...]
-
-
 def triangle_count(g: Graph) -> int:
     total = 0
     for u, v in g.edges():
         total += (g.adj[u] & g.adj[v]).bit_count()
     return total // 3
-
-
-def structural_stats(g: Graph, with_min_cut: bool = True) -> StructuralStats:
-    """Edge count, maximum degree, triangle count, cut vertices, minimum
-    vertex cut, leaf counts, and the sorted degree sequence.
-
-    ``with_min_cut=False`` skips the exponential minimum-cut search (useful
-    for large dense graphs).
-    """
-    degs = g.degrees()
-    leaves = [v for v in range(g.n) if degs[v] == 1]
-    s = sum(
-        1 for v in leaves
-        if degs[(g.adj[v] & -g.adj[v]).bit_length() - 1] == 2
-    )
-    return StructuralStats(
-        m=g.m,
-        max_degree=max(degs),
-        triangles=triangle_count(g),
-        cut_vertex_count=len(cut_vertices(g)),
-        min_cut_size=min_vertex_cut(g) if with_min_cut else None,
-        leaves=len(leaves),
-        leaves_on_degree_two=s,
-        degree_sequence=tuple(sorted(degs, reverse=True)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +493,9 @@ def _maximum_independent_sets(adj, n):
     return found
 
 
-def _canonical_order(g: Graph) -> tuple[list[int], list[int]]:
-    """Vertex ordering minimizing the column-major upper-triangle bit string.
-
-    Returns (ordering, column values); ``ordering[j]`` is the original vertex
-    placed at position ``j`` and the column of position j >= 1 is the j-bit
-    value with bit ``x(0, j)`` most significant.
+def _canonical_order(g: Graph) -> list[int]:
+    """Vertex ordering minimizing the column-major upper-triangle bit string;
+    ``ordering[j]`` is the original vertex placed at position ``j``.
 
     The search is exhaustive over orderings, but it does not try the
     orderings of the leading all-zero columns one by one:
@@ -572,7 +528,6 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int]]:
     full = (1 << n) - 1
     twins = _twin_classes(adj, n)
     live = [([s], s) for s in _maximum_independent_sets(adj, n)]
-    cols = [0] * (live[0][1].bit_count() - 1)
     while live[0][1] != full:
         least = None
         chosen = []
@@ -595,7 +550,6 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int]]:
                     chosen = [(cells, placed_mask, v)]
                 elif col == least:
                     chosen.append((cells, placed_mask, v))
-        cols.append(least)
         live = []
         for cells, placed_mask, v in chosen:
             nbrs = adj[v]
@@ -612,29 +566,14 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int]]:
         while cell:
             order.append((cell & -cell).bit_length() - 1)
             cell &= cell - 1
-    return order, cols
+    return order
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class (order <= 10)."""
     if g.n > CANONICAL_MAX_ORDER:
         raise ValueError(f"canonical form unsupported beyond order {CANONICAL_MAX_ORDER}")
-    order, _ = _canonical_order(g)
     perm = [0] * g.n
-    for pos, v in enumerate(order):
+    for pos, v in enumerate(_canonical_order(g)):
         perm[v] = pos
     return relabel(g, perm)
-
-
-def canonical_key(g: Graph) -> bytes:
-    """Order byte plus the minimal upper-triangle bit string, packed; equal
-    keys hold exactly for isomorphic graphs (order <= 10)."""
-    if g.n > CANONICAL_MAX_ORDER:
-        raise ValueError(f"canonical form unsupported beyond order {CANONICAL_MAX_ORDER}")
-    _, cols = _canonical_order(g)
-    bits = 0
-    width = 0
-    for j, col in enumerate(cols, start=1):
-        bits = bits << j | col
-        width += j
-    return bytes([g.n]) + bits.to_bytes((width + 7) // 8, "big")

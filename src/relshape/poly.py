@@ -7,10 +7,10 @@ nonempty and induce a connected subgraph:
     nRel(p) = sum_k c_k p^k (1-p)^(n-k)
 
 with c_k the number of connected k-sets.  This module expands that c-form
-into the ordinary power basis exactly (integer coefficients), provides the
-closed forms for the standard families, exact differentiation and evaluation
-at rational points, the second-derivative coefficients d_k, and a seeded
-Monte Carlo estimator used as an end-to-end cross-check.
+into the ordinary power basis exactly (integer coefficients) and provides
+exact differentiation and evaluation at rational points, the
+second-derivative coefficients d_k, and a seeded Monte Carlo estimator used
+as an end-to-end cross-check.
 """
 
 from __future__ import annotations
@@ -18,30 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import sqrt
 
-from .connsets import ConnSetProfile, profile_closed_form
-from .graphs import FamilySpec, Graph, mask_is_connected
+from .connsets import ConnSetProfile
+from .graphs import Graph, mask_is_connected
 from .sturm import InternalCheckError
-
-
-# -- plain coefficient-sequence helpers (lowest degree first) ---------------
-
-def poly_add(a, b):
-    out = list(a) + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def poly_scale(a, s):
-    return [s * x for x in a]
-
-
-def poly_shift(a, k):
-    """Multiply by p^k."""
-    return [0] * k + list(a)
-
 
 _PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]
 
@@ -126,44 +107,6 @@ class ReliabilityPoly:
 def from_profile(profile: ConnSetProfile) -> ReliabilityPoly:
     coeffs = expand_c_form(profile.c, profile.n)
     return ReliabilityPoly(profile.n, tuple(coeffs), profile)
-
-
-def closed_form(spec: FamilySpec) -> ReliabilityPoly:
-    """Directly expanded closed forms.
-
-    complete(n):             1 - (1-p)^n
-    empty(n):                n p (1-p)^(n-1)
-    star(n):                 p + (n-1) p (1-p)^(n-1)
-    complete-bipartite(n,n): 1 - 2(1-p)^n + 2n p (1-p)^(2n-1) + (1-p)^(2n)
-    bonded-complete-leaf(n): 1 - p(1-p) + p(1-p)^(n-1) - (1-p)^n
-    """
-    kind = spec.kind
-    if kind == "complete":
-        n = spec.params[0]
-        coeffs = poly_add([1], poly_scale(one_minus_p_power(n), -1))
-    elif kind == "empty":
-        n = spec.params[0]
-        coeffs = poly_shift(poly_scale(one_minus_p_power(n - 1), n), 1)
-    elif kind == "star":
-        n = spec.params[0]
-        coeffs = poly_add([0, 1], poly_shift(poly_scale(one_minus_p_power(n - 1), n - 1), 1))
-    elif kind == "complete-bipartite":
-        a, b = spec.params
-        if a != b:
-            raise ValueError("closed form available for balanced complete bipartite only")
-        n = 2 * a
-        coeffs = poly_add([1], poly_scale(one_minus_p_power(a), -2))
-        coeffs = poly_add(coeffs, poly_shift(poly_scale(one_minus_p_power(n - 1), n), 1))
-        coeffs = poly_add(coeffs, one_minus_p_power(n))
-    elif kind == "bonded-complete-leaf":
-        n = spec.params[0]
-        coeffs = poly_add([1, -1, 1], poly_shift(one_minus_p_power(n - 1), 1))
-        coeffs = poly_add(coeffs, poly_scale(one_minus_p_power(n), -1))
-    else:
-        raise ValueError(f"no closed form for family kind {kind!r}")
-    n = spec.order
-    coeffs = coeffs + [0] * (n + 1 - len(coeffs))
-    return ReliabilityPoly(n, tuple(coeffs))
 
 
 def derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
@@ -278,27 +221,3 @@ def monte_carlo_estimate(g: Graph, p: float, trials: int, seed: int) -> MonteCar
     mean = successes / trials
     stderr = sqrt(mean * (1.0 - mean) / trials)
     return MonteCarloEstimate(mean, stderr, trials, successes)
-
-
-def family_profile(spec: FamilySpec) -> ConnSetProfile | None:
-    """Closed-form profile for a family when one is known, unions included;
-    None when the family needs enumeration."""
-    if spec.kind in ("complete", "empty", "path", "cycle", "star"):
-        return profile_closed_form(spec)
-    if spec.kind == "complete-bipartite":
-        a, b = spec.params
-        n = a + b
-        c = [0, n] + [comb(n, k) - comb(a, k) - comb(b, k) for k in range(2, n + 1)]
-        return ConnSetProfile(n, tuple(c))
-    if spec.kind == "bonded-complete-leaf":
-        n = spec.params[0]
-        c = [0, n] + [comb(n - 1, k) + comb(n - 2, k - 2) for k in range(2, n + 1)]
-        return ConnSetProfile(n, tuple(c))
-    if spec.kind == "disjoint-union":
-        parts = [family_profile(part) for part in spec.parts]
-        if None in parts:
-            return None
-        from .connsets import profile_disjoint_union
-
-        return profile_disjoint_union(parts[0], parts[1])
-    return None

@@ -30,9 +30,8 @@ from .connsets import (
     check_coefficient_bounds,
     check_coefficient_identities,
     count_connected_sets,
-    profile_closed_form,
-    profile_disjoint_union,
-    sperner_failure,
+    family_profile,
+    first_sperner_violation,
 )
 from .graphs import (
     FamilySpec,
@@ -46,12 +45,13 @@ from .graphs import (
     to_graph6,
 )
 from .poly import (
-    closed_form,
+    ReliabilityPoly,
     d_coefficients,
     derivative,
     eval_exact,
     from_profile,
     monte_carlo_estimate,
+    one_minus_p_power,
     second_derivative,
 )
 from .shape import (
@@ -198,7 +198,7 @@ def check_path6_decrease_endpoints(cache, tol):
     """The one decrease interval of P6 ends within 5e-5 of 0.2137 and
     0.5851: f' turns negative inside the first window and positive again
     inside the second, so with a single interval its ends lie there."""
-    profile = profile_closed_form(FamilySpec("path", (6,)))
+    profile = family_profile(FamilySpec("path", (6,)))
     decreases = cache.shape(profile).decreases
     slack = Fraction(5, 10**5)
     lo, hi = Fraction(2137, 10**4), Fraction(5851, 10**4)
@@ -216,6 +216,63 @@ def check_threshold_constants(cache, tol):
     ok = abs(r_hat - 1.729474372) <= 1e-8 and abs(f_hat - 0.08510464442) <= 1e-9
     return CheckResult("sparse-threshold-constants", ok,
                        f"argmax {r_hat:.10f}, maximum {f_hat:.12f}")
+
+
+# -- power-basis closed forms, an oracle independent of the profile route ----
+# (coefficient lists, lowest degree first)
+
+def poly_add(a, b):
+    out = list(a) + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
+
+
+def poly_scale(a, s):
+    return [s * x for x in a]
+
+
+def poly_shift(a, k):
+    """Multiply by p^k."""
+    return [0] * k + list(a)
+
+
+def closed_form(spec: FamilySpec) -> ReliabilityPoly:
+    """Directly expanded closed forms.
+
+    complete(n):             1 - (1-p)^n
+    empty(n):                n p (1-p)^(n-1)
+    star(n):                 p + (n-1) p (1-p)^(n-1)
+    complete-bipartite(n,n): 1 - 2(1-p)^n + 2n p (1-p)^(2n-1) + (1-p)^(2n)
+    bonded-complete-leaf(n): 1 - p(1-p) + p(1-p)^(n-1) - (1-p)^n
+    """
+    kind = spec.kind
+    if kind == "complete":
+        n = spec.params[0]
+        coeffs = poly_add([1], poly_scale(one_minus_p_power(n), -1))
+    elif kind == "empty":
+        n = spec.params[0]
+        coeffs = poly_shift(poly_scale(one_minus_p_power(n - 1), n), 1)
+    elif kind == "star":
+        n = spec.params[0]
+        coeffs = poly_add([0, 1], poly_shift(poly_scale(one_minus_p_power(n - 1), n - 1), 1))
+    elif kind == "complete-bipartite":
+        a, b = spec.params
+        if a != b:
+            raise ValueError("closed form available for balanced complete bipartite only")
+        n = 2 * a
+        coeffs = poly_add([1], poly_scale(one_minus_p_power(a), -2))
+        coeffs = poly_add(coeffs, poly_shift(poly_scale(one_minus_p_power(n - 1), n), 1))
+        coeffs = poly_add(coeffs, one_minus_p_power(n))
+    elif kind == "bonded-complete-leaf":
+        n = spec.params[0]
+        coeffs = poly_add([1, -1, 1], poly_shift(one_minus_p_power(n - 1), 1))
+        coeffs = poly_add(coeffs, poly_scale(one_minus_p_power(n), -1))
+    else:
+        raise ValueError(f"no closed form for family kind {kind!r}")
+    n = spec.order
+    coeffs = coeffs + [0] * (n + 1 - len(coeffs))
+    return ReliabilityPoly(n, tuple(coeffs))
 
 
 def _closed_form_specs():
@@ -287,7 +344,7 @@ def check_endpoint_derivative_sweep(cache, tol):
 
 def check_sperner_sweep(cache, tol):
     return _sweep("sperner-failure-sweep", _census_records(cache),
-                  lambda r: sperner_failure(r.profile) != is_complete(r.graph),
+                  lambda r: (first_sperner_violation(r.profile) is None) == is_complete(r.graph),
                   "failure iff non-complete on {total} census graphs, {bad} failures")
 
 
@@ -349,7 +406,7 @@ def check_sparse_decrease_instances(cache, tol):
              + [FamilySpec("path", (n,)) for n in range(11, 17)])
     for spec in cases:
         g = make_family(spec)
-        profile = profile_closed_form(spec)
+        profile = family_profile(spec)
         chk = check_sparse_decrease(g, profile)
         if not (chk.applicable and chk.deriv_value < 0 and cache.shape(profile).decreases):
             bad.append(spec.label())
@@ -362,7 +419,7 @@ def check_sparse_two_inflections(cache, tol):
     bad = []
     for n in range(12, 17):
         spec = FamilySpec("cycle", (n,))
-        if cache.shape(profile_closed_form(spec)).inflections < 2:
+        if cache.shape(family_profile(spec)).inflections < 2:
             bad.append(spec.label())
     return CheckResult("sparse-two-inflection-instances", not bad,
                        "sparse 2-connected cycles n=12..16 all have >= 2 inflections"
@@ -400,7 +457,7 @@ def check_star_single_inflection(cache, tol):
     2/n, so that is where it lies."""
     bad = []
     for n in range(4, 21):
-        profile = profile_closed_form(FamilySpec("star", (n,)))
+        profile = family_profile(FamilySpec("star", (n,)))
         target = Fraction(2, n)
         below, above = _signs(second_derivative(from_profile(profile)),
                               (target - tol, target + tol))
@@ -414,10 +471,8 @@ def check_star_single_inflection(cache, tol):
 def check_star_union_m_shape(cache, tol):
     bad = []
     for n in range(12, 21):
-        profile = profile_disjoint_union(
-            profile_closed_form(FamilySpec("star", (n,))),
-            profile_closed_form(FamilySpec("complete", (1,))))
-        shape = cache.shape(profile)
+        shape = cache.shape(family_profile(FamilySpec(
+            "disjoint-union", parts=(FamilySpec("star", (n,)), FamilySpec("complete", (1,))))))
         if shape.decreases != 2 or shape.shape_class != "M":
             bad.append(str(n))
     return CheckResult("star-union-m-shape", not bad,
@@ -426,7 +481,7 @@ def check_star_union_m_shape(cache, tol):
 
 
 def check_cycle50_fixed_points(cache, tol):
-    profile = profile_closed_form(FamilySpec("cycle", (50,)))
+    profile = family_profile(FamilySpec("cycle", (50,)))
     g = make_family(FamilySpec("cycle", (50,)))
     witness = check_fixed_point_witness(g, profile=profile)
     fixed_points = cache.shape(profile).fixed_points

@@ -49,14 +49,14 @@ def test_c03_census_order_8(vcache):
     # count bounds hold at order 8 too, and the retained three-inflection
     # exemplars all show the one-leaf-one-cut-vertex pattern
     from relshape.connsets import check_coefficient_bounds, count_connected_sets
-    from relshape.graphs import parse_graph6, structural_stats
+    from relshape.graphs import cut_vertices, parse_graph6
 
     for g in vcache.graphs(8):
         assert check_coefficient_bounds(count_connected_sets(g)).passed
     summary, _ = vcache.summary(8)
     for tag in summary.exemplars["inflections=3"]:
-        stats = structural_stats(parse_graph6(tag), with_min_cut=False)
-        assert stats.leaves == 1 and stats.cut_vertex_count == 1
+        g = parse_graph6(tag)
+        assert g.degrees().count(1) == 1 and len(cut_vertices(g)) == 1
 
 
 def test_c04_path6_decrease_endpoints(vcache):

@@ -15,15 +15,15 @@ from relshape.census import (
     generate_connected,
     generate_trees,
     run_census,
+    shape_counts,
     stream_graph6,
 )
-from relshape.connsets import count_connected_sets
+from relshape.connsets import ConnSetProfile, count_connected_sets
 from relshape.graphs import (
     Graph,
     Graph6ParseError,
     _canonical_order,
     canonical_graph,
-    canonical_key,
     cut_vertices,
     is_connected,
     parse_graph6,
@@ -49,7 +49,7 @@ def brute_force_connected_classes(n):
                 adj[j] |= 1 << i
         g = Graph(n, tuple(adj))
         if is_connected(g):
-            keys.add(canonical_key(g))
+            keys.add(to_graph6(canonical_graph(g)))
     return len(keys)
 
 
@@ -83,7 +83,7 @@ def test_census_checksum(n, vcache):
 
 
 def test_generated_graphs_connected_and_distinct(graphs6):
-    keys = {canonical_key(g) for g in graphs6}
+    keys = {to_graph6(canonical_graph(g)) for g in graphs6}
     assert len(keys) == len(graphs6)
     assert all(is_connected(g) for g in graphs6)
 
@@ -178,12 +178,22 @@ def test_census_analyzes_each_distinct_profile_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [7, pytest.param(8, marks=pytest.mark.slow)])
 def test_census_has_no_tangential_fixed_point(n, vcache):
-    # census fixed-point counts include tangential roots and inflections
-    # count only crossings; with none tangential the two conventions agree
+    # census fixed-point counts take only crossings, as inflections do; no
+    # census graph has a tangential fixed point, so counting them too would
+    # move no census count
     profiles = {p.c: p for p in map(count_connected_sets, vcache.graphs(n))}
     tangential = sum(len(analyze_profile(p).tangential_fixed_points)
                      for p in profiles.values())
     assert tangential == 0
+
+
+def test_census_counts_only_crossing_fixed_points():
+    # f(p) - p = p (1-p) (2p-1)^2 touches zero at 1/2 without crossing
+    profile = ConnSetProfile(4, (0, 2, 1, 4, 1))
+    assert len(analyze_profile(profile).tangential_fixed_points) == 1
+    counts = shape_counts(profile)
+    assert counts.fixed_points == 0
+    assert counts.shape_class == "monotone-no-interior-fixed-point"
 
 
 def test_exemplar_cap_and_determinism(graphs6):
@@ -246,7 +256,7 @@ def test_tree_checksum():
 
 
 def _invariant(g, v):
-    return g.degree(v), sorted(g.degree(u) for u in range(g.n) if g.has_edge(u, v))
+    return g.degree(v), sorted(g.degree(u) for u in range(g.n) if g.adj[u] >> v & 1)
 
 
 def _random_connected(rng, n):
@@ -277,12 +287,11 @@ def test_rejection_keeps_max_invariant_deletion():
                         if u not in cuts and _invariant(g, u) == top])
         rest = [u for u in range(g.n) if u != v]
         parent = Graph(g.n - 1, tuple(
-            sum(1 << i for i, w in enumerate(rest) if g.has_edge(u, w)) for u in rest))
-        order, _ = _canonical_order(parent)
-        pos = {rest[old]: new for new, old in enumerate(order)}
-        mask = sum(1 << pos[u] for u in rest if g.has_edge(u, v))
+            sum(1 << i for i, w in enumerate(rest) if g.adj[u] >> w & 1) for u in rest))
+        pos = {rest[old]: new for new, old in enumerate(_canonical_order(parent))}
+        mask = sum(1 << pos[u] for u in rest if g.adj[u] >> v & 1)
         child = _attach(canonical_graph(parent).adj, mask)
-        assert canonical_key(Graph(g.n, child)) == canonical_key(g)
+        assert to_graph6(canonical_graph(Graph(g.n, child))) == to_graph6(canonical_graph(g))
         assert not _rejected(child), to_graph6(g)
 
 

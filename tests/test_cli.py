@@ -140,6 +140,23 @@ def test_coeffs_star6_json(capsys):
     assert doc["rows"][5]["d"] == str(0 + 6 * 5 - 5 * (12 - 5 - 1))
 
 
+def test_coeffs_notes_at_small_orders(capsys):
+    # at n <= 2 (and k = 2 of n = 3) the identities of k = n-1 and k = n
+    # annotate rows that k = 0..3 would otherwise take
+    notes = {}
+    for family in ("complete:1", "complete:2", "path:3"):
+        code, out, _ = run_inproc(capsys, "coeffs", "--family", family, "--json")
+        assert code == 0
+        notes[family] = [row["note"] for row in json.loads(out)["rows"]]
+    assert notes == {
+        "complete:1": ["", ""],
+        "complete:2": ["[c0_zero: ok]", "[penultimate_noncut: ok]",
+                       "[full_set_connected: ok]"],
+        "path:3": ["[c0_zero: ok]", "[c1_order: ok]", "[penultimate_noncut: ok]",
+                   "[full_set_connected: ok]"],
+    }
+
+
 # -- plot ------------------------------------------------------------------------
 
 def test_plot_header_and_midpoint(capsys):

@@ -16,9 +16,8 @@ from relshape.connsets import (
     frontier_order,
     frontier_plan,
     first_sperner_violation,
-    profile_closed_form,
+    family_profile,
     profile_disjoint_union,
-    sperner_failure,
 )
 from relshape.graphs import (
     FamilySpec,
@@ -61,25 +60,21 @@ def test_known_profiles(spec, expected):
     (fam("complete", 3), (0, 3, 3, 1)),
 ])
 def test_closed_form_values(spec, expected):
-    assert profile_closed_form(spec).c == expected
+    assert family_profile(spec).c == expected
 
 
-@pytest.mark.parametrize("kind", ["complete", "empty", "path", "cycle", "star"])
+@pytest.mark.parametrize("kind", ["complete", "empty", "path", "cycle", "star",
+                                  "bonded-complete-leaf"])
 def test_closed_form_matches_enumeration(kind):
-    lo = 3 if kind == "cycle" else 1
+    lo = {"cycle": 3, "bonded-complete-leaf": 2}.get(kind, 1)
     for n in range(lo, 13):
         spec = fam(kind, n)
-        assert profile_closed_form(spec) == count_connected_sets(make_family(spec))
-
-
-def test_closed_form_unsupported_kind():
-    with pytest.raises(ValueError):
-        profile_closed_form(fam("bonded-complete-leaf", 5))
+        assert family_profile(spec) == count_connected_sets(make_family(spec))
 
 
 def test_complete_graph_total_is_all_nonempty_subsets():
     for n in range(1, 11):
-        profile = profile_closed_form(fam("complete", n))
+        profile = family_profile(fam("complete", n))
         assert sum(profile.c) == 2**n - 1
 
 
@@ -87,7 +82,7 @@ def test_disjoint_union_profile_matches_enumeration():
     spec = FamilySpec("disjoint-union",
                       parts=(fam("star", 9), fam("path", 4)))
     composed = profile_disjoint_union(
-        profile_closed_form(fam("star", 9)), profile_closed_form(fam("path", 4)))
+        family_profile(fam("star", 9)), family_profile(fam("path", 4)))
     assert composed == count_connected_sets(make_family(spec))
 
 
@@ -111,7 +106,7 @@ def test_monotone_under_edge_addition():
                     adj[j] |= 1 << i
         g = Graph(n, tuple(adj))
         missing = [(i, j) for i in range(n) for j in range(i + 1, n)
-                   if not g.has_edge(i, j)]
+                   if not g.adj[i] >> j & 1]
         if not missing:
             continue
         u, v = missing[rng.randrange(len(missing))]
@@ -179,7 +174,7 @@ def test_closed_form_matches_frontier_program(kind):
         spec = fam(kind, n)
         g = make_family(spec)
         assert frontier_plan(g) is not None
-        assert count_connected_sets(g) == profile_closed_form(spec)
+        assert count_connected_sets(g) == family_profile(spec)
 
 
 def test_frontier_order_widths():
@@ -273,7 +268,7 @@ def test_bounds_pass_on_small_census(graphs6):
 
 def test_bounds_complete_equality_pattern():
     # consecutive bound is tight exactly at k=2 for complete graphs
-    profile = profile_closed_form(fam("complete", 5))
+    profile = family_profile(fam("complete", 5))
     n, c = profile.n, profile.c
     assert 2 * c[2] == (n - 1) * c[1]
     for k in range(3, n + 1):
@@ -294,7 +289,7 @@ def test_f_coefficients_reverse_profile():
 
 def test_sperner_complete_graphs_never_fail():
     for n in range(1, 9):
-        assert not sperner_failure(profile_closed_form(fam("complete", n)))
+        assert first_sperner_violation(family_profile(fam("complete", n))) is None
 
 
 def test_sperner_p6():
@@ -308,7 +303,7 @@ def test_sperner_p6():
 
 def test_sperner_failure_iff_not_complete(graphs6):
     for g in graphs6:
-        assert sperner_failure(count_connected_sets(g)) != is_complete(g)
+        assert (first_sperner_violation(count_connected_sets(g)) is None) == is_complete(g)
 
 
 def test_profile_validation():

@@ -4,24 +4,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from relshape.connsets import count_connected_sets, profile_closed_form
-from relshape.graphs import FamilySpec, cut_vertices, is_two_connected, make_family, min_vertex_cut
+from relshape.connsets import count_connected_sets, family_profile
+from relshape.graphs import FamilySpec, is_two_connected, make_family, min_vertex_cut
 from relshape.poly import (
-    closed_form,
     d_coefficients,
     derivative,
     eval_exact,
-    family_profile,
     from_profile,
     monte_carlo_estimate,
     one_minus_p_power,
-    poly_add,
-    poly_scale,
-    poly_shift,
     poly_trim,
     sample,
     second_derivative,
 )
+from relshape.verification import closed_form, poly_add, poly_scale, poly_shift
 from relshape.census import generate_trees
 from strategies import graphs
 
@@ -69,8 +65,12 @@ def test_closed_form_rejects_unbalanced_bipartite():
 
 
 def test_family_profile_covers_all_kinds():
-    for spec in [fam("complete-bipartite", 3, 4), fam("bonded-complete-leaf", 9),
-                 FamilySpec("disjoint-union", parts=(fam("star", 6), fam("cycle", 4)))]:
+    union = FamilySpec("disjoint-union", parts=(fam("star", 6), fam("cycle", 4)))
+    for spec in [fam("complete", 5), fam("empty", 4), fam("path", 7), fam("cycle", 6),
+                 fam("star", 5), fam("complete-bipartite", 1, 1),
+                 fam("complete-bipartite", 1, 5), fam("complete-bipartite", 3, 4),
+                 fam("bonded-complete-leaf", 9), union,
+                 FamilySpec("disjoint-union", parts=(union, fam("complete-bipartite", 1, 2)))]:
         assert family_profile(spec) == count_connected_sets(make_family(spec))
 
 
@@ -131,13 +131,13 @@ def test_d1_formula(g):
 def test_tree_leading_d_coefficient():
     # d_{n-1} = 2s + n(n-1) - r(2n-r-1) for trees (r leaves, s of them on a
     # degree-2 neighbor)
-    from relshape.graphs import structural_stats
-
     for n in range(4, 9):
         for tree in generate_trees(n):
-            stats = structural_stats(tree, with_min_cut=False)
+            degs = tree.degrees()
+            leaves = [v for v in range(n) if degs[v] == 1]
+            r = len(leaves)
+            s = sum(degs[tree.adj[v].bit_length() - 1] == 2 for v in leaves)
             d = d_coefficients(count_connected_sets(tree))
-            r, s = stats.leaves, stats.leaves_on_degree_two
             assert d.at(n - 1) == 2 * s + n * (n - 1) - r * (2 * n - r - 1)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relshape import shape
-from relshape.connsets import count_connected_sets, profile_closed_form, profile_disjoint_union
+from relshape.connsets import count_connected_sets, family_profile, profile_disjoint_union
 from relshape.graphs import FamilySpec, is_two_connected, make_family, parse_edge_list
 from relshape.poly import derivative, eval_exact, from_profile, second_derivative
 from relshape.shape import (
@@ -57,7 +57,7 @@ def test_float_estimate_keeps_the_bisection_bracket(graphs6, monkeypatch):
     # polynomials and wide-coefficient family polynomials of degree 62
     polys = [[-1, 2], [3, -16, 16], [1, -6, 9], [-1, 3, -3, 1]]
     for profile in [*map(count_connected_sets, graphs6[::4]),
-                    profile_closed_form(fam("cycle", 62)), profile_closed_form(fam("star", 62))]:
+                    family_profile(fam("cycle", 62)), family_profile(fam("star", 62))]:
         poly = from_profile(profile)
         shifted = list(poly.coeffs)
         shifted[1] -= 1
@@ -137,7 +137,7 @@ def test_single_vertex_identity():
 
 def test_star_inflection_at_two_over_n():
     for n in (4, 7, 12):
-        report = analyze_profile(profile_closed_form(fam("star", n)))
+        report = analyze_profile(family_profile(fam("star", n)))
         assert len(report.inflections) == 1
         record = report.inflections[0]
         assert record.lo <= Fraction(2, n) <= record.hi
@@ -145,14 +145,14 @@ def test_star_inflection_at_two_over_n():
 
 def test_star_union_m_shape():
     profile = profile_disjoint_union(
-        profile_closed_form(fam("star", 19)), profile_closed_form(fam("complete", 1)))
+        family_profile(fam("star", 19)), family_profile(fam("complete", 1)))
     report = analyze_profile(profile)
     assert report.shape_class == "M"
     assert len(report.decrease_intervals) == 2
 
 
 def test_empty_graph_decreases_to_one():
-    report = analyze_profile(profile_closed_form(fam("empty", 5)))
+    report = analyze_profile(family_profile(fam("empty", 5)))
     assert report.shape_class == "other"
     assert len(report.decrease_intervals) == 1
     interval = report.decrease_intervals[0]
@@ -248,7 +248,7 @@ def test_sparse_threshold_is_exact_arithmetic():
 
 
 def test_fixed_point_witness_cycle50():
-    profile = profile_closed_form(fam("cycle", 50))
+    profile = family_profile(fam("cycle", 50))
     witness = check_fixed_point_witness(make_family(fam("cycle", 50)), profile=profile)
     assert witness.applicable and witness.max_degree == 2
     assert witness.point == Fraction(1, 4)
@@ -260,7 +260,7 @@ def test_fixed_point_witness_cycle50():
 
 def test_fixed_point_witness_small_cases_recorded():
     w5 = check_fixed_point_witness(make_family(fam("cycle", 5)),
-                                   profile=profile_closed_form(fam("cycle", 5)))
+                                   profile=family_profile(fam("cycle", 5)))
     assert w5.applicable and not w5.below  # too small for the bound to bite
     w4 = check_fixed_point_witness(make_family(fam("complete", 4)))
     assert w4.applicable and w4.max_degree == 3 and w4.point == Fraction(1, 9)
