@@ -2,11 +2,13 @@
 
 All structural decisions (how many inflection points, whether an interval is
 one of decrease, whether a fixed point is a crossing) are made with exact
-arithmetic: roots are counted on integer Sturm sequences of the square-free
-part and bisected on integer numerators over a doubling common denominator
-into exact rational brackets, and interval signs come from exact evaluation
-at interior points.  Floating point appears only in the sparse-threshold
-optimizer, which is a plain one-dimensional search.
+arithmetic: roots are counted by Descartes' rule of signs on cells bisected
+at midpoints, and by an integer Sturm sequence of the square-free part only
+in the cells the rule cannot decide; each root is then bisected on integer
+numerators over a doubling common denominator into an exact rational
+bracket, and interval signs come from exact evaluation at interior points.
+Floating point appears only in the sparse-threshold optimizer, which is a
+plain one-dimensional search.
 
 Classification vocabulary (assigned from the exact report, never from
 samples):
@@ -44,10 +46,15 @@ from .sturm import (
     count_roots_open,
     deflate_root,
     degree,
+    descartes_bound,
+    reflect,
+    scale,
     sign_at,
     sign_at_ratio,
     sturm_chain,
+    taylor_shift,
     to_primitive_int,
+    to_unit_interval,
 )
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -88,13 +95,20 @@ def isolate_roots(coeffs, lo=Fraction(0), hi=Fraction(1),
                   tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     """Isolate the distinct real roots in the open interval (lo, hi).
 
-    Endpoint roots are deflated; one Sturm chain of the rest gives its
-    square-free part, which is counted and bisected until each interval
-    holds one root, then narrowed below ``tol``.  Raises
+    Endpoint roots are deflated.  The rest is bisected at midpoints and each
+    cell counted by Descartes' rule of signs (``_cells``): a cell with one
+    sign variation holds one simple root, which is narrowed below ``tol``.
+    Only a cell the rule cannot decide gets a Sturm chain of the deflated
+    polynomial, built once, which counts and bisects it exactly
+    (``_sturm_isolate``).  Raises ValueError unless lo < hi and tol > 0, and
     ZeroPolynomialError for the identically zero polynomial.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     tol = Fraction(tol)
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
+    if tol <= 0:
+        raise ValueError(f"need tol > 0, got {tol}")
     p_int = to_primitive_int(coeffs)
     if not p_int:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -107,18 +121,107 @@ def isolate_roots(coeffs, lo=Fraction(0), hi=Fraction(1),
         inner = deflate_root(inner, hi)
     if degree(inner) < 1:
         return []
-    chain = sturm_chain(inner)
-    q = chain[0]
+    built = []
+
+    def chain():
+        """The Sturm chain of inner, built where Descartes cannot decide."""
+        if not built:
+            built.append(sturm_chain(inner))
+        return built[0]
+
+    width = hi - lo
+    poly = to_unit_interval(inner, lo, width)
     # when the original polynomial vanishes at a domain endpoint (those roots
-    # were deflated before the chain) pull the endpoint inward across a
-    # root-free gap, so no bracket can touch a zero of the original
+    # were deflated) pull the endpoint inward across a root-free gap, so no
+    # bracket can touch a zero of the original
     if sign_at(p_int, lo) == 0:
-        lo = _pull_inward(chain, q, lo, hi, from_left=True)
+        k, gap = _root_free_gap(poly, chain, lo, width, tol)
+        step = width / (1 << k)
+        lo += step
+        width -= step
+        poly = scale(taylor_shift(gap), (1 << k) - 1, 0)  # P(2^-k + (1 - 2^-k) x)
     if sign_at(p_int, hi) == 0:
-        hi = _pull_inward(chain, q, lo, hi, from_left=False)
-    total = count_roots_open(chain, lo, hi)
+        k, _ = _root_free_gap(reflect(poly), chain, hi, -width, tol)
+        width -= width / (1 << k)
+        poly = scale(poly, (1 << k) - 1, k)  # P((1 - 2^-k) x)
     records: list[RootRecord] = []
-    stack = [(lo, hi, total)]
+    for a, b, certified in _cells(poly, lo, width, tol):
+        if certified:
+            records.append(_refine(inner, p_int, a, b, tol))
+        else:
+            records += _sturm_isolate(chain(), p_int, a, b, tol)
+    records.sort(key=lambda r: r.lo)
+    return records
+
+
+def _root_free_gap(poly, chain, end: Fraction, width: Fraction, tol: Fraction):
+    """(k, 2^(kd) P(x / 2^k)) for the least k >= 2 such that the first 2^-k
+    of the interval P maps (0, 1) onto holds no root and does not end in one.
+
+    That interval starts at ``end`` and has signed length ``width``, which is
+    negative for a reflected P that runs backward from the right end.  Roots
+    are isolated away from a non-vanishing end, so k exists.
+    """
+    k = 2
+    while True:
+        gap = scale(poly, 1, k)
+        if sum(gap):  # else the gap ends in a root
+            bound = descartes_bound(gap)
+            if bound == 0:
+                return k, gap
+            if bound > 1:
+                step = width / (1 << k)
+                cells = (_cells(gap, end, step, tol) if step > 0
+                         else _cells(reflect(gap), end + step, -step, tol))
+                if not any(certified or count_roots_open(chain(), a, b)
+                           for a, b, certified in cells):
+                    return k, gap
+        k += 1
+
+
+def _cells(poly, lo: Fraction, width: Fraction, tol: Fraction):
+    """Yield (a, b, certified) for the cells of (lo, lo + width) that may hold
+    a root of the polynomial that P = ``poly`` maps onto that interval; P
+    vanishes at neither 0 nor 1.
+
+    Descartes' bound 0 drops a cell; 1 certifies one simple root in it; 2 or
+    more splits it at its midpoint, into 2^d P(x/2) and that shifted by 1, so
+    no rational is substituted again.  The bound need not fall near a
+    multiple root, so a cell narrower than ``tol``, or whose midpoint is a
+    root, is yielded uncertified for an exact count.  The cells are those of
+    bisecting the interval at midpoints, so ``_refine`` gives the bracket it
+    would give on any enclosing cell.
+    """
+    # cell (k, j) is (lo_num 2^k + (j, j+1) w_num) / (den 2^k); it is at
+    # least tol wide while span >= unit << k
+    lo_num, den = lo.numerator * width.denominator, lo.denominator * width.denominator
+    w_num = width.numerator * lo.denominator
+    span, unit = width.numerator * tol.denominator, tol.numerator * width.denominator
+    stack = [(0, 0, poly)]
+    while stack:
+        k, j, poly = stack.pop()
+        bound = descartes_bound(poly)
+        if bound == 0:
+            continue
+        if bound > 1 and span >= unit << k:
+            left = scale(poly, 1, 1)
+            right = taylor_shift(left)
+            if right[0]:  # else the midpoint is a root
+                stack.append((k + 1, 2 * j + 1, right))
+                stack.append((k + 1, 2 * j, left))
+                continue
+        a_num = (lo_num << k) + j * w_num
+        yield Fraction(a_num, den << k), Fraction(a_num + w_num, den << k), bound == 1
+
+
+def _sturm_isolate(chain, p_int, lo: Fraction, hi: Fraction,
+                   tol: Fraction) -> list[RootRecord]:
+    """Isolate the roots in (lo, hi) on a Sturm chain alone: count by its
+    sign variations, split at interior non-roots until each interval holds
+    one root, refine on its square-free head."""
+    q = chain[0]
+    records = []
+    stack = [(lo, hi, count_roots_open(chain, lo, hi))]
     while stack:
         a, b, count = stack.pop()
         if count == 0:
@@ -130,23 +233,7 @@ def isolate_roots(coeffs, lo=Fraction(0), hi=Fraction(1),
         left = count_roots_open(chain, a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, count - left))
-    records.sort(key=lambda r: r.lo)
     return records
-
-
-def _pull_inward(chain, q, lo: Fraction, hi: Fraction, from_left: bool) -> Fraction:
-    """A replacement endpoint strictly inside (lo, hi) with no root of q
-    between it and the endpoint it replaces (roots are isolated away from a
-    non-vanishing endpoint, so halving the step always terminates)."""
-    step = (hi - lo) / 4
-    while True:
-        cand = lo + step if from_left else hi - step
-        if sign_at(q, cand) != 0:
-            skipped = (count_roots_open(chain, lo, cand) if from_left
-                       else count_roots_open(chain, cand, hi))
-            if skipped == 0:
-                return cand
-        step /= 2
 
 
 def _interior_nonroot(q, a: Fraction, b: Fraction) -> Fraction:

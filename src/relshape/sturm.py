@@ -8,12 +8,20 @@ leading coefficient, content removed, hence positive multiples of the
 rational remainders with the same signs.  A Sturm chain is one sequence of
 p, p'; it ends in g = gcd(p, p'), and dividing every element by g leaves a
 Sturm sequence of the square-free part of p, which is its first element.
+
+Descartes' rule of signs bounds the roots in (0, 1) without a chain: by the
+sign variations of (1+t)^d p(1/(1+t)) (Collins and Akritas, SYMSAC 1976;
+Rouillier and Zimmermann, JCAM 162, 2004).  Its integer helpers are the
+Taylor shift p(x + s), the scaling 2^(kd) p(m x / 2^k), the reflection
+p(1 - x), the map of an interval onto (0, 1) and the variation count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import add, ne
 
 
 class ZeroPolynomialError(ValueError):
@@ -69,6 +77,48 @@ def sign_at_ratio(coeffs: list[int], num: int, den: int) -> int:
         acc = acc * num + c * dp
         dp *= den
     return (acc > 0) - (acc < 0)
+
+
+def taylor_shift(coeffs: list[int], by: int = 1) -> list[int]:
+    """Coefficients of p(x + by) by Horner's scheme: highest degree first,
+    each of its d passes is one prefix ``accumulate``."""
+    r = coeffs[::-1]
+    step = add if by == 1 else (lambda acc, x: acc * by + x)
+    for k in range(len(r), 1, -1):
+        r[:k] = accumulate(r[:k], step)
+    return r[::-1]
+
+
+def scale(coeffs: list[int], num: int, k: int) -> list[int]:
+    """Coefficients of 2^(kd) p(num x / 2^k)."""
+    d = len(coeffs) - 1
+    if num != 1:
+        coeffs = [c * num ** i for i, c in enumerate(coeffs)]
+    return [c << k * (d - i) for i, c in enumerate(coeffs)]
+
+
+def reflect(coeffs: list[int]) -> list[int]:
+    """Coefficients of p(1 - x), which maps (0, 1) onto itself backward."""
+    return [-c if i % 2 else c for i, c in enumerate(taylor_shift(coeffs))]
+
+
+def to_unit_interval(coeffs: list[int], a: Fraction, h: Fraction) -> list[int]:
+    """Integer coefficients of a positive multiple of p(a + h x), which maps
+    (0, 1) onto (a, a + h) for h > 0."""
+    w = lcm(a.denominator, h.denominator)
+    u, s = a.numerator * (w // a.denominator), h.numerator * (w // h.denominator)
+    d = len(coeffs) - 1
+    homog = [c * w ** (d - i) for i, c in enumerate(coeffs)]  # w^d p(y / w)
+    return scale(taylor_shift(homog, u) if u else homog, s, 0)
+
+
+def descartes_bound(coeffs: list[int]) -> int:
+    """Descartes' bound on the roots of p in (0, 1): the sign variations of
+    (1+t)^d p(1/(1+t)), zeros skipped.  It is at least the number of roots
+    counted with multiplicity, of the same parity when p(0) p(1) != 0, and
+    equal to it when it is 0 or 1."""
+    signs = [c > 0 for c in taylor_shift(coeffs[::-1]) if c]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def _rem_primitive(a: list[int], b: list[int]) -> list[int]:

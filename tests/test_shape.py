@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import count_calls
 from relshape import shape
 from relshape.connsets import count_connected_sets, family_profile, profile_disjoint_union
 from relshape.graphs import FamilySpec, is_two_connected, make_family, parse_edge_list
@@ -15,7 +18,18 @@ from relshape.shape import (
     isolate_roots,
     maximize_threshold_constant,
 )
-from relshape.sturm import ZeroPolynomialError
+from relshape.sturm import (
+    ZeroPolynomialError,
+    count_roots_open,
+    deflate_root,
+    degree,
+    sign_at,
+    sturm_chain,
+    to_primitive_int,
+)
+from strategies import mul, polys_with_known_roots
+
+TOLS = (Fraction(1, 10**9), Fraction(1, 7), Fraction(1, 2**40))
 
 
 def fam(kind, *params):
@@ -45,6 +59,12 @@ def test_constant_polynomial_has_no_roots():
     assert isolate_roots([5]) == []
 
 
+@pytest.mark.parametrize("lo, hi, tol", [(1, 0, Fraction(1, 10**9)), (0, 1, 0), (0, 1, -1)])
+def test_isolate_roots_needs_an_interval_and_a_positive_tol(lo, hi, tol):
+    with pytest.raises(ValueError):
+        isolate_roots([-1, 2], lo, hi, tol)
+
+
 def test_isolating_intervals_meet_tolerance():
     tol = Fraction(1, 10**6)
     records = isolate_roots(derivative(from_profile(
@@ -52,20 +72,86 @@ def test_isolating_intervals_meet_tolerance():
     assert all(r.hi - r.lo < tol for r in records)
 
 
-def test_float_estimate_keeps_the_bisection_bracket(graphs6, monkeypatch):
-    # exact rational roots (landing on a bisection midpoint), census
-    # polynomials and wide-coefficient family polynomials of degree 62
+@pytest.fixture(scope="module")
+def bracket_polys(graphs6):
+    """Exact rational roots (landing on a bisection midpoint), root pairs
+    next to an endpoint root, census polynomials and wide-coefficient family
+    polynomials of degree 62."""
     polys = [[-1, 2], [3, -16, 16], [1, -6, 9], [-1, 3, -3, 1]]
+    near_ends = [0, 1]  # p (p - 1/8) (p - 1/7) (p - 6/7) (p - 7/8) (p - 1)
+    for factor in ([-1, 8], [-1, 7], [-6, 7], [-7, 8], [-1, 1]):
+        near_ends = mul(near_ends, factor)
+    polys.append(near_ends)
     for profile in [*map(count_connected_sets, graphs6[::4]),
                     family_profile(fam("cycle", 62)), family_profile(fam("star", 62))]:
         poly = from_profile(profile)
         shifted = list(poly.coeffs)
         shifted[1] -= 1
         polys += [derivative(poly), second_derivative(poly), shifted]
-    tols = (Fraction(1, 10**9), Fraction(1, 7), Fraction(1, 2**40))
-    estimated = [isolate_roots(c, tol=tol) for c in polys for tol in tols]
+    return polys
+
+
+def test_float_estimate_keeps_the_bisection_bracket(bracket_polys, monkeypatch):
+    estimated = [isolate_roots(c, tol=tol) for c in bracket_polys for tol in TOLS]
     monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
-    assert estimated == [isolate_roots(c, tol=tol) for c in polys for tol in tols]
+    assert estimated == [isolate_roots(c, tol=tol) for c in bracket_polys for tol in TOLS]
+
+
+def sturm_only_isolation(coeffs, tol):
+    """isolate_roots on (0, 1) with every count taken on one Sturm chain:
+    endpoints pulled in by chain counts, then the retained Sturm loop on the
+    whole interval."""
+    p_int = to_primitive_int(coeffs)
+    inner = p_int
+    for end in (Fraction(0), Fraction(1)):
+        while sign_at(inner, end) == 0:
+            inner = deflate_root(inner, end)
+    if degree(inner) < 1:
+        return []
+    chain = sturm_chain(inner)
+    lo, hi = Fraction(0), Fraction(1)
+    if sign_at(p_int, lo) == 0:
+        step = (hi - lo) / 4
+        while sign_at(inner, lo + step) == 0 or count_roots_open(chain, lo, lo + step):
+            step /= 2
+        lo += step
+    if sign_at(p_int, hi) == 0:
+        step = (hi - lo) / 4
+        while sign_at(inner, hi - step) == 0 or count_roots_open(chain, hi - step, hi):
+            step /= 2
+        hi -= step
+    return sorted(shape._sturm_isolate(chain, p_int, lo, hi, tol), key=lambda r: r.lo)
+
+
+def test_isolation_equals_sturm_only_on_census_and_wide_polys(bracket_polys):
+    for coeffs in bracket_polys:
+        for tol in TOLS:
+            assert isolate_roots(coeffs, tol=tol) == sturm_only_isolation(coeffs, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_with_known_roots(), st.integers(0, 2), st.integers(0, 2))
+def test_isolation_equals_sturm_only_on_known_roots(case, at_0, at_1):
+    coeffs = case[0]
+    for _ in range(at_0):
+        coeffs = mul(coeffs, [0, 1])
+    for _ in range(at_1):
+        coeffs = mul(coeffs, [1, -1])
+    for tol in TOLS:
+        assert isolate_roots(coeffs, tol=tol) == sturm_only_isolation(coeffs, tol)
+
+
+def test_sturm_chain_only_where_descartes_cannot_decide(monkeypatch):
+    chains = count_calls(monkeypatch, [shape], "sturm_chain")
+    for spec in (fam("cycle", 62), fam("path", 62), fam("star", 62),
+                 fam("complete-bipartite", 15, 47), fam("bonded-complete-leaf", 62),
+                 FamilySpec("disjoint-union", parts=(fam("star", 61), fam("complete", 1))),
+                 FamilySpec("disjoint-union", parts=(fam("path", 31), fam("cycle", 31)))):
+        analyze_profile(family_profile(spec))
+    assert chains == []
+    # (3p-1)^2: the bound stays 2 on every cell around the double root
+    isolate_roots([1, -6, 9])
+    assert len(chains) == 1
 
 
 def test_root_multiplicity_mixed():

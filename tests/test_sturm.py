@@ -13,12 +13,17 @@ from relshape.sturm import (
     count_roots_open,
     deflate_root,
     degree,
+    descartes_bound,
     diff_int,
     exact_div,
+    reflect,
+    scale,
     sign_at,
     sturm_chain,
     to_primitive_int,
+    to_unit_interval,
 )
+from strategies import mul, polys_with_known_roots
 
 # -- oracle: rational long division, kept independent of the module ---------------
 
@@ -49,42 +54,9 @@ def primitive_reference(fracs):
     return [x // content for x in ints]
 
 
-def mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 # -- strategies -------------------------------------------------------------------
 
 int_polys = st.lists(st.integers(-40, 40), min_size=1, max_size=9).filter(lambda c: c[-1] != 0)
-
-# roots u/v with 0 < u/v < 1 or outside [0, 1]; distinct by value
-rational_roots = st.lists(
-    st.tuples(st.integers(-6, 14), st.integers(1, 7)).map(lambda t: Fraction(*t))
-    .filter(lambda r: r not in (0, 1)),
-    max_size=4, unique=True)
-
-
-@st.composite
-def polys_with_known_roots(draw):
-    """(coefficients, distinct real roots, degree of the part without real
-    roots): a positive or negative multiple of prod (v x - u)^m times a
-    product of quadratics x^2 + s x + t with s^2 < 4t."""
-    roots = draw(rational_roots)
-    coeffs = [draw(st.sampled_from([-3, -1, 1, 2, 5]))]
-    for r in roots:
-        for _ in range(draw(st.integers(1, 3))):
-            coeffs = mul(coeffs, [-r.numerator, r.denominator])
-    quadratics = draw(st.lists(
-        st.tuples(st.integers(-4, 4), st.integers(1, 9)).filter(lambda q: q[0] ** 2 < 4 * q[1]),
-        max_size=2))
-    for s, t in quadratics:
-        coeffs = mul(coeffs, [t, s, 1])
-    return coeffs, roots, 2 * len(set(quadratics))
-
 
 # -- remainders -------------------------------------------------------------------
 
@@ -134,6 +106,37 @@ def test_chain_head_is_square_free_part(case):
 
 def test_chain_of_constant_is_itself():
     assert sturm_chain([-6]) == [[-1]]
+
+
+# -- Descartes' rule of signs ------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_known_roots())
+def test_descartes_bound_counts_roots_in_unit_interval(case):
+    # the strategy plants no root at 0 or 1
+    coeffs, roots, _ = case
+    inside = 0
+    for r in (r for r in roots if 0 < r < 1):
+        quotient = coeffs
+        while sign_at(quotient, r) == 0:
+            quotient = deflate_root(quotient, r)
+            inside += 1
+    bound = descartes_bound(coeffs)
+    assert bound >= inside and (bound - inside) % 2 == 0
+    if bound <= 1:
+        assert bound == inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys,
+       st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(lambda t: Fraction(*t)),
+       st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda t: Fraction(*t)))
+def test_interval_maps_keep_signs(coeffs, a, h):
+    unit = to_unit_interval(coeffs, a, h)  # p(a + h x)
+    for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 2)):
+        assert sign_at(unit, x) == sign_at(coeffs, a + h * x)
+        assert sign_at(reflect(unit), x) == sign_at(unit, 1 - x)
+        assert sign_at(scale(unit, 3, 2), x) == sign_at(unit, x * 3 / 4)
 
 
 # -- exact division and deflation ---------------------------------------------------
