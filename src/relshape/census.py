@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .connsets import ConnSetProfile, count_connected_sets
-from .graphs import (CANONICAL_MAX_ORDER, Graph, Graph6ParseError, canonical_graph,
-                     mask_is_connected, parse_graph6, to_graph6)
+from .graphs import (CANONICAL_MAX_ORDER, Graph, Graph6ParseError, _automorphism_generators,
+                     canonical_graph, mask_is_connected, parse_graph6, to_graph6)
 from .shape import DEFAULT_TOL, analyze_profile
 from .sturm import InternalCheckError
 
@@ -36,21 +36,66 @@ def _attach(parent: tuple[int, ...], mask: int) -> tuple[int, ...]:
 def _rejected(adj: tuple[int, ...]) -> bool:
     """Whether some non-cut vertex has a strictly larger (degree, sorted
     neighbour degrees) invariant than the last vertex, which joins a
-    connected parent and so never cuts.  Only an outranking vertex gets the
-    cut test: one connectivity check of the graph without it."""
+    connected parent and so never cuts.  A larger degree outranks at once;
+    the neighbour degrees are listed only on a tie.  Only an outranking
+    vertex gets the cut test: one connectivity check of the graph without
+    it."""
     n = len(adj)
     degs = [a.bit_count() for a in adj]
 
-    def invariant(v):
+    def neighbour_degrees(v):
         w, nbr = adj[v], []
         while w:
             nbr.append(degs[(w & -w).bit_length() - 1])
             w &= w - 1
-        return degs[v], sorted(nbr)
+        return sorted(nbr)
 
-    new, full = invariant(n - 1), (1 << n) - 1
-    return any(degs[v] >= new[0] and invariant(v) > new
-               and mask_is_connected(adj, full & ~(1 << v)) for v in range(n - 1))
+    top, full, new = degs[-1], (1 << n) - 1, None
+    for v in range(n - 1):
+        if degs[v] < top:
+            continue
+        if degs[v] == top:
+            if new is None:
+                new = neighbour_degrees(n - 1)
+            if neighbour_degrees(v) <= new:
+                continue
+        if mask_is_connected(adj, full & ~(1 << v)):
+            return True
+    return False
+
+
+def _orbit_masks(parent: Graph, trees: bool) -> list[int]:
+    """The least attachment mask of each orbit of Aut(parent) on the nonempty
+    masks (on the one-bit masks for trees), ascending.
+
+    Each generator's image table is built incrementally and also checks
+    that the generator maps the parent's adjacency onto itself."""
+    n = parent.n
+    tables = []
+    for p in _automorphism_generators(parent):
+        img = [0]  # img[m] is the image of mask m, built one bit at a time
+        for v in range(n):
+            bit = 1 << p[v]
+            img += [m | bit for m in img]
+        if any(img[a] != parent.adj[p[v]] for v, a in enumerate(parent.adj)):
+            raise InternalCheckError(f"graph {to_graph6(parent)}: generation: "
+                                     f"{p} is not an automorphism")
+        tables.append(img)
+    seen = bytearray(1 << n)
+    least = []
+    for mask in [1 << v for v in range(n)] if trees else range(1, 1 << n):
+        if seen[mask]:
+            continue
+        least.append(mask)
+        seen[mask] = 1
+        orbit = [mask]
+        while orbit:
+            m = orbit.pop()
+            for img in tables:
+                if not seen[img[m]]:
+                    seen[img[m]] = 1
+                    orbit.append(img[m])
+    return least
 
 
 @lru_cache(maxsize=None)
@@ -66,13 +111,19 @@ def _augment(n: int, trees: bool) -> tuple[Graph, ...]:
     image of N(v) as mask gives a child isomorphic to G with the new vertex
     in v's place.  Invariant and cut property are kept by isomorphism, so no
     non-cut vertex outranks the new vertex and the child is accepted.
+
+    Only the least mask of each Aut(parent) orbit is attached
+    (``_orbit_masks``).  An automorphism a of the parent that maps mask M to
+    a(M), extended by fixing the new vertex, maps the child of M onto the
+    child of a(M).  So the children of one orbit are isomorphic with the new
+    vertex fixed, ``_rejected`` gives each of them the same answer, and the
+    least mask stands for all of them: no class is lost.
     """
     if n == 1:
         return (Graph(1, (0,)),)
-    masks = [1 << v for v in range(n - 1)] if trees else range(1, 1 << (n - 1))
     seen: dict[str, Graph] = {}
     for parent in _augment(n - 1, trees):
-        for mask in masks:
+        for mask in _orbit_masks(parent, trees):
             child = _attach(parent.adj, mask)
             if not _rejected(child):
                 canon = canonical_graph(Graph(n, child))

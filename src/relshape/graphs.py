@@ -464,12 +464,18 @@ def _twin_classes(adj, n):
     return cls
 
 
-def _maximum_independent_sets(adj, n):
-    """Every maximum independent set of the graph, each once, as a bit mask.
+def _maximum_independent_sets(adj, n, twins):
+    """Every maximum independent set that meets each twin class (``twins``
+    from ``_twin_classes``) in its lowest members, each once, as a bit mask;
+    a twin swap maps any other maximum independent set onto one of these.
 
-    Branches on the lowest candidate vertex (take it, or leave it out) and
-    cuts a branch that cannot reach the largest size found so far.
+    Branches on the lowest candidate vertex (take it, or leave it out with
+    the rest of its twin class) and cuts a branch that cannot reach the
+    largest size found so far.
     """
+    classes = [0] * n
+    for v in range(n):
+        classes[twins[v]] |= 1 << v
     found = []
     size = 0
 
@@ -487,22 +493,27 @@ def _maximum_independent_sets(adj, n):
         v = bit.bit_length() - 1
         grow(chosen | bit, count + 1, cand & ~adj[v] & ~bit)
         if cand & adj[v]:  # else every maximum extension takes v
-            grow(chosen, count, cand & ~bit)
+            grow(chosen, count, cand & ~classes[twins[v]])
 
     grow(0, 0, (1 << n) - 1)
     return found
 
 
-def _canonical_order(g: Graph) -> list[int]:
-    """Vertex ordering minimizing the column-major upper-triangle bit string;
-    ``ordering[j]`` is the original vertex placed at position ``j``.
+def _canonical_leaves(g: Graph):
+    """The twin classes of g (``_twin_classes``) and every leaf of the search
+    for the orderings minimizing the column-major upper-triangle bit string,
+    each leaf a list of cells; listing each cell in ascending order gives a
+    least ordering (``_leaf_order``).
 
     The search is exhaustive over orderings, but it does not try the
     orderings of the leading all-zero columns one by one:
 
     1. Columns 1..k-1 are all zero exactly when positions 0..k-1 hold an
        independent set, so every minimizing ordering starts with a maximum
-       independent set S, and each such S is tried once, as a set.
+       independent set S, and each such S is tried once, as a set.  Only
+       the S that meet each twin class in its lowest members are tried: a
+       twin swap maps the orderings that start with any other S onto
+       orderings with the same string that start with one of these.
     2. Placed vertices are kept as an ordered partition into cells (sets on
        consecutive positions), starting with ``[S]``.  Every placed vertex
        is adjacent to all or none of each cell, so its column does not
@@ -527,7 +538,7 @@ def _canonical_order(g: Graph) -> list[int]:
     n, adj = g.n, g.adj
     full = (1 << n) - 1
     twins = _twin_classes(adj, n)
-    live = [([s], s) for s in _maximum_independent_sets(adj, n)]
+    live = [([s], s) for s in _maximum_independent_sets(adj, n, twins)]
     while live[0][1] != full:
         least = None
         chosen = []
@@ -561,12 +572,51 @@ def _canonical_order(g: Graph) -> list[int]:
                     split.append(cell)
             split.append(1 << v)
             live.append((split, placed_mask | 1 << v))
+    return twins, [cells for cells, _ in live]
+
+
+def _leaf_order(cells) -> list[int]:
     order = []
-    for cell in live[0][0]:
+    for cell in cells:
         while cell:
             order.append((cell & -cell).bit_length() - 1)
             cell &= cell - 1
     return order
+
+
+def _canonical_order(g: Graph) -> list[int]:
+    """Vertex ordering minimizing the column-major upper-triangle bit string;
+    ``ordering[j]`` is the original vertex placed at position ``j``."""
+    return _leaf_order(_canonical_leaves(g)[1][0])
+
+
+def _automorphism_generators(g: Graph) -> list[list[int]]:
+    """Permutations that generate the automorphism group of g; ``p[v]`` is
+    the image of vertex v.
+
+    They are the map from the first leaf of the canonical search to each
+    other leaf, position by position, and the swap of each vertex with the
+    least vertex of its twin class.  Every least ordering is an automorphism
+    applied to the first leaf, and the search loses a least ordering only
+    where it tries one maximum independent set per twin orbit, one vertex
+    per twin class, or lists a cell of twins in ascending order; so each
+    least ordering is a leaf up to twin swaps, and these permutations
+    generate the whole group.
+    """
+    twins, leaves = _canonical_leaves(g)
+    first = _leaf_order(leaves[0])
+    generators = []
+    for cells in leaves[1:]:
+        p = [0] * g.n
+        for u, v in zip(first, _leaf_order(cells)):
+            p[u] = v
+        generators.append(p)
+    for v, t in enumerate(twins):
+        if t != v:
+            p = list(range(g.n))
+            p[v], p[t] = t, v
+            generators.append(p)
+    return generators
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -37,6 +37,26 @@ def count_calls(monkeypatch, modules, name):
     return calls
 
 
+def automorphisms(g):
+    """Every automorphism of g as a tuple p, ``p[v]`` the image of v: the n!
+    permutations, extended one vertex at a time and cut as soon as the
+    prefix breaks an adjacency."""
+    found = []
+
+    def extend(p, used):
+        v = len(p)
+        if v == g.n:
+            found.append(tuple(p))
+            return
+        for u in range(g.n):
+            if not used >> u & 1 and all(
+                    (g.adj[v] >> w & 1) == (g.adj[u] >> p[w] & 1) for w in range(v)):
+                extend(p + [u], used | 1 << u)
+
+    extend([], 0)
+    return found
+
+
 @pytest.fixture(scope="session")
 def vcache():
     """One census cache for the whole session; orders are generated and

@@ -1,14 +1,15 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from conftest import count_calls
+from conftest import automorphisms, count_calls
 from relshape import census
 from relshape.census import (
     _attach,
+    _orbit_masks,
     _rejected,
     analyze_stream,
     census_document,
@@ -31,6 +32,7 @@ from relshape.graphs import (
     to_graph6,
 )
 from relshape.shape import analyze_profile
+from relshape.sturm import InternalCheckError
 from relshape.verification import CensusCache
 
 KNOWN_CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -275,6 +277,10 @@ def _random_connected(rng, n):
     return relabel(Graph(n, tuple(adj)), perm)
 
 
+def mask_image(p, mask):
+    return sum(1 << p[v] for v in range(len(p)) if mask >> v & 1)
+
+
 def test_rejection_keeps_max_invariant_deletion():
     """Delete a non-cut vertex of maximum invariant, attach it back to the
     canonical parent, and the child must survive the rejection test."""
@@ -290,9 +296,48 @@ def test_rejection_keeps_max_invariant_deletion():
             sum(1 << i for i, w in enumerate(rest) if g.adj[u] >> w & 1) for u in rest))
         pos = {rest[old]: new for new, old in enumerate(_canonical_order(parent))}
         mask = sum(1 << pos[u] for u in rest if g.adj[u] >> v & 1)
-        child = _attach(canonical_graph(parent).adj, mask)
+        canon = canonical_graph(parent)
+        child = _attach(canon.adj, mask)
         assert to_graph6(canonical_graph(Graph(g.n, child))) == to_graph6(canonical_graph(g))
         assert not _rejected(child), to_graph6(g)
+        # the least mask of the orbit stands for the whole orbit
+        orbit = {mask_image(p, mask) for p in automorphisms(canon)}
+        assert [m for m in _orbit_masks(canon, False) if m in orbit] == [min(orbit)]
+        child = _attach(canon.adj, min(orbit))
+        assert not _rejected(child), to_graph6(g)
+        assert to_graph6(canonical_graph(Graph(g.n, child))) == to_graph6(canonical_graph(g))
+
+
+@pytest.mark.parametrize("trees", [False, True])
+def test_orbit_masks_one_per_orbit(trees):
+    """Oracle: the orbits of Aut(parent), found by trying every permutation,
+    on the attachment masks of every parent of order <= 5."""
+    for n in range(1, 6):
+        for parent in census._augment(n, trees):
+            group = [p for p in permutations(range(n)) if relabel(parent, p) == parent]
+            masks = [1 << v for v in range(n)] if trees else range(1, 1 << n)
+            least = sorted({min(mask_image(p, m) for p in group) for m in masks})
+            assert _orbit_masks(parent, trees) == least, to_graph6(parent)
+
+
+def test_orbit_masks_rejects_a_non_automorphism(monkeypatch):
+    path = Graph(3, (0b100, 0b100, 0b011))  # 0 - 2 - 1
+    monkeypatch.setattr(census, "_automorphism_generators", lambda g: [[2, 1, 0]])
+    with pytest.raises(InternalCheckError, match=f"graph {to_graph6(path)}: generation"):
+        _orbit_masks(path, False)
+
+
+def test_cold_generation_canonizes_few_children(monkeypatch):
+    """Orders 2..7 generated from an empty cache canonize at most 1,100
+    children (one per attached mask orbit that passes the rejection test)."""
+    census._augment.cache_clear()
+    try:
+        calls = count_calls(monkeypatch, [census], "canonical_graph")
+        assert [sum(1 for _ in generate_connected(n)) for n in range(2, 8)] == \
+            [KNOWN_CONNECTED_COUNTS[n] for n in range(2, 8)]
+        assert len(calls) <= 1100
+    finally:
+        census._augment.cache_clear()
 
 
 def test_census_of_relabelled_stream_matches_generated(fixtures_dir):

@@ -4,8 +4,10 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
-from relshape.census import generate_trees
+from conftest import automorphisms
+from relshape.census import generate_connected, generate_trees
 from relshape.graphs import (
+    _automorphism_generators,
     _component_mask,
     FamilySpec,
     Graph,
@@ -321,6 +323,35 @@ def test_canonical_key_minimum_over_all_permutations():
         canon = canonical_graph(g)
         got = tuple(canon.adj[i] >> j & 1 for j in range(1, n) for i in range(j))
         assert got == best
+
+
+def group_order(generators, n):
+    """Order of the permutation group the generators generate, by closure."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        x = frontier.pop()
+        for p in generators:
+            y = tuple(p[x[v]] for v in range(n))
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return len(group)
+
+
+def test_automorphism_generators_generate_the_group():
+    cases = [g for n in range(2, 7) for g in generate_connected(n)]
+    cases += [g for n in range(1, 9) for g in generate_trees(n)]
+    rng = random.Random(71)
+    order7 = list(generate_connected(7))
+    for g in rng.sample(order7, 50):
+        perm = list(range(7))
+        rng.shuffle(perm)
+        cases.append(relabel(g, perm))
+    for g in cases:
+        generators = _automorphism_generators(g)
+        assert all(relabel(g, p) == g for p in generators), to_graph6(g)
+        assert group_order(generators, g.n) == len(automorphisms(g)), to_graph6(g)
 
 
 def upper_triangle(g):

@@ -1,0 +1,22 @@
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import checkout_env
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_shape_gallery_writes_one_curve_per_shape(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "shape_gallery.py"), "--out-dir", str(tmp_path),
+         "--samples", "11"],
+        capture_output=True, text=True, timeout=120, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    curves = sorted(tmp_path.glob("*.csv"))
+    # three showcase shapes and the 11 trees of order 7
+    assert len(curves) == 14
+    assert len([c for c in curves if c.name.startswith("tree7_")]) == 11
+    for curve in curves:
+        lines = curve.read_text().splitlines()
+        assert lines[0] == "p,value" and len(lines) == 12, curve.name
