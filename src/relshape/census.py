@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import NamedTuple
 from .connsets import ConnSetProfile, count_connected_sets
 from .graphs import (CANONICAL_MAX_ORDER, Graph, Graph6ParseError, _automorphism_generators,
                      canonical_graph, mask_is_connected, parse_graph6, to_graph6)
-from .shape import DEFAULT_TOL, analyze_profile
+from .shape import analyze_profile
 from .sturm import InternalCheckError
 
 GENERATE_MIN = 2
@@ -205,12 +204,12 @@ class ShapeCounts(NamedTuple):
     concavity_near_1: int
 
 
-def shape_counts(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
-                 g: Graph | None = None) -> ShapeCounts:
+def shape_counts(profile: ConnSetProfile, g: Graph | None = None) -> ShapeCounts:
     """Analyze a profile and keep only its ShapeCounts; a failed internal
-    check names ``g`` when given."""
+    check names ``g`` when given.  Exact arithmetic decides every field
+    whatever the bracket width, so the default tolerance serves."""
     try:
-        report = analyze_profile(profile, tol)
+        report = analyze_profile(profile)
     except InternalCheckError as exc:
         if g is None:
             raise
@@ -220,7 +219,7 @@ def shape_counts(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
                        report.concavity_near_1)
 
 
-def analyze_stream(source, tol: Fraction = DEFAULT_TOL, jobs: int = 1):
+def analyze_stream(source, jobs: int = 1):
     """Yield ``(graph, profile, counts)`` for every graph of the stream,
     analyzing each distinct profile once.
 
@@ -236,7 +235,7 @@ def analyze_stream(source, tol: Fraction = DEFAULT_TOL, jobs: int = 1):
             profile = count_connected_sets(g)
             counts = memo.get(profile.c)
             if counts is None:
-                counts = memo[profile.c] = shape_counts(profile, tol, g)
+                counts = memo[profile.c] = shape_counts(profile, g)
             yield g, profile, counts
         return
     graphs = list(source)
@@ -245,7 +244,7 @@ def analyze_stream(source, tol: Fraction = DEFAULT_TOL, jobs: int = 1):
         profiles = pool.map(count_connected_sets, graphs, chunksize=chunk)
         first = {}
         for g, profile in zip(graphs, profiles):
-            first.setdefault(profile.c, (profile, tol, g))
+            first.setdefault(profile.c, (profile, g))
         memo = dict(zip(first, pool.starmap(
             shape_counts, first.values(), chunksize=max(1, len(first) // (jobs * 8)))))
     for g, profile in zip(graphs, profiles):
@@ -298,8 +297,7 @@ def summarize(items, exemplar_cap: int = 10) -> CensusSummary:
     )
 
 
-def run_census(source, tol: Fraction = DEFAULT_TOL, jobs: int = 1,
-               exemplar_cap: int = 10) -> CensusSummary:
+def run_census(source, jobs: int = 1, exemplar_cap: int = 10) -> CensusSummary:
     """Analyze every graph in the stream and aggregate shape statistics.
 
     Graphs are tagged by their graph6 string as given: the source must yield
@@ -308,5 +306,5 @@ def run_census(source, tol: Fraction = DEFAULT_TOL, jobs: int = 1,
     spreads counting and analysis over worker processes with an identical
     result.
     """
-    return summarize(((g, counts) for g, _, counts in analyze_stream(source, tol, jobs)),
+    return summarize(((g, counts) for g, _, counts in analyze_stream(source, jobs)),
                      exemplar_cap)

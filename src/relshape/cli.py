@@ -7,9 +7,10 @@ streamed shape statistics), and ``verify`` (the full verification suite).
 Conventions: exact rationals are printed as ``numerator/denominator``
 strings, decimals carry 10 significant digits (12 in CSV output), identical
 inputs produce byte-identical output, and the exit code is 0 on success, 1 on
-an internal invariant violation, 2 on a usage or parse error.  The default
-root-isolation tolerance 1e-9 can be overridden by ``--tol`` or the
-``RELSHAPE_TOL`` environment variable (the flag wins).
+an internal invariant violation, 2 on a usage or parse error.  ``analyze
+--tol`` sets the width of the root brackets it prints (default 1e-9); the
+other commands read only shape invariants, which exact arithmetic decides
+at any width.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import decimal
 import functools
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -124,7 +124,9 @@ def fmt_dec(value, sig: int = 10) -> str:
     return str(d)
 
 
-def parse_tol(text: str) -> Fraction:
+def parse_tol(text: str | None) -> Fraction:
+    if text is None:
+        return DEFAULT_TOL
     try:
         tol = Fraction(decimal.Decimal(text))
     except (decimal.InvalidOperation, ValueError):
@@ -132,15 +134,6 @@ def parse_tol(text: str) -> Fraction:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     return tol
-
-
-def resolve_tol(args) -> Fraction:
-    if args.tol is not None:
-        return parse_tol(args.tol)
-    env = os.environ.get("RELSHAPE_TOL")
-    if env:
-        return parse_tol(env)
-    return DEFAULT_TOL
 
 
 def resolve_graph(args) -> tuple[Graph, FamilySpec | None]:
@@ -337,7 +330,7 @@ def _add_graph_selector(parser):
 
 def cmd_analyze(args) -> int:
     g, spec = resolve_graph(args)
-    doc = build_analysis_document(g, spec, resolve_tol(args))
+    doc = build_analysis_document(g, spec, parse_tol(args.tol))
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -415,7 +408,6 @@ def cmd_plot(args) -> int:
 def cmd_census(args) -> int:
     if bool(args.n) == bool(args.input):
         raise ValueError("need exactly one of --n or --input")
-    tol = resolve_tol(args)
     if args.n:
         source = iter(generate_connected(args.n))
     else:
@@ -428,8 +420,8 @@ def cmd_census(args) -> int:
         else:
             print("census: 0 graphs")
         return 0
-    summary = run_census(itertools.chain([first], source), tol=tol,
-                         jobs=args.jobs, exemplar_cap=args.exemplars)
+    summary = run_census(itertools.chain([first], source), jobs=args.jobs,
+                         exemplar_cap=args.exemplars)
     if args.json:
         print(json.dumps(census_document(summary), indent=2, sort_keys=True))
         return 0
@@ -447,8 +439,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = resolve_tol(args)
-    results = run_checks(slow=args.slow, tol=tol, jobs=args.jobs, only=args.only)
+    results = run_checks(slow=args.slow, jobs=args.jobs, only=args.only)
     if args.json:
         print(json.dumps(
             [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
@@ -493,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="graph6 file, one graph per line")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--exemplars", type=int, default=10, help="exemplars kept per predicate")
-    p.add_argument("--tol", help="root isolation tolerance (default 1e-9)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_census)
 
@@ -501,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow", action="store_true", help="include the order-8 census")
     p.add_argument("--only", help="run only checks whose name contains this substring")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--tol", help="root isolation tolerance (default 1e-9)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -60,7 +60,7 @@ class ConnSetProfile:
         return self.c[self.n] == 1
 
 
-def count_connected_sets(g: Graph, cap: int = DEFAULT_COUNT_CAP) -> ConnSetProfile:
+def count_connected_sets(g: Graph) -> ConnSetProfile:
     """Count connected sets with whichever exact counter is cheaper for g.
 
     The frontier program runs when :func:`frontier_plan` returns an order,
@@ -68,9 +68,9 @@ def count_connected_sets(g: Graph, cap: int = DEFAULT_COUNT_CAP) -> ConnSetProfi
     order, not density; use a closed-form profile for large families.
     """
     n = g.n
-    if n > cap:
-        raise ValueError(
-            f"order {n} above counting cap {cap}; use a closed-form profile")
+    if n > DEFAULT_COUNT_CAP:
+        raise ValueError(f"order {n} above counting cap {DEFAULT_COUNT_CAP}; "
+                         f"use a closed-form profile")
     order = frontier_plan(g)
     if order is not None:
         return _frontier_profile(g, order)
@@ -189,11 +189,6 @@ def frontier_plan(g: Graph) -> list[int] | None:
     return order
 
 
-def count_connected_sets_frontier(g: Graph) -> ConnSetProfile:
-    """Count connected sets by the frontier program over :func:`frontier_order`."""
-    return _frontier_profile(g, frontier_order(g)[0])
-
-
 def _frontier_profile(g: Graph, order: list[int]) -> ConnSetProfile:
     """Process the vertices in ``order``, each either left out or selected.
 
@@ -246,11 +241,11 @@ def _frontier_profile(g: Graph, order: list[int]) -> ConnSetProfile:
     return ConnSetProfile(n, tuple(closed >> (k * shift) & mask for k in range(n + 1)))
 
 
-def count_connected_sets_bruteforce(g: Graph, cap: int = BRUTEFORCE_CAP) -> ConnSetProfile:
+def count_connected_sets_bruteforce(g: Graph) -> ConnSetProfile:
     """Independent oracle: scan all 2^n vertex subsets."""
     n = g.n
-    if n > cap:
-        raise ValueError(f"order {n} above brute-force cap {cap}")
+    if n > BRUTEFORCE_CAP:
+        raise ValueError(f"order {n} above brute-force cap {BRUTEFORCE_CAP}")
     adj = g.adj
     counts = [0] * (n + 1)
     for mask in range(1, 1 << n):

@@ -22,7 +22,7 @@ from math import sqrt
 
 from .connsets import ConnSetProfile
 from .graphs import Graph, mask_is_connected
-from .sturm import InternalCheckError
+from .sturm import InternalCheckError, diff_int
 
 _PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]
 
@@ -41,10 +41,6 @@ def poly_eval(coeffs, p):
     for c in reversed(coeffs):
         acc = acc * p + c
     return acc
-
-
-def poly_diff(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
 
 
 def poly_trim(coeffs):
@@ -113,7 +109,7 @@ def derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
     """Formal first derivative; cross-checked against the coefficient form
     sum_k [k c_k - (n-k+1) c_{k-1}] p^(k-1) (1-p)^(n-k) when the source
     profile is available."""
-    formal = tuple(poly_diff(list(poly.coeffs)))
+    formal = tuple(diff_int(poly.coeffs))
     if poly.c_source is not None:
         n, c = poly.c_source.n, poly.c_source.c
         ek = {k: k * c[k] - (n - k + 1) * c[k - 1] for k in range(1, n + 1)}
@@ -160,7 +156,7 @@ def d_coefficients(profile: ConnSetProfile) -> DCoefficients:
 def second_derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
     """Formal second derivative; cross-checked against the d-coefficient form
     when the source profile is available."""
-    formal = tuple(poly_diff(poly_diff(list(poly.coeffs))))
+    formal = tuple(diff_int(diff_int(poly.coeffs)))
     if poly.c_source is not None:
         d = d_coefficients(poly.c_source)
         mixed = expand_mixed_form(

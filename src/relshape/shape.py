@@ -54,7 +54,6 @@ from .sturm import (
     sturm_chain,
     taylor_shift,
     to_primitive_int,
-    to_unit_interval,
 )
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -91,22 +90,19 @@ class Interval:
     hi_root: RootRecord | None
 
 
-def isolate_roots(coeffs, lo=Fraction(0), hi=Fraction(1),
-                  tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
-    """Isolate the distinct real roots in the open interval (lo, hi).
+def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
+    """Isolate the distinct real roots in the open interval (0, 1).
 
     Endpoint roots are deflated.  The rest is bisected at midpoints and each
     cell counted by Descartes' rule of signs (``_cells``): a cell with one
     sign variation holds one simple root, which is narrowed below ``tol``.
     Only a cell the rule cannot decide gets a Sturm chain of the deflated
     polynomial, built once, which counts and bisects it exactly
-    (``_sturm_isolate``).  Raises ValueError unless lo < hi and tol > 0, and
+    (``_sturm_isolate``).  Raises ValueError unless tol > 0, and
     ZeroPolynomialError for the identically zero polynomial.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = Fraction(0), Fraction(1)
     tol = Fraction(tol)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     if tol <= 0:
         raise ValueError(f"need tol > 0, got {tol}")
     p_int = to_primitive_int(coeffs)
@@ -129,8 +125,7 @@ def isolate_roots(coeffs, lo=Fraction(0), hi=Fraction(1),
             built.append(sturm_chain(inner))
         return built[0]
 
-    width = hi - lo
-    poly = to_unit_interval(inner, lo, width)
+    width, poly = hi - lo, inner
     # when the original polynomial vanishes at a domain endpoint (those roots
     # were deflated) pull the endpoint inward across a root-free gap, so no
     # bracket can touch a zero of the original
@@ -361,8 +356,8 @@ class ShapeReport:
         return tuple(r for r in self.fixed_points if not r.sign_change)
 
 
-def analyze(g: Graph, tol: Fraction = DEFAULT_TOL) -> ShapeReport:
-    return analyze_profile(count_connected_sets(g), tol)
+def analyze(g: Graph) -> ShapeReport:
+    return analyze_profile(count_connected_sets(g))
 
 
 def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
@@ -428,31 +423,19 @@ def _isolate(coeffs, stage: str, tol: Fraction) -> list[RootRecord]:
 def _decrease_intervals(f1, critical) -> tuple[Interval, ...]:
     """Maximal open intervals where the polynomial strictly decreases.
 
-    The sign of f' is constant between consecutive critical points and flips
-    exactly at the odd-multiplicity ones, so negative stretches merge across
-    tangential stationary points.
+    Just right of 0, f' has the sign of its lowest nonzero coefficient
+    (f'(0) = c_1).  That sign flips exactly at the crossing critical points,
+    so negative stretches merge across tangential stationary points.
     """
-    bounds: list[tuple[Fraction, RootRecord | None]] = [(Fraction(0), None)]
-    bounds += [(r.approx, r) for r in critical]
-    bounds.append((Fraction(1), None))
-    segment_signs = []
-    for i in range(len(bounds) - 1):
-        left = bounds[i][1].hi if bounds[i][1] else bounds[i][0]
-        right = bounds[i + 1][1].lo if bounds[i + 1][1] else bounds[i + 1][0]
-        segment_signs.append(sign_at(f1, (left + right) / 2))
-    intervals = []
-    i = 0
-    while i < len(segment_signs):
-        if segment_signs[i] < 0:
-            j = i
-            while j + 1 < len(segment_signs) and segment_signs[j + 1] < 0:
-                j += 1
-            lo_val, lo_root = bounds[i]
-            hi_val, hi_root = bounds[j + 1]
-            intervals.append(Interval(lo_val, hi_val, lo_root, hi_root))
-            i = j + 1
-        else:
-            i += 1
+    sign = next(((c > 0) - (c < 0) for c in f1 if c), 0)
+    intervals, lo, lo_root = [], Fraction(0), None
+    for r in critical:
+        if r.sign_change:
+            if sign < 0:
+                intervals.append(Interval(lo, r.approx, lo_root, r))
+            lo, lo_root, sign = r.approx, r, -sign
+    if sign < 0:
+        intervals.append(Interval(lo, Fraction(1), lo_root, None))
     return tuple(intervals)
 
 
@@ -547,8 +530,7 @@ class FixedPointWitness:
         return self.value is not None and self.value < self.point
 
 
-def check_fixed_point_witness(g: Graph, max_degree: int | None = None,
-                              profile: ConnSetProfile | None = None,
+def check_fixed_point_witness(g: Graph, profile: ConnSetProfile | None = None,
                               poly: ReliabilityPoly | None = None) -> FixedPointWitness:
     """Compare f(1/D^2) with 1/D^2 for maximum degree D.
 
@@ -559,8 +541,7 @@ def check_fixed_point_witness(g: Graph, max_degree: int | None = None,
     point.  ``poly``, when given, is f; otherwise it is expanded from
     ``profile`` (counted when None).
     """
-    if max_degree is None:
-        max_degree = max(g.degrees())
+    max_degree = max(g.degrees())
     if max_degree == 0:
         return FixedPointWitness(False, 0, None, None)
     if poly is None:

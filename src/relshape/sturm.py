@@ -12,8 +12,8 @@ Sturm sequence of the square-free part of p, which is its first element.
 Descartes' rule of signs bounds the roots in (0, 1) without a chain: by the
 sign variations of (1+t)^d p(1/(1+t)) (Collins and Akritas, SYMSAC 1976;
 Rouillier and Zimmermann, JCAM 162, 2004).  Its integer helpers are the
-Taylor shift p(x + s), the scaling 2^(kd) p(m x / 2^k), the reflection
-p(1 - x), the map of an interval onto (0, 1) and the variation count.
+Taylor shift p(x + 1), the scaling 2^(kd) p(m x / 2^k), the reflection
+p(1 - x) and the variation count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, ne
+from operator import ne
 
 
 class ZeroPolynomialError(ValueError):
@@ -79,13 +79,12 @@ def sign_at_ratio(coeffs: list[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def taylor_shift(coeffs: list[int], by: int = 1) -> list[int]:
-    """Coefficients of p(x + by) by Horner's scheme: highest degree first,
+def taylor_shift(coeffs: list[int]) -> list[int]:
+    """Coefficients of p(x + 1) by Horner's scheme: highest degree first,
     each of its d passes is one prefix ``accumulate``."""
     r = coeffs[::-1]
-    step = add if by == 1 else (lambda acc, x: acc * by + x)
     for k in range(len(r), 1, -1):
-        r[:k] = accumulate(r[:k], step)
+        r[:k] = accumulate(r[:k])
     return r[::-1]
 
 
@@ -100,16 +99,6 @@ def scale(coeffs: list[int], num: int, k: int) -> list[int]:
 def reflect(coeffs: list[int]) -> list[int]:
     """Coefficients of p(1 - x), which maps (0, 1) onto itself backward."""
     return [-c if i % 2 else c for i, c in enumerate(taylor_shift(coeffs))]
-
-
-def to_unit_interval(coeffs: list[int], a: Fraction, h: Fraction) -> list[int]:
-    """Integer coefficients of a positive multiple of p(a + h x), which maps
-    (0, 1) onto (a, a + h) for h > 0."""
-    w = lcm(a.denominator, h.denominator)
-    u, s = a.numerator * (w // a.denominator), h.numerator * (w // h.denominator)
-    d = len(coeffs) - 1
-    homog = [c * w ** (d - i) for i, c in enumerate(coeffs)]  # w^d p(y / w)
-    return scale(taylor_shift(homog, u) if u else homog, s, 0)
 
 
 def descartes_bound(coeffs: list[int]) -> int:

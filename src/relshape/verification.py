@@ -99,8 +99,7 @@ class CensusCache:
     a census order is counted and analyzed in worker processes first.
     """
 
-    def __init__(self, tol: Fraction = DEFAULT_TOL, jobs: int = 1):
-        self.tol = tol
+    def __init__(self, jobs: int = 1):
         self.jobs = jobs
         self._graphs: dict[int, tuple[list[Graph], float]] = {}
         self._records: dict[int, list[GraphRecord]] = {}
@@ -124,7 +123,7 @@ class CensusCache:
     def shape(self, profile: ConnSetProfile, g: Graph | None = None) -> ShapeCounts:
         shape = self._shapes.get(profile.c)
         if shape is None:
-            shape = self._shapes[profile.c] = shape_counts(profile, self.tol, g)
+            shape = self._shapes[profile.c] = shape_counts(profile, g)
         return shape
 
     def record(self, g: Graph) -> GraphRecord:
@@ -142,7 +141,7 @@ class CensusCache:
             graphs = self.graphs(n)
             start = time.monotonic()
             if self.jobs > 1:
-                for g, profile, shape in analyze_stream(graphs, self.tol, self.jobs):
+                for g, profile, shape in analyze_stream(graphs, self.jobs):
                     self._profiles.setdefault(g, profile)
                     self._shapes.setdefault(profile.c, shape)
             summary = summarize((r.graph, self.shape(r.profile, r.graph))
@@ -178,15 +177,15 @@ def _census_check(cache: CensusCache, n: int) -> CheckResult:
                        detail if not problems else "; ".join(problems))
 
 
-def check_census_order_6(cache, tol):
+def check_census_order_6(cache):
     return _census_check(cache, 6)
 
 
-def check_census_order_7(cache, tol):
+def check_census_order_7(cache):
     return _census_check(cache, 7)
 
 
-def check_census_order_8(cache, tol):
+def check_census_order_8(cache):
     return _census_check(cache, 8)
 
 
@@ -194,7 +193,7 @@ def _signs(coeffs, points) -> list[int]:
     return [(v > 0) - (v < 0) for v in (eval_exact(coeffs, x) for x in points)]
 
 
-def check_path6_decrease_endpoints(cache, tol):
+def check_path6_decrease_endpoints(cache):
     """The one decrease interval of P6 ends within 5e-5 of 0.2137 and
     0.5851: f' turns negative inside the first window and positive again
     inside the second, so with a single interval its ends lie there."""
@@ -211,7 +210,7 @@ def check_path6_decrease_endpoints(cache, tol):
     return CheckResult("path6-decrease-endpoints", ok, detail)
 
 
-def check_threshold_constants(cache, tol):
+def check_threshold_constants(cache):
     r_hat, f_hat = maximize_threshold_constant()
     ok = abs(r_hat - 1.729474372) <= 1e-8 and abs(f_hat - 0.08510464442) <= 1e-9
     return CheckResult("sparse-threshold-constants", ok,
@@ -288,7 +287,7 @@ def _closed_form_specs():
     return specs
 
 
-def check_closed_form_equivalence(cache, tol):
+def check_closed_form_equivalence(cache):
     bad = []
     for spec in _closed_form_specs():
         direct = closed_form(spec)
@@ -312,19 +311,19 @@ def _sweep(name: str, records, holds, detail: str) -> CheckResult:
                        detail.format(total=len(records), bad=bad))
 
 
-def check_coefficient_identities_sweep(cache, tol):
+def check_coefficient_identities_sweep(cache):
     return _sweep("coefficient-identities-sweep", _census_records(cache),
                   lambda r: check_coefficient_identities(r.graph, r.profile).passed,
                   "{total} census graphs orders 2..7, {bad} failures")
 
 
-def check_coefficient_bounds_sweep(cache, tol):
+def check_coefficient_bounds_sweep(cache):
     return _sweep("coefficient-bounds-sweep", _census_records(cache),
                   lambda r: check_coefficient_bounds(r.profile).passed,
                   "{total} census graphs orders 2..7, {bad} failures")
 
 
-def check_early_concavity_sweep(cache, tol):
+def check_early_concavity_sweep(cache):
     def holds(r):
         n = r.graph.n
         return d_coefficients(r.profile).at(1) <= -n * (n - 1)
@@ -333,7 +332,7 @@ def check_early_concavity_sweep(cache, tol):
                   "d_1 <= -n(n-1) on {total} census graphs, {bad} failures")
 
 
-def check_endpoint_derivative_sweep(cache, tol):
+def check_endpoint_derivative_sweep(cache):
     def holds(r):
         d1 = derivative(from_profile(r.profile))
         return eval_exact(d1, 0) == r.graph.n and eval_exact(d1, 1) == r.cut_count
@@ -342,13 +341,13 @@ def check_endpoint_derivative_sweep(cache, tol):
                   "f'(0)=n and f'(1)=cut count on {total} census graphs, {bad} failures")
 
 
-def check_sperner_sweep(cache, tol):
+def check_sperner_sweep(cache):
     return _sweep("sperner-failure-sweep", _census_records(cache),
                   lambda r: (first_sperner_violation(r.profile) is None) == is_complete(r.graph),
                   "failure iff non-complete on {total} census graphs, {bad} failures")
 
 
-def check_late_concavity_two_connected(cache, tol):
+def check_late_concavity_two_connected(cache):
     records = [r for r in _census_records(cache) if is_two_connected(r.graph)]
     return _sweep("late-concavity-two-connected-sweep", records,
                   lambda r: cache.shape(r.profile, r.graph).concavity_near_1 == -1,
@@ -385,7 +384,7 @@ def sparse_decrease_graphs() -> list[Graph]:
     return out
 
 
-def check_sparse_decrease_census(cache, tol):
+def check_sparse_decrease_census(cache):
     applicable = bad = 0
     for g in sparse_decrease_graphs():
         profile = cache.profile(g)
@@ -400,7 +399,7 @@ def check_sparse_decrease_census(cache, tol):
                        f"density threshold, {bad} failures")
 
 
-def check_sparse_decrease_instances(cache, tol):
+def check_sparse_decrease_instances(cache):
     bad = []
     cases = ([FamilySpec("cycle", (n,)) for n in range(12, 17)]
              + [FamilySpec("path", (n,)) for n in range(11, 17)])
@@ -415,7 +414,7 @@ def check_sparse_decrease_instances(cache, tol):
                        if not bad else f"failed: {', '.join(bad)}")
 
 
-def check_sparse_two_inflections(cache, tol):
+def check_sparse_two_inflections(cache):
     bad = []
     for n in range(12, 17):
         spec = FamilySpec("cycle", (n,))
@@ -426,21 +425,21 @@ def check_sparse_two_inflections(cache, tol):
                        if not bad else f"failed: {', '.join(bad)}")
 
 
-def check_tree_inflections(cache, tol):
+def check_tree_inflections(cache):
     records = [cache.record(tree) for n in range(4, 9) for tree in generate_trees(n)]
     return _sweep("tree-inflection-sweep", records,
                   lambda r: cache.shape(r.profile, r.graph).inflections >= 1,
                   "{total} trees of orders 4..8, {bad} without an inflection")
 
 
-def check_two_cut_fixed_point(cache, tol):
+def check_two_cut_fixed_point(cache):
     records = [r for r in _census_records(cache) if r.cut_count >= 2]
     return _sweep("two-cut-fixed-point-sweep", records,
                   lambda r: cache.shape(r.profile, r.graph).fixed_points >= 1,
                   "{total} census graphs with >= 2 cut vertices, {bad} without a fixed point")
 
 
-def check_clique_leaf_decreasing(cache, tol):
+def check_clique_leaf_decreasing(cache):
     bad = []
     for n in range(7, 21):
         value = eval_exact(derivative(closed_form(FamilySpec("bonded-complete-leaf", (n,)))),
@@ -452,15 +451,15 @@ def check_clique_leaf_decreasing(cache, tol):
                        if not bad else f"nonnegative at n: {', '.join(bad)}")
 
 
-def check_star_single_inflection(cache, tol):
-    """Each star has one inflection, and f'' changes sign within ``tol`` of
-    2/n, so that is where it lies."""
+def check_star_single_inflection(cache):
+    """Each star has one inflection, and f'' changes sign within
+    ``DEFAULT_TOL`` of 2/n, so that is where it lies."""
     bad = []
     for n in range(4, 21):
         profile = family_profile(FamilySpec("star", (n,)))
         target = Fraction(2, n)
         below, above = _signs(second_derivative(from_profile(profile)),
-                              (target - tol, target + tol))
+                              (target - DEFAULT_TOL, target + DEFAULT_TOL))
         if cache.shape(profile).inflections != 1 or below * above >= 0:
             bad.append(str(n))
     return CheckResult("star-single-inflection", not bad,
@@ -468,7 +467,7 @@ def check_star_single_inflection(cache, tol):
                        if not bad else f"failed at n: {', '.join(bad)}")
 
 
-def check_star_union_m_shape(cache, tol):
+def check_star_union_m_shape(cache):
     bad = []
     for n in range(12, 21):
         shape = cache.shape(family_profile(FamilySpec(
@@ -480,7 +479,7 @@ def check_star_union_m_shape(cache, tol):
                        if not bad else f"failed at n: {', '.join(bad)}")
 
 
-def check_cycle50_fixed_points(cache, tol):
+def check_cycle50_fixed_points(cache):
     profile = family_profile(FamilySpec("cycle", (50,)))
     g = make_family(FamilySpec("cycle", (50,)))
     witness = check_fixed_point_witness(g, profile=profile)
@@ -519,7 +518,7 @@ MONTE_CARLO_CASES = [
 ]
 
 
-def check_monte_carlo(cache, tol):
+def check_monte_carlo(cache):
     bad = []
     for spec, p, seed in MONTE_CARLO_CASES:
         g = make_family(spec)
@@ -559,13 +558,13 @@ DEFAULT_CHECKS = [
 SLOW_CHECKS = [("census-order-8", check_census_order_8)]
 
 
-def run_checks(slow: bool = False, tol: Fraction = DEFAULT_TOL, jobs: int = 1,
+def run_checks(slow: bool = False, jobs: int = 1,
                only: str | None = None) -> list[CheckResult]:
-    cache = CensusCache(tol=tol, jobs=jobs)
+    cache = CensusCache(jobs=jobs)
     checks = DEFAULT_CHECKS + (SLOW_CHECKS if slow else [])
     results = []
     for name, check in checks:
         if only and only not in name:
             continue
-        results.append(check(cache, tol))
+        results.append(check(cache))
     return results

@@ -7,6 +7,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from relshape import connsets  # noqa: E402
 from relshape.verification import CensusCache  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -35,6 +36,12 @@ def count_calls(monkeypatch, modules, name):
         assert getattr(module, name) is original
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_connected_sets_frontier(g):
+    """Count connected sets by the frontier program over its greedy vertex
+    order, whatever ``count_connected_sets`` would pick."""
+    return connsets._frontier_profile(g, connsets.frontier_order(g)[0])
 
 
 def automorphisms(g):

@@ -2,8 +2,6 @@
 tolerance.  Each test prints a PASS line so a verbose run doubles as the
 acceptance report.  The order-8 census is opt-in via the slow marker."""
 
-from fractions import Fraction
-
 import pytest
 
 from relshape import verification
@@ -22,8 +20,6 @@ from relshape.verification import (
     check_threshold_constants,
 )
 
-TOL = Fraction(1, 10**9)
-
 
 def report(result):
     print(f"ACCEPTANCE {result.name}: {'PASS' if result.passed else 'FAIL'} ({result.detail})")
@@ -31,11 +27,11 @@ def report(result):
 
 
 def test_c01_census_order_6(vcache):
-    report(check_census_order_6(vcache, TOL))
+    report(check_census_order_6(vcache))
 
 
 def test_c02_census_order_7(vcache):
-    result = check_census_order_7(vcache, TOL)
+    result = check_census_order_7(vcache)
     report(result)
     # the unique three-inflection graph is isomorphic to the shipped one
     summary, _ = vcache.summary(7)
@@ -45,7 +41,7 @@ def test_c02_census_order_7(vcache):
 
 @pytest.mark.slow
 def test_c03_census_order_8(vcache):
-    report(check_census_order_8(vcache, TOL))
+    report(check_census_order_8(vcache))
     # count bounds hold at order 8 too, and the retained three-inflection
     # exemplars all show the one-leaf-one-cut-vertex pattern
     from relshape.connsets import check_coefficient_bounds, count_connected_sets
@@ -60,15 +56,15 @@ def test_c03_census_order_8(vcache):
 
 
 def test_c04_path6_decrease_endpoints(vcache):
-    report(check_path6_decrease_endpoints(vcache, TOL))
+    report(check_path6_decrease_endpoints(vcache))
 
 
 def test_c05_threshold_constants(vcache):
-    report(check_threshold_constants(vcache, TOL))
+    report(check_threshold_constants(vcache))
 
 
 def test_c06_closed_form_equivalence(vcache):
-    report(check_closed_form_equivalence(vcache, TOL))
+    report(check_closed_form_equivalence(vcache))
 
 
 def test_c07_identity_and_bound_sweeps(vcache):
@@ -77,7 +73,7 @@ def test_c07_identity_and_bound_sweeps(vcache):
                  "early-concavity-sweep", "endpoint-derivative-sweep",
                  "sperner-failure-sweep"):
         check = dict(verification.DEFAULT_CHECKS)[name]
-        report(check(vcache, TOL))
+        report(check(vcache))
 
 
 def test_c08_theorem_instances(vcache):
@@ -85,23 +81,23 @@ def test_c08_theorem_instances(vcache):
                  "sparse-two-inflection-instances", "tree-inflection-sweep",
                  "two-cut-fixed-point-sweep", "clique-leaf-decreasing-at-2-5"):
         check = dict(verification.DEFAULT_CHECKS)[name]
-        report(check(vcache, TOL))
+        report(check(vcache))
 
 
 def test_c09_star_single_inflection(vcache):
-    report(check_star_single_inflection(vcache, TOL))
+    report(check_star_single_inflection(vcache))
 
 
 def test_c10_star_union_m_shape(vcache):
-    report(check_star_union_m_shape(vcache, TOL))
+    report(check_star_union_m_shape(vcache))
 
 
 def test_c11_cycle50_fixed_points(vcache):
-    report(check_cycle50_fixed_points(vcache, TOL))
+    report(check_cycle50_fixed_points(vcache))
 
 
 def test_c12_monte_carlo_crosscheck(vcache):
-    report(check_monte_carlo(vcache, TOL))
+    report(check_monte_carlo(vcache))
 
 
 @pytest.mark.slow

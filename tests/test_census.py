@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -36,6 +37,7 @@ from relshape.sturm import InternalCheckError
 from relshape.verification import CensusCache
 
 KNOWN_CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+TOLS = (Fraction(1), Fraction(1, 7), Fraction(1, 10**9))
 
 
 def brute_force_connected_classes(n):
@@ -187,6 +189,18 @@ def test_census_has_no_tangential_fixed_point(n, vcache):
     tangential = sum(len(analyze_profile(p).tangential_fixed_points)
                      for p in profiles.values())
     assert tangential == 0
+
+
+def test_shape_counts_do_not_depend_on_the_tolerance(vcache):
+    # the census and the verify sweeps read only these fields, so they
+    # analyze at the default tolerance alone
+    profiles = {p.c: p for n in range(2, 8) for p in map(count_connected_sets, vcache.graphs(n))}
+    assert len(profiles) == 588
+    for profile in profiles.values():
+        fields = {(len(r.decrease_intervals), len(r.inflections), len(r.crossing_fixed_points),
+                   r.shape_class, r.concavity_near_1)
+                  for r in (analyze_profile(profile, tol) for tol in TOLS)}
+        assert fields == {tuple(shape_counts(profile))}
 
 
 def test_census_counts_only_crossing_fixed_points():

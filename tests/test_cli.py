@@ -323,17 +323,20 @@ def test_verify_fails_on_tampered_expectation(capsys, monkeypatch):
 
 # -- global behaviour ---------------------------------------------------------------
 
-def test_env_tolerance_respected(capsys, monkeypatch):
-    monkeypatch.setenv("RELSHAPE_TOL", "1e-4")
-    code, out, _ = run_inproc(capsys, "analyze", "--family", "path:6", "--json")
-    assert json.loads(out)["tol"] == "1/10000"
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("RELSHAPE_TOL", "1e-4")
+def test_analyze_tolerance_flag(capsys):
     code, out, _ = run_inproc(capsys, "analyze", "--family", "path:6", "--json",
                               "--tol", "1e-6")
-    assert json.loads(out)["tol"] == "1/1000000"
+    assert code == 0 and json.loads(out)["tol"] == "1/1000000"
+
+
+@pytest.mark.parametrize("command", [["census", "--n", "4"], ["verify", "--only", "path6"]],
+                         ids=lambda command: command[0])
+def test_tolerance_is_not_an_option_of(command, capsys):
+    # census and verify read only shape invariants, which no bracket width moves
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*command, "--tol", "1"])
+    assert exit_info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_bad_tolerance(capsys):

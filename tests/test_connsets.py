@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from conftest import count_connected_sets_frontier
 from relshape.connsets import (
     FRONTIER_MIN_ORDER,
     ConnSetProfile,
@@ -11,7 +12,6 @@ from relshape.connsets import (
     count_connected_sets,
     count_connected_sets_bruteforce,
     count_connected_sets_by_extension,
-    count_connected_sets_frontier,
     f_coefficients,
     frontier_order,
     frontier_plan,

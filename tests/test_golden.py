@@ -34,16 +34,8 @@ COMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden(name, capsys, monkeypatch):
-    monkeypatch.delenv("RELSHAPE_TOL", raising=False)
+    # the package reads no environment variable, the retired one included
+    monkeypatch.setenv("RELSHAPE_TOL", "1")
     assert cli.main(COMMANDS[name]) == 0
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / name).read_text(encoding="ascii")
-
-
-def test_census_tol_changes_no_output(capsys, monkeypatch):
-    # the census reads only root counts, the class and a concavity sign, and
-    # the isolation tolerance moves none of them
-    monkeypatch.delenv("RELSHAPE_TOL", raising=False)
-    assert cli.main(["census", "--n", "6", "--json", "--tol", "1"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == (GOLDEN / "census_n6.json").read_text(encoding="ascii")

@@ -113,10 +113,10 @@ def test_star_second_derivative_formula():
 
 
 def test_derivative_of_zero_polynomial():
-    from relshape.poly import poly_diff
+    from relshape.sturm import diff_int
 
-    assert poly_diff([0]) == []
-    assert poly_diff([]) == []
+    assert diff_int([0]) == []
+    assert diff_int([]) == []
 
 
 # -- d-coefficients -----------------------------------------------------------------

@@ -11,6 +11,8 @@ from relshape.connsets import count_connected_sets, family_profile, profile_disj
 from relshape.graphs import FamilySpec, is_two_connected, make_family, parse_edge_list
 from relshape.poly import derivative, eval_exact, from_profile, second_derivative
 from relshape.shape import (
+    Interval,
+    _decrease_intervals,
     analyze,
     analyze_profile,
     check_fixed_point_witness,
@@ -59,10 +61,10 @@ def test_constant_polynomial_has_no_roots():
     assert isolate_roots([5]) == []
 
 
-@pytest.mark.parametrize("lo, hi, tol", [(1, 0, Fraction(1, 10**9)), (0, 1, 0), (0, 1, -1)])
-def test_isolate_roots_needs_an_interval_and_a_positive_tol(lo, hi, tol):
+@pytest.mark.parametrize("tol", [0, -1])
+def test_isolate_roots_needs_a_positive_tol(tol):
     with pytest.raises(ValueError):
-        isolate_roots([-1, 2], lo, hi, tol)
+        isolate_roots([-1, 2], tol)
 
 
 def test_isolating_intervals_meet_tolerance():
@@ -274,6 +276,33 @@ def test_decrease_intervals_well_formed(graphs6):
         # connected graphs increase adjacent to both endpoints
         for iv in intervals:
             assert iv.lo_root is not None and iv.hi_root is not None
+
+
+def decrease_by_midpoint_signs(f1, critical):
+    """Oracle: the sign of f' at the midpoint of every gap between critical
+    brackets, with the runs of negative gaps merged."""
+    bounds = [(Fraction(0), None), *((r.approx, r) for r in critical), (Fraction(1), None)]
+    ends = [Fraction(0), *(x for r in critical for x in (r.lo, r.hi)), Fraction(1)]
+    negative = [sign_at(f1, (a + b) / 2) < 0 for a, b in zip(ends[::2], ends[1::2])]
+    intervals, start = [], None
+    for i, neg in enumerate(negative + [False]):
+        if neg and start is None:
+            start = i
+        elif not neg and start is not None:
+            (lo, lo_root), (hi, hi_root) = bounds[start], bounds[i]
+            intervals.append(Interval(lo, hi, lo_root, hi_root))
+            start = None
+    return tuple(intervals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_with_known_roots(), st.integers(0, 2))
+def test_decrease_intervals_flip_at_crossings_only(case, zero_roots):
+    # roots of multiplicity 2 are tangential stationary points inside a
+    # decrease interval or between two increasing stretches
+    f1 = [0] * zero_roots + case[0]
+    assert _decrease_intervals(f1, isolate_roots(f1)) == decrease_by_midpoint_signs(
+        f1, isolate_roots(f1))
 
 
 def test_concavity_flags_on_census(graphs6):

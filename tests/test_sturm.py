@@ -20,8 +20,8 @@ from relshape.sturm import (
     scale,
     sign_at,
     sturm_chain,
+    taylor_shift,
     to_primitive_int,
-    to_unit_interval,
 )
 from strategies import mul, polys_with_known_roots
 
@@ -128,15 +128,13 @@ def test_descartes_bound_counts_roots_in_unit_interval(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_polys,
-       st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(lambda t: Fraction(*t)),
-       st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda t: Fraction(*t)))
-def test_interval_maps_keep_signs(coeffs, a, h):
-    unit = to_unit_interval(coeffs, a, h)  # p(a + h x)
-    for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 2)):
-        assert sign_at(unit, x) == sign_at(coeffs, a + h * x)
-        assert sign_at(reflect(unit), x) == sign_at(unit, 1 - x)
-        assert sign_at(scale(unit, 3, 2), x) == sign_at(unit, x * 3 / 4)
+@given(int_polys)
+def test_interval_maps_keep_signs(coeffs):
+    for x in (Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
+              Fraction(5, 2)):
+        assert sign_at(taylor_shift(coeffs), x) == sign_at(coeffs, x + 1)
+        assert sign_at(reflect(coeffs), x) == sign_at(coeffs, 1 - x)
+        assert sign_at(scale(coeffs, 3, 2), x) == sign_at(coeffs, x * 3 / 4)
 
 
 # -- exact division and deflation ---------------------------------------------------
