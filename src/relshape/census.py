@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 from pathlib import Path
 from typing import NamedTuple
 
@@ -238,6 +237,8 @@ def analyze_stream(source, jobs: int = 1):
                 counts = memo[profile.c] = shape_counts(profile, g)
             yield g, profile, counts
         return
+    from multiprocessing import Pool  # only here, so other commands skip its import
+
     graphs = list(source)
     with Pool(jobs) as pool:
         chunk = max(1, len(graphs) // (jobs * 8))

@@ -110,7 +110,7 @@ def _split_top_level(text: str) -> list[str]:
 
 def fmt_exact(value) -> str:
     """Integers plainly, other rationals as numerator/denominator."""
-    return str(Fraction(value))
+    return str(value) if type(value) is int else str(Fraction(value))
 
 
 def fmt_dec(value, sig: int = 10) -> str:

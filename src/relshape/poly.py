@@ -22,7 +22,7 @@ from math import sqrt
 
 from .connsets import ConnSetProfile
 from .graphs import Graph, mask_is_connected
-from .sturm import InternalCheckError, diff_int
+from .sturm import InternalCheckError, diff_int, horner_ratio
 
 _PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]
 
@@ -34,13 +34,6 @@ def one_minus_p_power(k):
         row = _PASCAL_ROWS[-1]
         _PASCAL_ROWS.append((1, *(b - a for a, b in zip(row, row[1:])), -row[-1]))
     return _PASCAL_ROWS[k]
-
-
-def poly_eval(coeffs, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * p + c
-    return acc
 
 
 def poly_trim(coeffs):
@@ -167,9 +160,11 @@ def second_derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
 
 
 def eval_exact(poly, p) -> Fraction:
-    """Horner evaluation at an exact rational point."""
+    """Value at an exact point (an int, Fraction or float): integer Horner
+    on the numerator and denominator of p, one Fraction at the end."""
     coeffs = poly.coeffs if isinstance(poly, ReliabilityPoly) else poly
-    return Fraction(poly_eval(coeffs, Fraction(p)))
+    num, den = p.as_integer_ratio()
+    return Fraction(horner_ratio(coeffs, num, den), den ** max(len(coeffs) - 1, 0))
 
 
 def sample(poly, count: int) -> list[tuple[Fraction, Fraction]]:
@@ -177,11 +172,10 @@ def sample(poly, count: int) -> list[tuple[Fraction, Fraction]]:
     if count < 2:
         raise ValueError("need at least 2 sample points")
     coeffs = poly.coeffs if isinstance(poly, ReliabilityPoly) else poly
-    out = []
-    for i in range(count):
-        p = Fraction(i, count - 1)
-        out.append((p, Fraction(poly_eval(coeffs, p))))
-    return out
+    den = count - 1
+    scale = den ** max(len(coeffs) - 1, 0)
+    return [(Fraction(i, den), Fraction(horner_ratio(coeffs, i, den), scale))
+            for i in range(count)]
 
 
 @dataclass(frozen=True)

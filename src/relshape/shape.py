@@ -1,14 +1,15 @@
 """Shape analysis of node-reliability polynomials on (0,1).
 
 All structural decisions (how many inflection points, whether an interval is
-one of decrease, whether a fixed point is a crossing) are made with exact
-arithmetic: roots are counted by Descartes' rule of signs on cells bisected
-at midpoints, and by an integer Sturm sequence of the square-free part only
-in the cells the rule cannot decide; each root is then bisected on integer
-numerators over a doubling common denominator into an exact rational
-bracket, and interval signs come from exact evaluation at interior points.
-Floating point appears only in the sparse-threshold optimizer, which is a
-plain one-dimensional search.
+one of decrease, whether a fixed point is a crossing) are made in integer
+arithmetic.  Roots are counted by Descartes' rule of signs on cells bisected
+at midpoints, each cell integer numerators over one common denominator, and
+by an integer Sturm sequence of the square-free part only in the cells the
+rule cannot decide.  Each root is bisected over a doubling denominator into a
+bracket below the tolerance, and a Fraction is built only for the reported
+bracket.  A float Newton estimate guesses the final cell, which is taken
+only when two exact signs at its ends confirm it; the sparse-threshold
+optimizer is the only other use of floating point.
 
 Classification vocabulary (assigned from the exact report, never from
 samples):
@@ -101,7 +102,6 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     (``_sturm_isolate``).  Raises ValueError unless tol > 0, and
     ZeroPolynomialError for the identically zero polynomial.
     """
-    lo, hi = Fraction(0), Fraction(1)
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError(f"need tol > 0, got {tol}")
@@ -111,10 +111,10 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     if degree(p_int) == 0:
         return []
     inner = p_int
-    while sign_at(inner, lo) == 0:
-        inner = deflate_root(inner, lo)
-    while sign_at(inner, hi) == 0:
-        inner = deflate_root(inner, hi)
+    while inner[0] == 0:  # p(0)
+        inner = deflate_root(inner, 0)
+    while sum(inner) == 0:  # p(1)
+        inner = deflate_root(inner, 1)
     if degree(inner) < 1:
         return []
     built = []
@@ -125,37 +125,38 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
             built.append(sturm_chain(inner))
         return built[0]
 
-    width, poly = hi - lo, inner
+    # poly maps (0, 1) onto (lo_num, lo_num + w_num) / den
+    lo_num, w_num, den, poly = 0, 1, 1, inner
     # when the original polynomial vanishes at a domain endpoint (those roots
     # were deflated) pull the endpoint inward across a root-free gap, so no
     # bracket can touch a zero of the original
-    if sign_at(p_int, lo) == 0:
-        k, gap = _root_free_gap(poly, chain, lo, width, tol)
-        step = width / (1 << k)
-        lo += step
-        width -= step
+    if p_int[0] == 0:
+        k, gap = _root_free_gap(poly, chain, 0, 1, 1, tol)
+        lo_num, w_num, den = 1, (1 << k) - 1, 1 << k
         poly = scale(taylor_shift(gap), (1 << k) - 1, 0)  # P(2^-k + (1 - 2^-k) x)
-    if sign_at(p_int, hi) == 0:
-        k, _ = _root_free_gap(reflect(poly), chain, hi, -width, tol)
-        width -= width / (1 << k)
+    if sum(p_int) == 0:
+        k, _ = _root_free_gap(reflect(poly), chain, lo_num + w_num, -w_num, den, tol)
+        lo_num, w_num, den = lo_num << k, w_num * ((1 << k) - 1), den << k
         poly = scale(poly, (1 << k) - 1, k)  # P((1 - 2^-k) x)
     records: list[RootRecord] = []
-    for a, b, certified in _cells(poly, lo, width, tol):
+    for a_num, b_num, cell_den, certified in _cells(poly, lo_num, w_num, den, tol):
         if certified:
-            records.append(_refine(inner, p_int, a, b, tol))
+            # one simple root of inner, which p_int has too: p_int crosses
+            records.append(RootRecord(*_refine(inner, a_num, b_num, cell_den, tol), True))
         else:
-            records += _sturm_isolate(chain(), p_int, a, b, tol)
+            records += _sturm_isolate(chain(), p_int, Fraction(a_num, cell_den),
+                                      Fraction(b_num, cell_den), tol)
     records.sort(key=lambda r: r.lo)
     return records
 
 
-def _root_free_gap(poly, chain, end: Fraction, width: Fraction, tol: Fraction):
+def _root_free_gap(poly, chain, end_num: int, w_num: int, den: int, tol: Fraction):
     """(k, 2^(kd) P(x / 2^k)) for the least k >= 2 such that the first 2^-k
     of the interval P maps (0, 1) onto holds no root and does not end in one.
 
-    That interval starts at ``end`` and has signed length ``width``, which is
-    negative for a reflected P that runs backward from the right end.  Roots
-    are isolated away from a non-vanishing end, so k exists.
+    That interval starts at end_num/den and has signed length w_num/den,
+    which is negative for a reflected P that runs backward from the right
+    end.  Roots are isolated away from a non-vanishing end, so k exists.
     """
     k = 2
     while True:
@@ -165,19 +166,21 @@ def _root_free_gap(poly, chain, end: Fraction, width: Fraction, tol: Fraction):
             if bound == 0:
                 return k, gap
             if bound > 1:
-                step = width / (1 << k)
-                cells = (_cells(gap, end, step, tol) if step > 0
-                         else _cells(reflect(gap), end + step, -step, tol))
-                if not any(certified or count_roots_open(chain(), a, b)
-                           for a, b, certified in cells):
+                cells = (_cells(gap, end_num << k, w_num, den << k, tol) if w_num > 0
+                         else _cells(reflect(gap), (end_num << k) + w_num, -w_num,
+                                     den << k, tol))
+                if not any(certified or count_roots_open(chain(), Fraction(a, d),
+                                                         Fraction(b, d))
+                           for a, b, d, certified in cells):
                     return k, gap
         k += 1
 
 
-def _cells(poly, lo: Fraction, width: Fraction, tol: Fraction):
-    """Yield (a, b, certified) for the cells of (lo, lo + width) that may hold
-    a root of the polynomial that P = ``poly`` maps onto that interval; P
-    vanishes at neither 0 nor 1.
+def _cells(poly, lo_num: int, w_num: int, den: int, tol: Fraction):
+    """Yield (a_num, b_num, den_k, certified) for the cells (a_num, b_num) /
+    den_k of (lo_num, lo_num + w_num) / den that may hold a root of the
+    polynomial that P = ``poly`` maps onto that interval; P vanishes at
+    neither 0 nor 1.
 
     Descartes' bound 0 drops a cell; 1 certifies one simple root in it; 2 or
     more splits it at its midpoint, into 2^d P(x/2) and that shifted by 1, so
@@ -189,9 +192,7 @@ def _cells(poly, lo: Fraction, width: Fraction, tol: Fraction):
     """
     # cell (k, j) is (lo_num 2^k + (j, j+1) w_num) / (den 2^k); it is at
     # least tol wide while span >= unit << k
-    lo_num, den = lo.numerator * width.denominator, lo.denominator * width.denominator
-    w_num = width.numerator * lo.denominator
-    span, unit = width.numerator * tol.denominator, tol.numerator * width.denominator
+    span, unit = w_num * tol.denominator, tol.numerator * den
     stack = [(0, 0, poly)]
     while stack:
         k, j, poly = stack.pop()
@@ -206,7 +207,7 @@ def _cells(poly, lo: Fraction, width: Fraction, tol: Fraction):
                 stack.append((k + 1, 2 * j, left))
                 continue
         a_num = (lo_num << k) + j * w_num
-        yield Fraction(a_num, den << k), Fraction(a_num + w_num, den << k), bound == 1
+        yield a_num, a_num + w_num, den << k, bound == 1
 
 
 def _sturm_isolate(chain, p_int, lo: Fraction, hi: Fraction,
@@ -222,7 +223,10 @@ def _sturm_isolate(chain, p_int, lo: Fraction, hi: Fraction,
         if count == 0:
             continue
         if count == 1:
-            records.append(_refine(q, p_int, a, b, tol))
+            den = math.lcm(a.denominator, b.denominator)
+            a, b, approx = _refine(q, int(a * den), int(b * den), den, tol)
+            # q is square-free; the root's multiplicity in p_int decides the crossing
+            records.append(RootRecord(a, b, approx, sign_at(p_int, a) * sign_at(p_int, b) < 0))
             continue
         mid = _interior_nonroot(q, a, b)
         left = count_roots_open(chain, a, mid)
@@ -245,16 +249,16 @@ def _interior_nonroot(q, a: Fraction, b: Fraction) -> Fraction:
     raise InternalCheckError("no interior non-root found")
 
 
-def _refine(q, p_int, a: Fraction, b: Fraction, tol: Fraction) -> RootRecord:
-    """Bisect (a, b), which holds exactly one (simple) root of q, on integer
-    numerators A/den < B/den; den doubles at every step.
+def _refine(q, lo_num: int, hi_num: int, den: int,
+            tol: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """Bisect (lo_num/den, hi_num/den), which holds exactly one (simple) root
+    of q, on integer numerators over a denominator that doubles at every
+    step; returns the bracket (a, b) below ``tol`` and its approximation.
 
     The bracket the bisection ends in is tried first from a float estimate of
     the root (``_final_cell``); only when that is not confirmed exactly does
     the bisection run step by step.  Both give the same bracket.
     """
-    den = math.lcm(a.denominator, b.denominator)
-    lo_num, hi_num = int(a * den), int(b * den)
     sa = sign_at_ratio(q, lo_num, den)
     cell = _final_cell(q, sa, lo_num, hi_num, den, tol)
     if cell is not None:
@@ -267,14 +271,12 @@ def _refine(q, p_int, a: Fraction, b: Fraction, tol: Fraction) -> RootRecord:
             # landed exactly on the root; shrink a symmetric bracket
             mid = Fraction(mid_num, den)
             delta = min(Fraction(mid_num - lo_num, den), tol) / 2
-            a, b = mid - delta, mid + delta
-            return RootRecord(a, b, mid, _changes_sign(p_int, a, b))
+            return mid - delta, mid + delta, mid
         if sm == sa:
             lo_num = mid_num
         else:
             hi_num = mid_num
-    a, b = Fraction(lo_num, den), Fraction(hi_num, den)
-    return RootRecord(a, b, Fraction(lo_num + hi_num, 2 * den), _changes_sign(p_int, a, b))
+    return Fraction(lo_num, den), Fraction(hi_num, den), Fraction(lo_num + hi_num, 2 * den)
 
 
 def _final_cell(q, sa: int, lo_num: int, hi_num: int, den: int, tol: Fraction):
@@ -318,8 +320,8 @@ def _final_cell(q, sa: int, lo_num: int, hi_num: int, den: int, tol: Fraction):
             break
         x = nxt
     den_k = den << k
-    xf = Fraction(x)
-    j = (xf.numerator * den_k - (lo_num << k) * xf.denominator) // (width * xf.denominator)
+    x_num, x_den = x.as_integer_ratio()
+    j = (x_num * den_k - (lo_num << k) * x_den) // (width * x_den)
     if not 0 <= j < 1 << k:
         return None
     lo_k = (lo_num << k) + j * width
@@ -327,10 +329,6 @@ def _final_cell(q, sa: int, lo_num: int, hi_num: int, den: int, tol: Fraction):
             and sign_at_ratio(q, lo_k + width, den_k) == -sa):
         return lo_k, lo_k + width, den_k
     return None
-
-
-def _changes_sign(p_int, a: Fraction, b: Fraction) -> bool:
-    return sign_at(p_int, a) * sign_at(p_int, b) < 0
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Exact real-root machinery for integer polynomials.
 
 Coefficient lists are lowest degree first.  Rational input is scaled once
-into a primitive integer polynomial; every later step is integer arithmetic.
+into a primitive integer polynomial; every later step is integer arithmetic,
+down to evaluation at num/den by Horner's scheme on the homogenized form.
 Remainder sequences are primitive PRS (W. S. Brown, JACM 18, 1971; Knuth,
 TAOCP vol. 2, 4.6.1): integer pseudo-remainders by a divisor with positive
 leading coefficient, content removed, hence positive multiples of the
@@ -61,21 +62,24 @@ def diff_int(coeffs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
+def horner_ratio(coeffs, num: int, den: int):
+    """den^d p(num/den) for d = len(coeffs) - 1 and den > 0: Horner's scheme
+    on the homogenized form, so an integer list and point stay integers."""
+    acc, dp = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * dp
+        dp *= den
+    return acc
+
+
 def sign_at(coeffs: list[int], point: Fraction) -> int:
     """Sign of the polynomial at an exact rational point."""
     return sign_at_ratio(coeffs, point.numerator, point.denominator)
 
 
 def sign_at_ratio(coeffs: list[int], num: int, den: int) -> int:
-    """Sign of the polynomial at num/den for den > 0 (integer Horner on the
-    homogenized form)."""
-    if not coeffs:
-        return 0
-    acc = coeffs[-1]
-    dp = den
-    for c in coeffs[-2::-1]:
-        acc = acc * num + c * dp
-        dp *= den
+    """Sign of the polynomial at num/den for den > 0."""
+    acc = horner_ratio(coeffs, num, den)
     return (acc > 0) - (acc < 0)
 
 
@@ -155,14 +159,17 @@ def exact_div(a: list[int], b: list[int]) -> list[int]:
 def deflate_root(coeffs: list[int], root: Fraction) -> list[int]:
     """Divide out a known rational root u/v exactly: synthetic division by
     the primitive factor v x - u, so a primitive input stays primitive."""
-    u, v = root.numerator, root.denominator
-    out = []
-    acc = 0
-    for c in reversed(coeffs):
-        acc, rest = divmod(c + u * acc, v)
-        if rest:
-            raise InternalCheckError(f"{root} is not a root")
-        out.append(acc)
+    if root == 1:  # by x - 1 the quotient is prefix sums from the top
+        out = list(accumulate(reversed(coeffs)))
+    else:
+        u, v = root.numerator, root.denominator
+        out = []
+        acc = 0
+        for c in reversed(coeffs):
+            acc, rest = divmod(c + u * acc, v)
+            if rest:
+                raise InternalCheckError(f"{root} is not a root")
+            out.append(acc)
     if out.pop():
         raise InternalCheckError(f"{root} is not a root")
     return out[::-1]

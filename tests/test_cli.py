@@ -8,6 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import checkout_env, count_calls
 from relshape import cli, poly, shape
@@ -27,6 +29,28 @@ def run_inproc(capsys, *args):
     code = cli.main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# -- start-up and number formatting ----------------------------------------------
+
+def test_start_up_does_not_import_multiprocessing():
+    code = ("import sys, relshape.cli, relshape.verification; "
+            "print('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("value", [0, 7, -7, 2**64, 2**64 + 1, -(2**70) - 3, True,
+                                   Fraction(0), Fraction(6, 3), Fraction(-5, 2)])
+def test_fmt_exact_prints_like_fraction(value):
+    assert cli.fmt_exact(value) == str(Fraction(value))
+
+
+@given(st.one_of(st.integers(), st.integers(-2**200, 2**200), st.fractions()))
+def test_fmt_exact_prints_like_fraction_random(value):
+    assert cli.fmt_exact(value) == str(Fraction(value))
 
 
 # -- analyze ---------------------------------------------------------------------

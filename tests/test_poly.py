@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relshape.connsets import count_connected_sets, family_profile
 from relshape.graphs import FamilySpec, is_two_connected, make_family, min_vertex_cut
@@ -164,6 +165,42 @@ def test_eval_exact_values():
     p6 = from_profile(count_connected_sets(make_family(fam("path", 6))))
     value = eval_exact(p6, Fraction(1, 4))
     assert 0 < value < 1
+
+
+def horner_oracle(coeffs, p):
+    """The value at p by Horner's scheme in Fraction arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * Fraction(p) + c
+    return acc
+
+
+int_coeffs = st.lists(st.integers(-10**20, 10**20), max_size=12)
+exact_points = st.one_of(
+    st.sampled_from([0, 1, Fraction(0), Fraction(1), 0.0, 1.0]),
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    st.floats(-8, 8, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_coeffs, exact_points)
+def test_eval_exact_matches_fraction_horner(coeffs, p):
+    for poly in (coeffs, [0] * len(coeffs)):
+        value = eval_exact(poly, p)
+        assert type(value) is Fraction
+        assert value == horner_oracle(poly, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_coeffs, st.integers(2, 40))
+def test_sample_matches_fraction_horner(coeffs, count):
+    for poly in (coeffs, [0] * len(coeffs)):
+        points = sample(poly, count)
+        assert all(type(p) is type(v) is Fraction for p, v in points)
+        assert points == [(Fraction(i, count - 1), horner_oracle(poly, Fraction(i, count - 1)))
+                          for i in range(count)]
 
 
 def test_sample_endpoints():
