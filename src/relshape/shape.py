@@ -139,10 +139,10 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
         lo_num, w_num, den = lo_num << k, w_num * ((1 << k) - 1), den << k
         poly = scale(poly, (1 << k) - 1, k)  # P((1 - 2^-k) x)
     records: list[RootRecord] = []
-    for a_num, b_num, cell_den, certified in _cells(poly, lo_num, w_num, den, tol):
+    for a_num, b_num, cell_den, certified, sa in _cells(poly, lo_num, w_num, den, tol):
         if certified:
             # one simple root of inner, which p_int has too: p_int crosses
-            records.append(RootRecord(*_refine(inner, a_num, b_num, cell_den, tol), True))
+            records.append(RootRecord(*_refine(inner, a_num, b_num, cell_den, sa, tol), True))
         else:
             records += _sturm_isolate(chain(), p_int, Fraction(a_num, cell_den),
                                       Fraction(b_num, cell_den), tol)
@@ -171,16 +171,16 @@ def _root_free_gap(poly, chain, end_num: int, w_num: int, den: int, tol: Fractio
                                      den << k, tol))
                 if not any(certified or count_roots_open(chain(), Fraction(a, d),
                                                          Fraction(b, d))
-                           for a, b, d, certified in cells):
+                           for a, b, d, certified, _ in cells):
                     return k, gap
         k += 1
 
 
 def _cells(poly, lo_num: int, w_num: int, den: int, tol: Fraction):
-    """Yield (a_num, b_num, den_k, certified) for the cells (a_num, b_num) /
-    den_k of (lo_num, lo_num + w_num) / den that may hold a root of the
-    polynomial that P = ``poly`` maps onto that interval; P vanishes at
-    neither 0 nor 1.
+    """Yield (a_num, b_num, den_k, certified, sign) for the cells (a_num,
+    b_num) / den_k of (lo_num, lo_num + w_num) / den that may hold a root of
+    the polynomial q that P = ``poly`` maps onto that interval, with the sign
+    of q at a_num / den_k; P vanishes at neither 0 nor 1.
 
     Descartes' bound 0 drops a cell; 1 certifies one simple root in it; 2 or
     more splits it at its midpoint, into 2^d P(x/2) and that shifted by 1, so
@@ -207,7 +207,8 @@ def _cells(poly, lo_num: int, w_num: int, den: int, tol: Fraction):
                 stack.append((k + 1, 2 * j, left))
                 continue
         a_num = (lo_num << k) + j * w_num
-        yield a_num, a_num + w_num, den << k, bound == 1
+        # this cell's P is a positive multiple of q(a_num / den_k + w x)
+        yield a_num, a_num + w_num, den << k, bound == 1, 1 if poly[0] > 0 else -1
 
 
 def _sturm_isolate(chain, p_int, lo: Fraction, hi: Fraction,
@@ -224,7 +225,7 @@ def _sturm_isolate(chain, p_int, lo: Fraction, hi: Fraction,
             continue
         if count == 1:
             den = math.lcm(a.denominator, b.denominator)
-            a, b, approx = _refine(q, int(a * den), int(b * den), den, tol)
+            a, b, approx = _refine(q, int(a * den), int(b * den), den, sign_at(q, a), tol)
             # q is square-free; the root's multiplicity in p_int decides the crossing
             records.append(RootRecord(a, b, approx, sign_at(p_int, a) * sign_at(p_int, b) < 0))
             continue
@@ -249,17 +250,16 @@ def _interior_nonroot(q, a: Fraction, b: Fraction) -> Fraction:
     raise InternalCheckError("no interior non-root found")
 
 
-def _refine(q, lo_num: int, hi_num: int, den: int,
+def _refine(q, lo_num: int, hi_num: int, den: int, sa: int,
             tol: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """Bisect (lo_num/den, hi_num/den), which holds exactly one (simple) root
-    of q, on integer numerators over a denominator that doubles at every
-    step; returns the bracket (a, b) below ``tol`` and its approximation.
+    of q and where q has sign ``sa`` at lo, over a doubling denominator;
+    returns the bracket (a, b) below ``tol`` and its approximation.
 
     The bracket the bisection ends in is tried first from a float estimate of
     the root (``_final_cell``); only when that is not confirmed exactly does
     the bisection run step by step.  Both give the same bracket.
     """
-    sa = sign_at_ratio(q, lo_num, den)
     cell = _final_cell(q, sa, lo_num, hi_num, den, tol)
     if cell is not None:
         lo_num, hi_num, den = cell

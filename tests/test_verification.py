@@ -1,5 +1,7 @@
 """Sweep checks must test something: each fails when no graph applies."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import count_calls
@@ -33,6 +35,20 @@ def test_sweep_fails_when_no_graph_applies(check, monkeypatch):
     monkeypatch.setattr(verification, "sparse_decrease_graphs", lambda: [])
     result = check(EmptyCensus())
     assert not result.passed, result.detail
+
+
+def test_monte_carlo_check_fails_on_shifted_exact_values(monkeypatch):
+    # 0.02 exceeds 4 standard errors, at most 4 sqrt(1/4 / 25000) = 0.0127
+    exact = verification.eval_exact
+
+    def shifted(poly, p):
+        value = exact(poly, p)
+        return value + Fraction(1, 50) if value <= Fraction(1, 2) else value - Fraction(1, 50)
+
+    monkeypatch.setattr(verification, "eval_exact", shifted)
+    result = verification.check_monte_carlo(verification.CensusCache())
+    assert not result.passed
+    assert result.detail.count("@p=") == len(verification.MONTE_CARLO_CASES) == 20
 
 
 def test_sparse_decrease_graphs_are_seeded_sparse_and_connected():
