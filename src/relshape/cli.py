@@ -406,9 +406,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if bool(args.n) == bool(args.input):
+    if (args.n is None) == (args.input is None):
         raise ValueError("need exactly one of --n or --input")
-    if args.n:
+    if args.n is not None:
         source = iter(generate_connected(args.n))
     else:
         source = iter(stream_graph6(args.input))

@@ -10,7 +10,9 @@ reliability polynomial in this package.  Two exact counters produce it:
   Iwashita and Minato, IEICE Trans. Fundamentals E100-A(9), 2017; Knuth,
   TAOCP 4A 7.1.4) tracks how the selected vertices on the frontier are
   connected, so its cost grows with the number of such states, at most
-  ``Bell(w + 1)`` for a frontier of width ``w``.
+  ``Bell(w + 1)`` for a frontier of width ``w``.  States are interned as
+  small ints, and each transition is worked out once per process and then
+  looked up, up to ``FRONTIER_MEMO_CAP`` stored transitions.
 
 ``count_connected_sets`` picks between them from the graph alone: below
 order ``FRONTIER_MIN_ORDER`` enumeration is always cheaper in practice, and
@@ -189,6 +191,40 @@ def frontier_plan(g: Graph) -> list[int] | None:
     return order
 
 
+# The transitions of the frontier program, kept for the whole process.  A
+# state is a small-int id into ``_STATE_IDS``/``_STATES``; ``_STEPS`` maps a
+# step signature ``(joins, keep)`` to a table from state id to the outcomes of
+# leaving the new vertex out and of selecting it, each a state id, ``_CLOSES``
+# or ``_DIES``; equal outcome pairs share one tuple (``_OUTCOMES``), since a
+# few hundred pairs recur across thousands of entries.  Nothing new is stored
+# once ``FRONTIER_MEMO_CAP`` transitions are held, and a full memo is cleared
+# at the start of the next count.  With its share of states and pairs, a
+# stored transition costs about 70 bytes on sparse graphs and 120-180 on
+# order-24 graphs of frontier width 10-11, so a full memo stays below about
+# 6 MB; counting the 200-graph sparse benchmark pool stores 5,416 of them,
+# the 11,117 order-8 census graphs 10,097.
+FRONTIER_MEMO_CAP = 1 << 15
+_CLOSES, _DIES = -1, -2
+_STATE_IDS: dict[tuple[int, ...], int] = {(): 0}
+_STATES: list[tuple[int, ...]] = [()]
+_STEPS: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, tuple[int, int]]] = {}
+_OUTCOMES: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def frontier_memo_size() -> int:
+    """Number of frontier-program transitions held in the process memo."""
+    return sum(map(len, _STEPS.values()))
+
+
+def clear_frontier_memo() -> None:
+    """Drop every memoized transition and interned state."""
+    _STEPS.clear()
+    _OUTCOMES.clear()
+    del _STATES[1:]
+    _STATE_IDS.clear()
+    _STATE_IDS[()] = 0
+
+
 def _frontier_profile(g: Graph, order: list[int]) -> ConnSetProfile:
     """Process the vertices in ``order``, each either left out or selected.
 
@@ -202,43 +238,85 @@ def _frontier_profile(g: Graph, order: list[int]) -> ConnSetProfile:
     remains and dies otherwise.  Finished selections accumulate in
     ``closed``, which no later vertex may join, so once every vertex has
     left the frontier ``closed`` is the whole profile (c_0 = 0 included).
+
+    A state's successors depend only on the state and on which frontier
+    positions the new vertex joins (``joins``) and which positions stay on
+    the frontier (``keep``; the others leave, and the width is the state's
+    length).  So states are interned ids and each (signature, state) pair is
+    worked out once per process by :func:`_transition`; the loop below only
+    looks outcomes up and adds values.
     """
     n, adj = g.n, g.adj
     shift = n + 1
+    room = FRONTIER_MEMO_CAP - frontier_memo_size()
+    if room <= 0:
+        clear_frontier_memo()
+        room = FRONTIER_MEMO_CAP
     unprocessed = (1 << n) - 1
     frontier: list[int] = []
-    states = {(): 1}
+    states = {0: 1}
     closed = 0
     for v in order:
         unprocessed &= ~(1 << v)
-        joins = [i for i, u in enumerate(frontier) if adj[v] >> u & 1]
+        joins = tuple(i for i, u in enumerate(frontier) if adj[v] >> u & 1)
         extended = frontier + [v]
-        keep = [i for i, u in enumerate(extended) if adj[u] & unprocessed]
-        leave = [i for i, u in enumerate(extended) if not adj[u] & unprocessed]
+        keep = tuple(i for i, u in enumerate(extended) if adj[u] & unprocessed)
         frontier = [extended[i] for i in keep]
-        fresh = len(extended)
-        step: dict[tuple[int, ...], int] = {}
-        for state, value in states.items():
-            merged = {state[i] for i in joins} - {0}
-            if merged:
-                target = min(merged)
-                taken = tuple(target if x in merged else x for x in state) + (target,)
-            else:
-                taken = state + (fresh,)
-            for labels, val in ((state + (0,), value), (taken, value << shift)):
-                kept = [labels[i] for i in keep]
-                ending = {labels[i] for i in leave} - {0} - set(kept)
-                if ending:
-                    if len(ending) == 1 and not any(kept):
-                        closed += val
-                    continue
-                relabel: dict[int, int] = {}
-                key = tuple(relabel.setdefault(x, len(relabel) + 1) if x else 0
-                            for x in kept)
-                step[key] = step.get(key, 0) + val
+        table = _STEPS.get((joins, keep))
+        if table is None:
+            table = {}
+            if room > 0:
+                _STEPS[joins, keep] = table
+        step: dict[int, int] = {}
+        for sid, value in states.items():
+            outcome = table.get(sid)
+            if outcome is None:
+                outcome = _transition(_STATES[sid], joins, keep)
+                if room > 0:
+                    table[sid] = _OUTCOMES.setdefault(outcome, outcome)
+                    room -= 1
+            left_out, selected = outcome
+            if left_out >= 0:
+                step[left_out] = step.get(left_out, 0) + value
+            elif left_out == _CLOSES:
+                closed += value
+            if selected >= 0:
+                step[selected] = step.get(selected, 0) + (value << shift)
+            elif selected == _CLOSES:
+                closed += value << shift
         states = step
     mask = (1 << shift) - 1
     return ConnSetProfile(n, tuple(closed >> (k * shift) & mask for k in range(n + 1)))
+
+
+def _transition(state: tuple[int, ...], joins: tuple[int, ...],
+                keep: tuple[int, ...]) -> tuple[int, int]:
+    """The outcomes of leaving out and of selecting the vertex that joins
+    the frontier positions ``joins`` of ``state``, after which the
+    positions ``keep`` of the extended frontier stay on it."""
+    fresh = len(state) + 1
+    leave = [i for i in range(fresh) if i not in keep]
+    merged = {state[i] for i in joins} - {0}
+    if merged:
+        target = min(merged)
+        taken = tuple(target if x in merged else x for x in state) + (target,)
+    else:
+        taken = state + (fresh,)
+    outcomes = []
+    for labels in (state + (0,), taken):
+        kept = [labels[i] for i in keep]
+        ending = {labels[i] for i in leave} - {0} - set(kept)
+        if ending:
+            outcomes.append(_CLOSES if len(ending) == 1 and not any(kept) else _DIES)
+            continue
+        relabel: dict[int, int] = {}
+        key = tuple(relabel.setdefault(x, len(relabel) + 1) if x else 0 for x in kept)
+        sid = _STATE_IDS.get(key)
+        if sid is None:
+            sid = _STATE_IDS[key] = len(_STATES)
+            _STATES.append(key)
+        outcomes.append(sid)
+    return tuple(outcomes)
 
 
 def count_connected_sets_bruteforce(g: Graph) -> ConnSetProfile:

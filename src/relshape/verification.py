@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 from typing import NamedTuple
 
 from .census import (
@@ -524,7 +525,10 @@ def check_monte_carlo(cache):
         g = make_family(spec)
         exact = float(eval_exact(from_profile(cache.profile(g)), Fraction(p)))
         est = monte_carlo_estimate(g, p, MONTE_CARLO_TRIALS, seed)
-        if abs(est.mean - exact) > 4.0 * est.stderr + 1e-12:
+        # the standard error of the exact value, not of the estimate: the
+        # estimate's own error is 0 when no trial (or every trial) succeeds
+        stderr = sqrt(exact * (1.0 - exact) / MONTE_CARLO_TRIALS)
+        if abs(est.mean - exact) > 4.0 * stderr + 1e-12:
             bad.append(f"{spec.label()}@p={p}")
     return CheckResult("monte-carlo-crosscheck", not bad,
                        f"{len(MONTE_CARLO_CASES)} seeded runs within 4 standard errors"

@@ -278,6 +278,17 @@ def test_census_selector_exclusive(capsys):
     assert run_inproc(capsys, "census", "--n", "5", "--input", "x.g6")[0] == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n", "0", "--input", "connected_order6.g6"], "need exactly one of --n or --input"),
+    (["--n", "0"], "connected-graph generation supports orders 2..8, got 0"),
+], ids=["n0-and-input", "n0"])
+def test_census_order_zero_is_an_order(fixtures_dir, capsys, args, message):
+    # --n 0 is given, not absent: it conflicts with --input and is out of range
+    args = [str(fixtures_dir / a) if a.endswith(".g6") else a for a in args]
+    code, out, err = run_inproc(capsys, "census", *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_census_determinism():
     a = run_cli("census", "--n", "5", "--json")
     b = run_cli("census", "--n", "5", "--json")

@@ -4,15 +4,19 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import count_connected_sets_frontier
+from relshape import connsets
 from relshape.connsets import (
+    FRONTIER_MEMO_CAP,
     FRONTIER_MIN_ORDER,
     ConnSetProfile,
     check_coefficient_bounds,
     check_coefficient_identities,
+    clear_frontier_memo,
     count_connected_sets,
     count_connected_sets_bruteforce,
     count_connected_sets_by_extension,
     f_coefficients,
+    frontier_memo_size,
     frontier_order,
     frontier_plan,
     first_sperner_violation,
@@ -227,6 +231,62 @@ def test_grid_profile_by_frontier_program():
     assert profile.c[:4] == (0, 25, 40, 94)
     assert profile.c[-2:] == (25, 1)
     assert check_coefficient_identities(g, profile).passed
+
+
+def test_frontier_memo_cold_and_warm():
+    # the memo is shared by every count in the process, so the same graphs
+    # counted in another order or a second time must not change a profile
+    rng = random.Random(15)
+    cases = [seeded_sparse_graph(rng, n, extra) for n in range(16, 26) for extra in (n // 4, n // 3)]
+    cases.append(disjoint_union(seeded_sparse_graph(rng, 8, 2), seeded_sparse_graph(rng, 12, 3)))
+    expected = {id(g): count_connected_sets_by_extension(g) for g in cases}
+    for _ in range(2):
+        rng.shuffle(cases)
+        clear_frontier_memo()
+        assert frontier_memo_size() == 0
+        for run in ("cold", "warm"):
+            for g in cases:
+                assert frontier_plan(g) is not None
+                assert count_connected_sets(g) == expected[id(g)], run
+            assert 0 < frontier_memo_size() <= FRONTIER_MEMO_CAP
+
+
+def test_frontier_memo_stops_at_its_cap(monkeypatch):
+    # an order-24 graph with frontier width 11 has 36,373 (step, state) pairs,
+    # more than the cap: the count fills the memo to the cap, never beyond it
+    # and never clearing it mid-count, and the next count starts afresh;
+    # 12,834,219 connected sets, as counted before the memo existed
+    g = random_graph(random.Random(24), 24, 0.3)
+    assert frontier_plan(g) is not None and max(frontier_order(g)[1]) == 11
+    clear_frontier_memo()
+    profile = count_connected_sets(g)
+    assert frontier_memo_size() == FRONTIER_MEMO_CAP
+    assert sum(profile.c) == 12834219
+    assert check_coefficient_identities(g, profile).passed
+    count_connected_sets(grid(4, 4))
+    assert 0 < frontier_memo_size() < FRONTIER_MEMO_CAP
+    # with no room at all every transition is worked out afresh
+    monkeypatch.setattr(connsets, "FRONTIER_MEMO_CAP", 0)
+    assert count_connected_sets(g) == profile
+    assert frontier_memo_size() == 0
+
+
+@pytest.mark.parametrize("cap", [0, 1, 500, 10**9])
+def test_frontier_memo_cap_keeps_wide_grid_profile(monkeypatch, cap):
+    monkeypatch.setattr(connsets, "FRONTIER_MEMO_CAP", cap)
+    g = grid(5, 6)
+    profiles = []
+    for _ in range(2):
+        clear_frontier_memo()
+        profiles.append(count_connected_sets(g))
+        assert frontier_memo_size() <= cap
+        profiles.append(count_connected_sets(g))
+        assert frontier_memo_size() <= cap
+    # 45,280,509 connected sets, as counted before the memo existed
+    assert all(p == profiles[0] for p in profiles)
+    assert sum(profiles[0].c) == 45280509
+    assert profiles[0].c[:4] == (0, 30, 49, 118)
+    assert check_coefficient_identities(g, profiles[0]).passed
 
 
 # -- report checks ---------------------------------------------------------------

@@ -51,6 +51,20 @@ def test_monte_carlo_check_fails_on_shifted_exact_values(monkeypatch):
     assert result.detail.count("@p=") == len(verification.MONTE_CARLO_CASES) == 20
 
 
+
+def test_monte_carlo_check_passes_with_no_success_on_a_small_value(monkeypatch):
+    # path:20 at p = 0.6 is connected with probability 3.3e-4, so 2,000
+    # trials of a correct sampler often see no success at all; the estimate's
+    # own standard error is then 0, the exact value's is not
+    path20 = verification.FamilySpec("path", (20,))
+    g = verification.make_family(path20)
+    assert verification.monte_carlo_estimate(g, 0.6, 2000, 2).successes == 0
+    monkeypatch.setattr(verification, "MONTE_CARLO_CASES", [(path20, 0.6, 2)])
+    monkeypatch.setattr(verification, "MONTE_CARLO_TRIALS", 2000)
+    result = verification.check_monte_carlo(verification.CensusCache())
+    assert result.passed, result.detail
+    assert result.detail == "1 seeded runs within 4 standard errors"
+
 def test_sparse_decrease_graphs_are_seeded_sparse_and_connected():
     graphs = verification.sparse_decrease_graphs()
     assert [g.n for g in graphs] == list(range(11, 25))
