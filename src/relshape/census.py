@@ -4,12 +4,15 @@ Connected graphs and trees are generated by canonical augmentation (McKay,
 J. Algorithms 26, 1998): every class of order n-1 gets one new vertex, and
 only the children that pass a cheap invariant test are canonized and
 deduplicated.  Aggregation over a stream of graphs is associative and
-commutative, so censuses can be parallelized and merged.
+commutative, so censuses can be parallelized and merged.  ``CensusCache``
+holds the census that ``census`` and ``verify`` share: each graph counted
+once, each distinct profile analyzed once.
 """
 
 from __future__ import annotations
 
 import bisect
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -218,40 +221,6 @@ def shape_counts(profile: ConnSetProfile, g: Graph | None = None) -> ShapeCounts
                        report.concavity_near_1)
 
 
-def analyze_stream(source, jobs: int = 1):
-    """Yield ``(graph, profile, counts)`` for every graph of the stream,
-    analyzing each distinct profile once.
-
-    The analysis depends on the profile alone, so it is memoized on the
-    profile's ``c`` tuple for the length of one stream.  With ``jobs`` <= 1
-    the stream is consumed lazily.  With ``jobs`` > 1 worker processes count
-    every graph, then analyze one graph per distinct profile; the items come
-    back in source order either way.
-    """
-    if jobs <= 1:
-        memo: dict[tuple[int, ...], ShapeCounts] = {}
-        for g in source:
-            profile = count_connected_sets(g)
-            counts = memo.get(profile.c)
-            if counts is None:
-                counts = memo[profile.c] = shape_counts(profile, g)
-            yield g, profile, counts
-        return
-    from multiprocessing import Pool  # only here, so other commands skip its import
-
-    graphs = list(source)
-    with Pool(jobs) as pool:
-        chunk = max(1, len(graphs) // (jobs * 8))
-        profiles = pool.map(count_connected_sets, graphs, chunksize=chunk)
-        first = {}
-        for g, profile in zip(graphs, profiles):
-            first.setdefault(profile.c, (profile, g))
-        memo = dict(zip(first, pool.starmap(
-            shape_counts, first.values(), chunksize=max(1, len(first) // (jobs * 8)))))
-    for g, profile in zip(graphs, profiles):
-        yield g, profile, memo[profile.c]
-
-
 def summarize(items, exemplar_cap: int = 10) -> CensusSummary:
     """Aggregate ``(graph, counts)`` pairs of one order into a summary.
 
@@ -298,14 +267,83 @@ def summarize(items, exemplar_cap: int = 10) -> CensusSummary:
     )
 
 
+class CensusCache:
+    """The one census object of ``census`` and ``verify``: the graphs of each
+    order with their generation seconds, one profile per graph and one
+    ShapeCounts per distinct profile.
+
+    Within one cache every graph is counted once (``profile``) and every
+    distinct profile analyzed once (``shape``), however many checks read it.
+    With ``jobs`` > 1, ``fill`` counts and analyzes graphs in worker
+    processes first.
+    """
+
+    def __init__(self, jobs: int = 1):
+        self.jobs = jobs
+        self._graphs: dict[int, tuple[list[Graph], float]] = {}
+        self._profiles: dict[Graph, ConnSetProfile] = {}
+        self._shapes: dict[tuple[int, ...], ShapeCounts] = {}
+
+    def graphs(self, n: int) -> list[Graph]:
+        if n not in self._graphs:
+            start = time.monotonic()
+            graphs = list(generate_connected(n))
+            self._graphs[n] = (graphs, time.monotonic() - start)
+        return self._graphs[n][0]
+
+    def profile(self, g: Graph) -> ConnSetProfile:
+        profile = self._profiles.get(g)
+        if profile is None:
+            profile = self._profiles[g] = count_connected_sets(g)
+        return profile
+
+    def shape(self, profile: ConnSetProfile, g: Graph | None = None) -> ShapeCounts:
+        shape = self._shapes.get(profile.c)
+        if shape is None:
+            shape = self._shapes[profile.c] = shape_counts(profile, g)
+        return shape
+
+    def fill(self, graphs: list[Graph]) -> None:
+        """With ``jobs`` > 1, count the graphs not yet counted, then analyze
+        one graph per new profile, in one pool of worker processes."""
+        if self.jobs <= 1:
+            return
+        from multiprocessing import Pool  # only here, so other commands skip its import
+
+        new = [g for g in dict.fromkeys(graphs) if g not in self._profiles]
+        with Pool(self.jobs) as pool:
+            self._profiles.update(zip(new, pool.map(
+                count_connected_sets, new, chunksize=max(1, len(new) // (self.jobs * 8)))))
+            first = {}
+            for g in graphs:
+                profile = self._profiles[g]
+                if profile.c not in self._shapes:
+                    first.setdefault(profile.c, (profile, g))
+            self._shapes.update(zip(first, pool.starmap(
+                shape_counts, first.values(), chunksize=max(1, len(first) // (self.jobs * 8)))))
+
+    def summary(self, n: int) -> tuple[CensusSummary, float]:
+        """(summary, elapsed seconds including generation)."""
+        graphs = self.graphs(n)
+        start = time.monotonic()
+        self.fill(graphs)
+        summary = summarize((g, self.shape(self.profile(g), g)) for g in graphs)
+        return summary, self._graphs[n][1] + time.monotonic() - start
+
+
 def run_census(source, jobs: int = 1, exemplar_cap: int = 10) -> CensusSummary:
     """Analyze every graph in the stream and aggregate shape statistics.
 
     Graphs are tagged by their graph6 string as given: the source must yield
     canonical representatives, as the generators and ``stream_graph6`` do.
-    Each distinct profile is analyzed once (``analyze_stream``); ``jobs`` > 1
-    spreads counting and analysis over worker processes with an identical
-    result.
+    Each distinct profile is analyzed once (``CensusCache.shape``).  With one
+    job the stream is consumed lazily and no profile is kept per graph;
+    ``jobs`` > 1 reads the whole stream and spreads counting and analysis
+    over worker processes (``CensusCache.fill``) with an identical result.
     """
-    return summarize(((g, counts) for g, _, counts in analyze_stream(source, jobs)),
-                     exemplar_cap)
+    cache = CensusCache(jobs)
+    if jobs > 1:
+        source = list(source)
+        cache.fill(source)
+    profile = cache.profile if jobs > 1 else count_connected_sets
+    return summarize(((g, cache.shape(profile(g), g)) for g in source), exemplar_cap)

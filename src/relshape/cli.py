@@ -405,9 +405,17 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+
+
 def cmd_census(args) -> int:
     if (args.n is None) == (args.input is None):
         raise ValueError("need exactly one of --n or --input")
+    _check_jobs(args)
+    if args.exemplars < 0:
+        raise ValueError(f"--exemplars must be at least 0, got {args.exemplars}")
     if args.n is not None:
         source = iter(generate_connected(args.n))
     else:
@@ -439,7 +447,10 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_jobs(args)
     results = run_checks(slow=args.slow, jobs=args.jobs, only=args.only)
+    if not results:
+        raise ValueError(f"no check matches --only {args.only!r}")
     if args.json:
         print(json.dumps(
             [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],

@@ -4,33 +4,23 @@ Each check pins one quantitative claim the package is built around: exact
 census counts, decrease-interval endpoints, threshold constants, coefficient
 identities and bounds, family closed forms, shape theorems on their witness
 families, and a seeded Monte Carlo cross-check.  A sweep fails when no graph
-applies, so no check passes vacuously.  Checks are pure functions of
-a shared census cache so the CLI and the acceptance test suite run exactly
-the same code.
+applies, so no check passes vacuously.  Checks are pure functions of one
+shared ``census.CensusCache``, so the CLI and the acceptance test suite run
+exactly the same code, and a run counts each graph and analyzes each
+distinct profile once.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import NamedTuple
 
-from .census import (
-    ShapeCounts,
-    analyze_stream,
-    generate_connected,
-    generate_trees,
-    shape_counts,
-    summarize,
-)
+from .census import CensusCache, generate_trees
 from .connsets import (
-    ConnSetProfile,
     check_coefficient_bounds,
     check_coefficient_identities,
-    count_connected_sets,
     family_profile,
     first_sperner_violation,
 )
@@ -80,75 +70,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-class GraphRecord(NamedTuple):
-    """What the checks read about one graph besides its shape: its
-    connected-set profile and its number of cut vertices."""
-
-    graph: Graph
-    profile: ConnSetProfile
-    cut_count: int
-
-
-class CensusCache:
-    """Census graphs, their records and summaries, shared by the checks.
-
-    Within one cache every graph is counted once (``profile``) and every
-    distinct profile analyzed once (``shape``), however many checks read it;
-    a graph's shape counts are ``shape(record.profile)``.  With ``jobs`` > 1
-    a census order is counted and analyzed in worker processes first.
-    """
-
-    def __init__(self, jobs: int = 1):
-        self.jobs = jobs
-        self._graphs: dict[int, tuple[list[Graph], float]] = {}
-        self._records: dict[int, list[GraphRecord]] = {}
-        self._summaries: dict[int, tuple] = {}
-        self._profiles: dict[Graph, ConnSetProfile] = {}
-        self._shapes: dict[tuple[int, ...], ShapeCounts] = {}
-
-    def graphs(self, n: int):
-        if n not in self._graphs:
-            start = time.monotonic()
-            graphs = list(generate_connected(n))
-            self._graphs[n] = (graphs, time.monotonic() - start)
-        return self._graphs[n][0]
-
-    def profile(self, g: Graph) -> ConnSetProfile:
-        profile = self._profiles.get(g)
-        if profile is None:
-            profile = self._profiles[g] = count_connected_sets(g)
-        return profile
-
-    def shape(self, profile: ConnSetProfile, g: Graph | None = None) -> ShapeCounts:
-        shape = self._shapes.get(profile.c)
-        if shape is None:
-            shape = self._shapes[profile.c] = shape_counts(profile, g)
-        return shape
-
-    def record(self, g: Graph) -> GraphRecord:
-        return GraphRecord(g, self.profile(g), len(cut_vertices(g)))
-
-    def records(self, n: int) -> list[GraphRecord]:
-        """One record per census graph of order n, built once."""
-        if n not in self._records:
-            self._records[n] = [self.record(g) for g in self.graphs(n)]
-        return self._records[n]
-
-    def summary(self, n: int):
-        """(summary, elapsed seconds including generation)."""
-        if n not in self._summaries:
-            graphs = self.graphs(n)
-            start = time.monotonic()
-            if self.jobs > 1:
-                for g, profile, shape in analyze_stream(graphs, self.jobs):
-                    self._profiles.setdefault(g, profile)
-                    self._shapes.setdefault(profile.c, shape)
-            summary = summarize((r.graph, self.shape(r.profile, r.graph))
-                                for r in self.records(n))
-            self._summaries[n] = (summary, self._graphs[n][1] + time.monotonic() - start)
-        return self._summaries[n]
 
 
 def _census_check(cache: CensusCache, n: int) -> CheckResult:
@@ -300,58 +221,55 @@ def check_closed_form_equivalence(cache):
                        if not bad else f"mismatch: {', '.join(bad)}")
 
 
-def _census_records(cache) -> list[GraphRecord]:
-    """The records of every census graph of orders 2..7."""
-    return [r for n in range(2, 8) for r in cache.records(n)]
+def _census_graphs(cache) -> list[Graph]:
+    """Every census graph of orders 2..7."""
+    return [g for n in range(2, 8) for g in cache.graphs(n)]
 
 
-def _sweep(name: str, records, holds, detail: str) -> CheckResult:
-    """Check ``holds`` on every record; fails when there is none."""
-    bad = sum(1 for r in records if not holds(r))
-    return CheckResult(name, bool(records) and bad == 0,
-                       detail.format(total=len(records), bad=bad))
+def _sweep(name: str, graphs, holds, detail: str) -> CheckResult:
+    """Check ``holds`` on every graph; fails when there is none."""
+    bad = sum(1 for g in graphs if not holds(g))
+    return CheckResult(name, bool(graphs) and bad == 0,
+                       detail.format(total=len(graphs), bad=bad))
 
 
 def check_coefficient_identities_sweep(cache):
-    return _sweep("coefficient-identities-sweep", _census_records(cache),
-                  lambda r: check_coefficient_identities(r.graph, r.profile).passed,
+    return _sweep("coefficient-identities-sweep", _census_graphs(cache),
+                  lambda g: check_coefficient_identities(g, cache.profile(g)).passed,
                   "{total} census graphs orders 2..7, {bad} failures")
 
 
 def check_coefficient_bounds_sweep(cache):
-    return _sweep("coefficient-bounds-sweep", _census_records(cache),
-                  lambda r: check_coefficient_bounds(r.profile).passed,
+    return _sweep("coefficient-bounds-sweep", _census_graphs(cache),
+                  lambda g: check_coefficient_bounds(cache.profile(g)).passed,
                   "{total} census graphs orders 2..7, {bad} failures")
 
 
 def check_early_concavity_sweep(cache):
-    def holds(r):
-        n = r.graph.n
-        return d_coefficients(r.profile).at(1) <= -n * (n - 1)
-
-    return _sweep("early-concavity-sweep", _census_records(cache), holds,
+    return _sweep("early-concavity-sweep", _census_graphs(cache),
+                  lambda g: d_coefficients(cache.profile(g)).at(1) <= -g.n * (g.n - 1),
                   "d_1 <= -n(n-1) on {total} census graphs, {bad} failures")
 
 
 def check_endpoint_derivative_sweep(cache):
-    def holds(r):
-        d1 = derivative(from_profile(r.profile))
-        return eval_exact(d1, 0) == r.graph.n and eval_exact(d1, 1) == r.cut_count
+    def holds(g):
+        d1 = derivative(from_profile(cache.profile(g)))
+        return eval_exact(d1, 0) == g.n and eval_exact(d1, 1) == len(cut_vertices(g))
 
-    return _sweep("endpoint-derivative-sweep", _census_records(cache), holds,
+    return _sweep("endpoint-derivative-sweep", _census_graphs(cache), holds,
                   "f'(0)=n and f'(1)=cut count on {total} census graphs, {bad} failures")
 
 
 def check_sperner_sweep(cache):
-    return _sweep("sperner-failure-sweep", _census_records(cache),
-                  lambda r: (first_sperner_violation(r.profile) is None) == is_complete(r.graph),
+    return _sweep("sperner-failure-sweep", _census_graphs(cache),
+                  lambda g: (first_sperner_violation(cache.profile(g)) is None) == is_complete(g),
                   "failure iff non-complete on {total} census graphs, {bad} failures")
 
 
 def check_late_concavity_two_connected(cache):
-    records = [r for r in _census_records(cache) if is_two_connected(r.graph)]
-    return _sweep("late-concavity-two-connected-sweep", records,
-                  lambda r: cache.shape(r.profile, r.graph).concavity_near_1 == -1,
+    graphs = [g for g in _census_graphs(cache) if is_two_connected(g)]
+    return _sweep("late-concavity-two-connected-sweep", graphs,
+                  lambda g: cache.shape(cache.profile(g), g).concavity_near_1 == -1,
                   "{total} 2-connected census graphs concave down near 1, {bad} failures")
 
 
@@ -427,16 +345,16 @@ def check_sparse_two_inflections(cache):
 
 
 def check_tree_inflections(cache):
-    records = [cache.record(tree) for n in range(4, 9) for tree in generate_trees(n)]
-    return _sweep("tree-inflection-sweep", records,
-                  lambda r: cache.shape(r.profile, r.graph).inflections >= 1,
+    trees = [tree for n in range(4, 9) for tree in generate_trees(n)]
+    return _sweep("tree-inflection-sweep", trees,
+                  lambda t: cache.shape(cache.profile(t), t).inflections >= 1,
                   "{total} trees of orders 4..8, {bad} without an inflection")
 
 
 def check_two_cut_fixed_point(cache):
-    records = [r for r in _census_records(cache) if r.cut_count >= 2]
-    return _sweep("two-cut-fixed-point-sweep", records,
-                  lambda r: cache.shape(r.profile, r.graph).fixed_points >= 1,
+    graphs = [g for g in _census_graphs(cache) if len(cut_vertices(g)) >= 2]
+    return _sweep("two-cut-fixed-point-sweep", graphs,
+                  lambda g: cache.shape(cache.profile(g), g).fixed_points >= 1,
                   "{total} census graphs with >= 2 cut vertices, {bad} without a fixed point")
 
 

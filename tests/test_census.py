@@ -12,7 +12,6 @@ from relshape.census import (
     _attach,
     _orbit_masks,
     _rejected,
-    analyze_stream,
     census_document,
     generate_connected,
     generate_trees,
@@ -167,10 +166,46 @@ def test_order_independence(graphs6):
     assert run_census(reversed(list(graphs6))) == base
 
 
-def test_parallel_equals_sequential(graphs6):
+def test_parallel_equals_sequential(graphs6, monkeypatch):
     assert run_census(graphs6, jobs=2) == run_census(graphs6)
-    assert list(analyze_stream(graphs6, jobs=2)) == list(analyze_stream(graphs6))
     assert CensusCache(jobs=2).summary(6)[0] == run_census(graphs6)
+    parallel = CensusCache(jobs=2)
+    parallel.fill(graphs6)
+    # fill leaves nothing to count or analyze in this process
+    counted = count_calls(monkeypatch, [census], "count_connected_sets")
+    analyzed = count_calls(monkeypatch, [census], "shape_counts")
+    filled = [(parallel.profile(g), parallel.shape(parallel.profile(g))) for g in graphs6]
+    assert counted == analyzed == []
+    serial = CensusCache()
+    assert filled == [(serial.profile(g), serial.shape(serial.profile(g))) for g in graphs6]
+
+
+def test_one_job_census_analyzes_each_graph_before_pulling_the_next(monkeypatch):
+    # the census-n7 benchmark times one graph's analysis as the gap between
+    # two pulls of the source
+    graphs = list(generate_connected(5))
+    events = []
+
+    def source():
+        for g in graphs:
+            events.append(("pull", g))
+            yield g
+
+    def log(kind, fn):
+        def logged(*args):
+            events.append((kind, args[0] if kind == "count" else args[1]))
+            return fn(*args)
+        return logged
+
+    monkeypatch.setattr(census, "count_connected_sets", log("count", count_connected_sets))
+    monkeypatch.setattr(census, "shape_counts", log("analyze", shape_counts))
+    run_census(source(), jobs=1)
+    expected, seen = [], set()
+    for g in graphs:
+        c = count_connected_sets(g).c
+        expected += [("pull", g), ("count", g)] + [("analyze", g)] * (c not in seen)
+        seen.add(c)
+    assert events == expected
 
 
 def test_census_analyzes_each_distinct_profile_once(monkeypatch):

@@ -42,6 +42,16 @@ def test_start_up_does_not_import_multiprocessing():
     assert proc.stdout.strip() == "False"
 
 
+def test_one_job_census_does_not_import_multiprocessing():
+    code = ("import sys; from relshape.cli import main; main(['census', '--n', '5']); "
+            "print('multiprocessing' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "order 5 census: 21 graphs" in proc.stdout
+    assert proc.stderr.strip() == "False"
+
+
 @pytest.mark.parametrize("value", [0, 7, -7, 2**64, 2**64 + 1, -(2**70) - 3, True,
                                    Fraction(0), Fraction(6, 3), Fraction(-5, 2)])
 def test_fmt_exact_prints_like_fraction(value):
@@ -289,6 +299,16 @@ def test_census_order_zero_is_an_order(fixtures_dir, capsys, args, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["--jobs", "-2"], "--jobs must be at least 1, got -2"),
+    (["--exemplars", "-1"], "--exemplars must be at least 0, got -1"),
+], ids=["jobs0", "jobs-2", "exemplars-1"])
+def test_census_rejects_out_of_range_counts(capsys, args, message):
+    code, out, err = run_inproc(capsys, "census", "--n", "5", *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_census_determinism():
     a = run_cli("census", "--n", "5", "--json")
     b = run_cli("census", "--n", "5", "--json")
@@ -344,6 +364,19 @@ def test_verify_json(capsys):
     assert code == 0
     results = json.loads(out)
     assert results and all(r["passed"] for r in results)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("only", ["census-order-9", "census-order-8"])
+def test_verify_only_matching_no_check_is_a_usage_error(capsys, json_flag, only):
+    # census-order-8 runs only with --slow
+    code, out, err = run_inproc(capsys, "verify", "--only", only, *json_flag)
+    assert (code, out, err) == (2, "", f"error: no check matches --only {only!r}\n")
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    code, out, err = run_inproc(capsys, "verify", "--jobs", "0", "--only", "threshold")
+    assert (code, out, err) == (2, "", "error: --jobs must be at least 1, got 0\n")
 
 
 def test_verify_fails_on_tampered_expectation(capsys, monkeypatch):

@@ -37,6 +37,33 @@ def test_sweep_fails_when_no_graph_applies(check, monkeypatch):
     assert not result.passed, result.detail
 
 
+# field of ShapeCounts: (its wrong value from the right one, checks that read it)
+SHAPE_TAMPERING = {
+    "fixed_points": (lambda v: 0, ["two-cut-fixed-point-sweep", "cycle50-fixed-points"]),
+    "inflections": (lambda v: 0, ["census-order-7", "tree-inflection-sweep",
+                                  "sparse-two-inflection-instances", "star-single-inflection"]),
+    "concavity_near_1": (lambda v: -v, ["late-concavity-two-connected-sweep"]),
+    "decreases": (lambda v: 0, ["census-order-6", "sparse-decrease-census",
+                                "sparse-decrease-instances", "star-union-m-shape",
+                                "path6-decrease-endpoints"]),
+}
+
+
+@pytest.mark.parametrize("field, name", [
+    pytest.param(field, name, id=f"{name}-{field}")
+    for field, (_, names) in SHAPE_TAMPERING.items() for name in names])
+def test_check_fails_on_tampered_shape_counts(field, name, monkeypatch):
+    real, wrong = census.shape_counts, SHAPE_TAMPERING[field][0]
+
+    def tampered(*args):
+        counts = real(*args)
+        return counts._replace(**{field: wrong(getattr(counts, field))})
+
+    monkeypatch.setattr(census, "shape_counts", tampered)
+    result = dict(verification.DEFAULT_CHECKS)[name](verification.CensusCache())
+    assert not result.passed, result.detail
+
+
 def test_monte_carlo_check_fails_on_shifted_exact_values(monkeypatch):
     # 0.02 exceeds 4 standard errors, at most 4 sqrt(1/4 / 25000) = 0.0127
     exact = verification.eval_exact
@@ -81,7 +108,7 @@ def test_sparse_decrease_census_counts_every_seeded_graph():
 
 
 def test_verify_counts_each_graph_once_and_analyzes_each_profile_once(monkeypatch):
-    counted = count_calls(monkeypatch, [connsets, census, verification, shape, cli],
+    counted = count_calls(monkeypatch, [connsets, census, shape, cli],
                           "count_connected_sets")
     analyzed = count_calls(monkeypatch, [shape, census, cli], "analyze_profile")
     results = verification.run_checks()
