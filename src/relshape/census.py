@@ -3,8 +3,10 @@
 Connected graphs and trees are generated by canonical augmentation (McKay,
 J. Algorithms 26, 1998): every class of order n-1 gets one new vertex, and
 only the children that pass a cheap invariant test are canonized and
-deduplicated.  Aggregation over a stream of graphs is associative and
-commutative, so censuses can be parallelized and merged.  ``CensusCache``
+deduplicated.  One search per child (``graphs.canonical_form``) gives
+both its key and its automorphism group, and the group of a class picks the
+masks attached to it as a parent.  Aggregation over a stream of graphs is
+associative and commutative, so censuses can be parallelized and merged.  ``CensusCache``
 holds the census that ``census`` and ``verify`` share: each graph counted
 once, each distinct profile analyzed once.
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .connsets import ConnSetProfile, count_connected_sets
-from .graphs import (CANONICAL_MAX_ORDER, Graph, Graph6ParseError, _automorphism_generators,
+from .graphs import (CANONICAL_MAX_ORDER, Graph, Graph6ParseError, canonical_form,
                      canonical_graph, mask_is_connected, parse_graph6, to_graph6)
 from .shape import analyze_profile
 from .sturm import InternalCheckError
@@ -65,22 +67,23 @@ def _rejected(adj: tuple[int, ...]) -> bool:
     return False
 
 
-def _orbit_masks(parent: Graph, trees: bool) -> list[int]:
+def _orbit_masks(parent: Graph, generators, trees: bool) -> list[int]:
     """The least attachment mask of each orbit of Aut(parent) on the nonempty
-    masks (on the one-bit masks for trees), ascending.
+    masks (on the one-bit masks for trees), ascending; ``generators``
+    generate Aut(parent), as ``canonical_form`` returns them.
 
     Each generator's image table is built incrementally and also checks
     that the generator maps the parent's adjacency onto itself."""
     n = parent.n
     tables = []
-    for p in _automorphism_generators(parent):
+    for p in generators:
         img = [0]  # img[m] is the image of mask m, built one bit at a time
         for v in range(n):
             bit = 1 << p[v]
             img += [m | bit for m in img]
         if any(img[a] != parent.adj[p[v]] for v, a in enumerate(parent.adj)):
             raise InternalCheckError(f"graph {to_graph6(parent)}: generation: "
-                                     f"{p} is not an automorphism")
+                                     f"{list(p)} is not an automorphism")
         tables.append(img)
     seen = bytearray(1 << n)
     least = []
@@ -100,9 +103,10 @@ def _orbit_masks(parent: Graph, trees: bool) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _augment(n: int, trees: bool) -> tuple[Graph, ...]:
+def _augment(n: int, trees: bool):
     """Canonical representatives of the connected graphs (trees when
-    ``trees``) of order n, sorted by graph6 string.
+    ``trees``) of order n, sorted by graph6 string, and a parallel tuple of
+    generators of each one's automorphism group.
 
     A connected parent plus a vertex attached by a nonempty mask (one bit
     for trees) is a connected child; it is canonized unless ``_rejected``.
@@ -119,17 +123,27 @@ def _augment(n: int, trees: bool) -> tuple[Graph, ...]:
     child of a(M).  So the children of one orbit are isomorphic with the new
     vertex fixed, ``_rejected`` gives each of them the same answer, and the
     least mask stands for all of them: no class is lost.
+
+    Children are deduplicated on the key of ``canonical_form``.  A class
+    keeps the generators from the search that found it first, and is
+    decoded into a ``Graph`` once.  Equal generators and equal generator
+    sets are stored once: order 8 has 705 distinct sets for its 11,117
+    classes.
     """
     if n == 1:
-        return (Graph(1, (0,)),)
-    seen: dict[str, Graph] = {}
-    for parent in _augment(n - 1, trees):
-        for mask in _orbit_masks(parent, trees):
+        return (Graph(1, (0,)),), ((),)
+    found: dict[str, tuple[bytes, ...]] = {}
+    interned: dict = {}  # one copy of each generator and generator set
+    for parent, generators in zip(*_augment(n - 1, trees)):
+        for mask in _orbit_masks(parent, generators, trees):
             child = _attach(parent.adj, mask)
             if not _rejected(child):
-                canon = canonical_graph(Graph(n, child))
-                seen.setdefault(to_graph6(canon), canon)
-    return tuple(seen[key] for key in sorted(seen))
+                key, group = canonical_form(child)
+                if key not in found:
+                    group = tuple(interned.setdefault(p, p) for p in group)
+                    found[key] = interned.setdefault(group, group)
+    keys = sorted(found)
+    return tuple(map(parse_graph6, keys)), tuple(found[key] for key in keys)
 
 
 def generate_connected(n: int):
@@ -138,7 +152,7 @@ def generate_connected(n: int):
     if not GENERATE_MIN <= n <= GENERATE_MAX:
         raise ValueError(f"connected-graph generation supports orders "
                          f"{GENERATE_MIN}..{GENERATE_MAX}, got {n}")
-    yield from _augment(n, False)
+    yield from _augment(n, False)[0]
 
 
 def generate_trees(n: int):
@@ -146,7 +160,7 @@ def generate_trees(n: int):
     sorted graph6 order; supports the inflection sweep without a census."""
     if not 1 <= n <= TREE_MAX:
         raise ValueError(f"tree generation supports orders 1..{TREE_MAX}")
-    yield from _augment(n, True)
+    yield from _augment(n, True)[0]
 
 
 def stream_graph6(source):

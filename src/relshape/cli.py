@@ -129,7 +129,7 @@ def parse_tol(text: str | None) -> Fraction:
         return DEFAULT_TOL
     try:
         tol = Fraction(decimal.Decimal(text))
-    except (decimal.InvalidOperation, ValueError):
+    except (decimal.InvalidOperation, ValueError, OverflowError):  # infinities overflow
         raise ValueError(f"invalid tolerance {text!r}") from None
     if tol <= 0:
         raise ValueError("tolerance must be positive")

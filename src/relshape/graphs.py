@@ -5,8 +5,9 @@ Vertices are 0-based integers below the order ``n``; adjacency is a tuple of
 orders up to 62 (the largest order a single-byte graph6 header can carry).
 The module covers parsing/serialization (graph6 and plain edge lists), the
 named graph families used throughout the package, structural predicates
-(connectivity, cut vertices, vertex cuts), and an exact canonical form for
-isomorphism-class deduplication of small graphs.
+(connectivity, cut vertices, vertex cuts), and an exact canonical form of
+small graphs: one search gives a graph6 key that is equal exactly for
+isomorphic graphs and generators of the automorphism group.
 """
 
 from __future__ import annotations
@@ -101,20 +102,6 @@ def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Relabel vertices; ``perm[v]`` is the new label of old vertex ``v``."""
-    adj = [0] * g.n
-    for v in range(g.n):
-        mask = g.adj[v]
-        new = 0
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            new |= 1 << perm[u]
-        adj[perm[v]] = new
-    return Graph(g.n, tuple(adj))
-
-
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     n = a.n + b.n
     if n > MAX_ORDER:
@@ -178,23 +165,24 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _pack_graph6(n: int, bits: int) -> str:
+    """The graph6 line of order n whose n(n-1)/2 upper-triangle bits,
+    column-major, are ``bits`` read from its most significant end."""
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits <<= pad
+    return chr(n + 63) + "".join([chr((bits >> shift & 63) + 63)
+                                  for shift in range(nbits + pad - 6, -1, -6)])
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no header), the exact inverse of
     :func:`parse_graph6`."""
-    chars = [chr(g.n + 63)]
-    value = 0
-    nbits = 0
+    bits = 0
     for j in range(1, g.n):
         for i in range(j):
-            value = value << 1 | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(value + 63))
-                value = 0
-                nbits = 0
-    if nbits:
-        chars.append(chr((value << (6 - nbits)) + 63))
-    return "".join(chars)
+            bits = bits << 1 | (g.adj[i] >> j & 1)
+    return _pack_graph6(g.n, bits)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -499,11 +487,27 @@ def _maximum_independent_sets(adj, n, twins):
     return found
 
 
-def _canonical_leaves(g: Graph):
-    """The twin classes of g (``_twin_classes``) and every leaf of the search
-    for the orderings minimizing the column-major upper-triangle bit string,
-    each leaf a list of cells; listing each cell in ascending order gives a
-    least ordering (``_leaf_order``).
+def _leaf_order(cells) -> list[int]:
+    order = []
+    for cell in cells:
+        while cell:
+            order.append((cell & -cell).bit_length() - 1)
+            cell &= cell - 1
+    return order
+
+
+def canonical_form(adj) -> tuple[str, tuple[bytes, ...]]:
+    """The canonical key of the graph with adjacency ``adj`` (order <= 10)
+    and generators of its automorphism group.
+
+    The key is the graph6 string of the least column-major upper-triangle
+    bit string over all vertex orderings, so two graphs are isomorphic
+    exactly when their keys agree, and ``parse_graph6(key)`` is the
+    canonical representative.  That bit order is graph6's own, so the
+    search packs the least column of each position into the key as it
+    goes.  Each generator p is an automorphism of the canonical
+    representative, ``p[v]`` the image of vertex v, held as bytes: a
+    census keeps one group per class.
 
     The search is exhaustive over orderings, but it does not try the
     orderings of the leading all-zero columns one by one:
@@ -529,17 +533,31 @@ def _canonical_leaves(g: Graph):
        orderings.
 
     The branches grow one position at a time, all together: each tries the
-    unplaced vertices, one per twin class, and only the branches that reach
-    the least column of that position go on, since a branch with a larger
-    prefix cannot end at the least string.  At the end the vertices of
-    each cell are listed in ascending order; vertices sharing a cell then
-    are twins, so that order changes no bit.
+    unplaced vertices, one per twin class (``_twin_classes``), and only the
+    branches that reach the least column of that position go on, since a
+    branch with a larger prefix cannot end at the least string.  At the
+    end the vertices of each cell of a leaf are listed in ascending order
+    (``_leaf_order``); vertices sharing a cell then are twins, so that
+    order changes no bit, and the first leaf's order is the canonical
+    labelling.
+
+    The generators are the map from the first leaf to each other leaf,
+    position by position, and the swap of each vertex with the least vertex
+    of its twin class, both carried into canonical labels.  Every least
+    ordering is an automorphism applied to the first leaf, and the search
+    loses a least ordering only where it tries one maximum independent set
+    per twin orbit, one vertex per twin class, or lists a cell of twins in
+    ascending order; so each least ordering is a leaf up to twin swaps, and
+    these permutations generate the whole group.
     """
-    n, adj = g.n, g.adj
-    full = (1 << n) - 1
+    n = len(adj)
+    if n > CANONICAL_MAX_ORDER:
+        raise ValueError(f"canonical form unsupported beyond order {CANONICAL_MAX_ORDER}")
     twins = _twin_classes(adj, n)
     live = [([s], s) for s in _maximum_independent_sets(adj, n, twins)]
-    while live[0][1] != full:
+    placed = live[0][1].bit_count()
+    bits = 0  # the columns of the independent set are all zero
+    while placed < n:
         least = None
         chosen = []
         for cells, placed_mask in live:
@@ -572,58 +590,21 @@ def _canonical_leaves(g: Graph):
                     split.append(cell)
             split.append(1 << v)
             live.append((split, placed_mask | 1 << v))
-    return twins, [cells for cells, _ in live]
-
-
-def _leaf_order(cells) -> list[int]:
-    order = []
-    for cell in cells:
-        while cell:
-            order.append((cell & -cell).bit_length() - 1)
-            cell &= cell - 1
-    return order
-
-
-def _canonical_order(g: Graph) -> list[int]:
-    """Vertex ordering minimizing the column-major upper-triangle bit string;
-    ``ordering[j]`` is the original vertex placed at position ``j``."""
-    return _leaf_order(_canonical_leaves(g)[1][0])
-
-
-def _automorphism_generators(g: Graph) -> list[list[int]]:
-    """Permutations that generate the automorphism group of g; ``p[v]`` is
-    the image of vertex v.
-
-    They are the map from the first leaf of the canonical search to each
-    other leaf, position by position, and the swap of each vertex with the
-    least vertex of its twin class.  Every least ordering is an automorphism
-    applied to the first leaf, and the search loses a least ordering only
-    where it tries one maximum independent set per twin orbit, one vertex
-    per twin class, or lists a cell of twins in ascending order; so each
-    least ordering is a leaf up to twin swaps, and these permutations
-    generate the whole group.
-    """
-    twins, leaves = _canonical_leaves(g)
-    first = _leaf_order(leaves[0])
-    generators = []
-    for cells in leaves[1:]:
-        p = [0] * g.n
-        for u, v in zip(first, _leaf_order(cells)):
-            p[u] = v
-        generators.append(p)
+        bits = bits << placed | least
+        placed += 1
+    pos = [0] * n
+    for i, v in enumerate(_leaf_order(live[0][0])):
+        pos[v] = i
+    generators = [bytes(pos[v] for v in _leaf_order(cells)) for cells, _ in live[1:]]
     for v, t in enumerate(twins):
         if t != v:
-            p = list(range(g.n))
-            p[v], p[t] = t, v
-            generators.append(p)
-    return generators
+            p = bytearray(range(n))
+            p[pos[v]], p[pos[t]] = pos[t], pos[v]
+            generators.append(bytes(p))
+    return _pack_graph6(n, bits), tuple(generators)
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class (order <= 10)."""
-    if g.n > CANONICAL_MAX_ORDER:
-        raise ValueError(f"canonical form unsupported beyond order {CANONICAL_MAX_ORDER}")
-    perm = [0] * g.n
-    for pos, v in enumerate(_canonical_order(g)):
-        perm[v] = pos
-    return relabel(g, perm)
+    """The canonical representative of g's isomorphism class (order <= 10):
+    the graph that ``canonical_form``'s key encodes."""
+    return parse_graph6(canonical_form(g.adj)[0])

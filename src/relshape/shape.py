@@ -298,7 +298,7 @@ def _final_cell(q, sa: int, lo_num: int, hi_num: int, den: int, tol: Fraction):
         lo, hi = lo_num / den, hi_num / den
     except OverflowError:
         return None
-    cell_width = (hi - lo) / (1 << k)
+    cell_width = math.ldexp(hi - lo, -k)  # no overflow for tol below 2^-1024
     x = (lo + hi) / 2
     for _ in range(FLOAT_ROOT_STEPS):
         value = slope = 0.0

@@ -8,6 +8,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from relshape import connsets  # noqa: E402
+from relshape.graphs import Graph  # noqa: E402
 from relshape.verification import CensusCache  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -44,24 +45,36 @@ def count_connected_sets_frontier(g):
     return connsets._frontier_profile(g, connsets.frontier_order(g)[0])
 
 
-def automorphisms(g):
-    """Every automorphism of g as a tuple p, ``p[v]`` the image of v: the n!
-    permutations, extended one vertex at a time and cut as soon as the
-    prefix breaks an adjacency."""
-    found = []
+def relabel(g, perm):
+    """g with its vertices relabelled; ``perm[v]`` is the new label of v."""
+    adj = [0] * g.n
+    for v in range(g.n):
+        adj[perm[v]] = sum(1 << perm[u] for u in range(g.n) if g.adj[v] >> u & 1)
+    return Graph(g.n, tuple(adj))
+
+
+def isomorphisms(g, h):
+    """Yield every isomorphism from g onto h as a tuple p, ``p[v]`` the image
+    of v: the n! permutations, extended one vertex at a time and cut as soon
+    as the prefix breaks an adjacency."""
 
     def extend(p, used):
         v = len(p)
         if v == g.n:
-            found.append(tuple(p))
+            yield tuple(p)
             return
-        for u in range(g.n):
+        for u in range(h.n):
             if not used >> u & 1 and all(
-                    (g.adj[v] >> w & 1) == (g.adj[u] >> p[w] & 1) for w in range(v)):
-                extend(p + [u], used | 1 << u)
+                    (g.adj[v] >> w & 1) == (h.adj[u] >> p[w] & 1) for w in range(v)):
+                yield from extend(p + [u], used | 1 << u)
 
-    extend([], 0)
-    return found
+    if g.n == h.n:
+        yield from extend([], 0)
+
+
+def automorphisms(g):
+    """Every automorphism of g (``isomorphisms`` from g onto itself)."""
+    return list(isomorphisms(g, g))
 
 
 @pytest.fixture(scope="session")

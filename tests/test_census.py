@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import automorphisms, count_calls
+from conftest import automorphisms, count_calls, isomorphisms, relabel
 from relshape import census
 from relshape.census import (
     _attach,
@@ -23,12 +23,11 @@ from relshape.connsets import ConnSetProfile, count_connected_sets
 from relshape.graphs import (
     Graph,
     Graph6ParseError,
-    _canonical_order,
+    canonical_form,
     canonical_graph,
     cut_vertices,
     is_connected,
     parse_graph6,
-    relabel,
     to_graph6,
 )
 from relshape.shape import analyze_profile
@@ -343,15 +342,16 @@ def test_rejection_keeps_max_invariant_deletion():
         rest = [u for u in range(g.n) if u != v]
         parent = Graph(g.n - 1, tuple(
             sum(1 << i for i, w in enumerate(rest) if g.adj[u] >> w & 1) for u in rest))
-        pos = {rest[old]: new for new, old in enumerate(_canonical_order(parent))}
-        mask = sum(1 << pos[u] for u in rest if g.adj[u] >> v & 1)
-        canon = canonical_graph(parent)
+        key, generators = canonical_form(parent.adj)
+        canon = parse_graph6(key)
+        iso = next(isomorphisms(parent, canon))
+        mask = sum(1 << iso[old] for old, u in enumerate(rest) if g.adj[u] >> v & 1)
         child = _attach(canon.adj, mask)
         assert to_graph6(canonical_graph(Graph(g.n, child))) == to_graph6(canonical_graph(g))
         assert not _rejected(child), to_graph6(g)
         # the least mask of the orbit stands for the whole orbit
         orbit = {mask_image(p, mask) for p in automorphisms(canon)}
-        assert [m for m in _orbit_masks(canon, False) if m in orbit] == [min(orbit)]
+        assert [m for m in _orbit_masks(canon, generators, False) if m in orbit] == [min(orbit)]
         child = _attach(canon.adj, min(orbit))
         assert not _rejected(child), to_graph6(g)
         assert to_graph6(canonical_graph(Graph(g.n, child))) == to_graph6(canonical_graph(g))
@@ -362,26 +362,28 @@ def test_orbit_masks_one_per_orbit(trees):
     """Oracle: the orbits of Aut(parent), found by trying every permutation,
     on the attachment masks of every parent of order <= 5."""
     for n in range(1, 6):
-        for parent in census._augment(n, trees):
+        for parent, generators in zip(*census._augment(n, trees)):
             group = [p for p in permutations(range(n)) if relabel(parent, p) == parent]
             masks = [1 << v for v in range(n)] if trees else range(1, 1 << n)
             least = sorted({min(mask_image(p, m) for p in group) for m in masks})
-            assert _orbit_masks(parent, trees) == least, to_graph6(parent)
+            assert _orbit_masks(parent, generators, trees) == least, to_graph6(parent)
 
 
-def test_orbit_masks_rejects_a_non_automorphism(monkeypatch):
+def test_orbit_masks_rejects_a_non_automorphism():
     path = Graph(3, (0b100, 0b100, 0b011))  # 0 - 2 - 1
-    monkeypatch.setattr(census, "_automorphism_generators", lambda g: [[2, 1, 0]])
-    with pytest.raises(InternalCheckError, match=f"graph {to_graph6(path)}: generation"):
-        _orbit_masks(path, False)
+    with pytest.raises(InternalCheckError,
+                       match=rf"graph {to_graph6(path)}: generation: \[2, 1, 0\] is not"):
+        _orbit_masks(path, [(1, 0, 2), (2, 1, 0)], False)
 
 
 def test_cold_generation_canonizes_few_children(monkeypatch):
-    """Orders 2..7 generated from an empty cache canonize at most 1,100
-    children (one per attached mask orbit that passes the rejection test)."""
+    """Orders 2..7 generated from an empty cache run at most 1,100 canonical
+    searches, one per attached mask orbit that passes the rejection test:
+    the masks of a parent come from the group of the search that found it,
+    so no parent is searched again."""
     census._augment.cache_clear()
     try:
-        calls = count_calls(monkeypatch, [census], "canonical_graph")
+        calls = count_calls(monkeypatch, [census], "canonical_form")
         assert [sum(1 for _ in generate_connected(n)) for n in range(2, 8)] == \
             [KNOWN_CONNECTED_COUNTS[n] for n in range(2, 8)]
         assert len(calls) <= 1100

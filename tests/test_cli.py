@@ -412,6 +412,17 @@ def test_bad_tolerance(capsys):
     assert run_inproc(capsys, "analyze", "--family", "path:6", "--tol=-1e-9")[0] == 2
 
 
+@pytest.mark.parametrize("text", ["inf", "-Infinity", "nan"])
+def test_non_finite_tolerance_is_a_usage_error(capsys, text):
+    code, out, err = run_inproc(capsys, "analyze", "--family", "path:4", f"--tol={text}")
+    assert (code, out, err) == (2, "", f"error: invalid tolerance {text!r}\n")
+
+
+def test_tolerance_below_the_float_range(capsys):
+    code, out, _ = run_inproc(capsys, "analyze", "--family", "path:4", "--tol", "1e-400")
+    assert code == 0 and out
+
+
 def test_usage_error_exit_code():
     proc = run_cli()
     assert proc.returncode == 2

@@ -4,15 +4,15 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
-from conftest import automorphisms
+from conftest import automorphisms, relabel
 from relshape.census import generate_connected, generate_trees
 from relshape.graphs import (
-    _automorphism_generators,
     _component_mask,
     FamilySpec,
     Graph,
     Graph6ParseError,
     EdgeListParseError,
+    canonical_form,
     canonical_graph,
     cut_vertices,
     graph_from_edges,
@@ -22,7 +22,6 @@ from relshape.graphs import (
     min_vertex_cut,
     parse_edge_list,
     parse_graph6,
-    relabel,
     to_graph6,
     triangle_count,
 )
@@ -300,6 +299,8 @@ def test_canonical_graph_is_canonical_fixed_point():
 def test_canonical_key_order_cap():
     with pytest.raises(ValueError):
         canonical_key(fam("path", 11))
+    with pytest.raises(ValueError):
+        canonical_form(fam("path", 11).adj)
 
 
 def test_canonical_key_minimum_over_all_permutations():
@@ -325,8 +326,8 @@ def test_canonical_key_minimum_over_all_permutations():
         assert got == best
 
 
-def group_order(generators, n):
-    """Order of the permutation group the generators generate, by closure."""
+def generated_group(generators, n):
+    """The permutation group the generators generate, by closure."""
     identity = tuple(range(n))
     group, frontier = {identity}, [identity]
     while frontier:
@@ -336,22 +337,36 @@ def group_order(generators, n):
             if y not in group:
                 group.add(y)
                 frontier.append(y)
-    return len(group)
+    return group
 
 
 def test_automorphism_generators_generate_the_group():
+    """Each generator of ``canonical_form`` maps the canonical graph onto
+    itself, and together they give its whole automorphism group: every
+    permutation that does so up to order 6, and beyond that every one that
+    the pruned search ``automorphisms`` finds."""
+    rng = random.Random(71)
     cases = [g for n in range(2, 7) for g in generate_connected(n)]
     cases += [g for n in range(1, 9) for g in generate_trees(n)]
-    rng = random.Random(71)
+    for n in (5, 6):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(10):
+                cases.append(graph_from_edges(n, (e for e in combinations(range(n), 2)
+                                                  if rng.random() < density)))
     order7 = list(generate_connected(7))
     for g in rng.sample(order7, 50):
         perm = list(range(7))
         rng.shuffle(perm)
         cases.append(relabel(g, perm))
     for g in cases:
-        generators = _automorphism_generators(g)
-        assert all(relabel(g, p) == g for p in generators), to_graph6(g)
-        assert group_order(generators, g.n) == len(automorphisms(g)), to_graph6(g)
+        key, generators = canonical_form(g.adj)
+        canon = parse_graph6(key)
+        assert all(relabel(canon, p) == canon for p in generators), key
+        if g.n <= 6:
+            group = {p for p in permutations(range(g.n)) if relabel(canon, p) == canon}
+        else:
+            group = set(automorphisms(canon))
+        assert generated_group(generators, g.n) == group, key
 
 
 def upper_triangle(g):
@@ -367,8 +382,11 @@ def min_over_all_orderings(g):
 
 
 def assert_canonical_is_minimum(g):
+    key, generators = canonical_form(g.adj)
     canon = canonical_graph(g)
+    assert to_graph6(canon) == key
     assert upper_triangle(canon) == min_over_all_orderings(g), to_graph6(g)
+    assert all(relabel(canon, p) == canon for p in generators), key
     assert canonical_key(canon) == canonical_key(g)
     assert canonical_graph(canon) == canon
 

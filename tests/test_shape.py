@@ -74,6 +74,15 @@ def test_isolating_intervals_meet_tolerance():
     assert all(r.hi - r.lo < tol for r in records)
 
 
+def test_tolerance_below_the_float_range(monkeypatch):
+    # the float estimate's cell width, 2^-1330, is below the least double
+    tol = Fraction(1, 10**400)
+    [record] = isolate_roots([-1, 3], tol=tol)
+    assert record.lo < Fraction(1, 3) < record.hi and record.hi - record.lo < tol
+    monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
+    assert isolate_roots([-1, 3], tol=tol) == [record]
+
+
 @pytest.fixture(scope="module")
 def bracket_polys(graphs6):
     """Exact rational roots (landing on a bisection midpoint), root pairs
