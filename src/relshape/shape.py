@@ -5,11 +5,16 @@ one of decrease, whether a fixed point is a crossing) are made in integer
 arithmetic.  Roots are counted by Descartes' rule of signs on cells bisected
 at midpoints, each cell integer numerators over one common denominator, and
 by an integer Sturm sequence of the square-free part only in the cells the
-rule cannot decide.  Each root is bisected over a doubling denominator into a
-bracket below the tolerance, and a Fraction is built only for the reported
-bracket.  A float Newton estimate guesses the final cell, which is taken
-only when two exact signs at its ends confirm it; the sparse-threshold
-optimizer is the only other use of floating point.
+rule cannot decide.  A cell's bound is inferred where two facts decide it:
+the bounds of disjoint subintervals sum to at most the bound of the whole
+(Eigenwillig, Sharma and Yap, ISSAC 2006), and a bound has the parity of
+the signs at the cell's ends (Collins and Akritas, SYMSAC 1976).  So a cell
+left at most 1 by its parent has its parity as bound, and a Taylor shift is
+made only where the bound is still open.  Each root is bisected over a
+doubling denominator into a bracket below the tolerance, and a Fraction is
+built only for the reported bracket.  A float Newton estimate guesses the
+final cell, which is taken only when two exact signs at its ends confirm
+it; the sparse-threshold optimizer is the only other use of floating point.
 
 Classification vocabulary (assigned from the exact report, never from
 samples):
@@ -48,6 +53,7 @@ from .sturm import (
     deflate_root,
     degree,
     descartes_bound,
+    horner_ratio,
     reflect,
     scale,
     sign_at,
@@ -94,17 +100,19 @@ class Interval:
 def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     """Isolate the distinct real roots in the open interval (0, 1).
 
-    Endpoint roots are deflated.  The rest is bisected at midpoints and each
-    cell counted by Descartes' rule of signs (``_cells``): a cell with one
-    sign variation holds one simple root, which is narrowed below ``tol``.
+    Endpoint roots are deflated.  Descartes' bound on (0, 1) is counted
+    once, and no root is sought when it is 0.  Otherwise (0, 1) is bisected
+    at midpoints and each cell counted by the rule (``_cells``): a cell with
+    one sign variation holds one simple root, which is narrowed below
+    ``tol``.  A gap cut off (0, 1) leaves the rest at most the bound less
+    the gap's, and a budget of at most 1 is the parity of the end signs (the
+    two facts of the module docstring); a bound is counted only above that.
     Only a cell the rule cannot decide gets a Sturm chain of the deflated
     polynomial, built once, which counts and bisects it exactly
-    (``_sturm_isolate``).  Raises ValueError unless tol > 0, and
-    ZeroPolynomialError for the identically zero polynomial.
+    (``_sturm_isolate``).  Raises ValueError unless tol is finite and > 0,
+    and ZeroPolynomialError for the identically zero polynomial.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
+    tol = _positive_tol(tol)
     p_int = to_primitive_int(coeffs)
     if not p_int:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -115,7 +123,7 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
         inner = deflate_root(inner, 0)
     while sum(inner) == 0:  # p(1)
         inner = deflate_root(inner, 1)
-    if degree(inner) < 1:
+    if degree(inner) < 1 or not (budget := descartes_bound(inner)):
         return []
     built = []
 
@@ -129,17 +137,19 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     lo_num, w_num, den, poly = 0, 1, 1, inner
     # when the original polynomial vanishes at a domain endpoint (those roots
     # were deflated) pull the endpoint inward across a root-free gap, so no
-    # bracket can touch a zero of the original
+    # bracket can touch a zero of the original; the gap's bound leaves the budget
     if p_int[0] == 0:
-        k, gap = _root_free_gap(poly, chain, 0, 1, 1, tol)
-        lo_num, w_num, den = 1, (1 << k) - 1, 1 << k
-        poly = scale(taylor_shift(gap), (1 << k) - 1, 0)  # P(2^-k + (1 - 2^-k) x)
+        k, gap = _root_free_gap(poly, budget, chain, 0, 1, 1, tol)
+        lo_num, w_num, den, budget = 1, (1 << k) - 1, 1 << k, budget - gap
+        poly = scale(taylor_shift(scale(poly, 1, k)), (1 << k) - 1, 0)  # P(2^-k + (1 - 2^-k) x)
     if sum(p_int) == 0:
-        k, _ = _root_free_gap(reflect(poly), chain, lo_num + w_num, -w_num, den, tol)
-        lo_num, w_num, den = lo_num << k, w_num * ((1 << k) - 1), den << k
+        k, gap = _root_free_gap(poly, budget, chain, lo_num + w_num, -w_num, den, tol)
+        lo_num, w_num, den, budget = lo_num << k, w_num * ((1 << k) - 1), den << k, budget - gap
         poly = scale(poly, (1 << k) - 1, k)  # P((1 - 2^-k) x)
+    if budget <= 1 or poly is not inner:  # after a gap, budget only bounds the rest
+        budget = (poly[0] > 0) != (sum(poly) > 0) if budget <= 1 else descartes_bound(poly)
     records: list[RootRecord] = []
-    for a_num, b_num, cell_den, certified, sa in _cells(poly, lo_num, w_num, den, tol):
+    for a_num, b_num, cell_den, certified, sa in _cells(poly, budget, lo_num, w_num, den, tol):
         if certified:
             # one simple root of inner, which p_int has too: p_int crosses
             records.append(RootRecord(*_refine(inner, a_num, b_num, cell_den, sa, tol), True))
@@ -150,65 +160,94 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     return records
 
 
-def _root_free_gap(poly, chain, end_num: int, w_num: int, den: int, tol: Fraction):
-    """(k, 2^(kd) P(x / 2^k)) for the least k >= 2 such that the first 2^-k
-    of the interval P maps (0, 1) onto holds no root and does not end in one.
+def _positive_tol(tol) -> Fraction:
+    """tol as a Fraction; ValueError unless it is finite and > 0."""
+    try:
+        if (tol := Fraction(tol)) > 0:
+            return tol
+    except OverflowError:  # an infinite float
+        pass
+    raise ValueError(f"need a finite tol > 0, got {tol}")
 
-    That interval starts at end_num/den and has signed length w_num/den,
-    which is negative for a reflected P that runs backward from the right
-    end.  Roots are isolated away from a non-vanishing end, so k exists.
+
+def _root_free_gap(poly, budget: int, chain, end_num: int, w_num: int, den: int,
+                   tol: Fraction) -> tuple[int, int]:
+    """(k, b) for the least k >= 2 such that the first 2^-k of the interval
+    P maps (0, 1) onto holds no root and does not end in one, and b the
+    Descartes bound of P there; the last 2^-k when w_num < 0.
+
+    That interval has signed length w_num/den from end_num/den, the end the
+    gap starts at.  By the two facts of the module docstring, a gap whose
+    end signs differ holds a root, and one whose end signs agree holds none
+    when ``budget``, a bound on the whole interval, is at most 1.  Only
+    otherwise is the gap's bound counted, after P is reflected for the last
+    2^-k, and a bound above 0 tested cell by cell.  Roots are isolated away
+    from a non-vanishing end, so k exists.
     """
+    at_end = w_num < 0  # the gap is P's last 2^-k until P is reflected
+    end_sign = (sum(poly) if at_end else poly[0]) > 0
     k = 2
     while True:
-        gap = scale(poly, 1, k)
-        if sum(gap):  # else the gap ends in a root
+        cut = horner_ratio(poly, (1 << k) - 1 if at_end else 1, 1 << k)
+        if cut and (cut > 0) == end_sign:  # else the gap ends in a root or holds one
+            if budget <= 1:
+                return k, 0
+            if at_end:
+                poly, at_end = reflect(poly), False
+            gap = scale(poly, 1, k)
             bound = descartes_bound(gap)
             if bound == 0:
-                return k, gap
-            if bound > 1:
-                cells = (_cells(gap, end_num << k, w_num, den << k, tol) if w_num > 0
-                         else _cells(reflect(gap), (end_num << k) + w_num, -w_num,
-                                     den << k, tol))
-                if not any(certified or count_roots_open(chain(), Fraction(a, d),
-                                                         Fraction(b, d))
-                           for a, b, d, certified, _ in cells):
-                    return k, gap
+                return k, 0
+            cells = (_cells(gap, bound, end_num << k, w_num, den << k, tol) if w_num > 0
+                     else _cells(reflect(gap), bound, (end_num << k) + w_num, -w_num,
+                                 den << k, tol))
+            if not any(certified or count_roots_open(chain(), Fraction(a, d), Fraction(b, d))
+                       for a, b, d, certified, _ in cells):
+                return k, bound
         k += 1
 
 
-def _cells(poly, lo_num: int, w_num: int, den: int, tol: Fraction):
+def _cells(poly, bound: int, lo_num: int, w_num: int, den: int, tol: Fraction):
     """Yield (a_num, b_num, den_k, certified, sign) for the cells (a_num,
     b_num) / den_k of (lo_num, lo_num + w_num) / den that may hold a root of
     the polynomial q that P = ``poly`` maps onto that interval, with the sign
-    of q at a_num / den_k; P vanishes at neither 0 nor 1.
+    of q at a_num / den_k; P vanishes at neither 0 nor 1, and ``bound`` is
+    its Descartes bound.
 
     Descartes' bound 0 drops a cell; 1 certifies one simple root in it; 2 or
     more splits it at its midpoint, into 2^d P(x/2) and that shifted by 1, so
-    no rational is substituted again.  The bound need not fall near a
-    multiple root, so a cell narrower than ``tol``, or whose midpoint is a
-    root, is yielded uncertified for an exact count.  The cells are those of
-    bisecting the interval at midpoints, so ``_refine`` gives the bracket it
-    would give on any enclosing cell.
+    no rational is substituted again.  The halves' bounds sum to at most the
+    cell's (Eigenwillig, Sharma and Yap, ISSAC 2006), and each has the parity
+    of the signs at its ends (Collins and Akritas, SYMSAC 1976); so a half
+    whose bound is at most 1 by the sum is its parity and is not counted,
+    and the right half is shifted only when its bound is counted.  The bound
+    need not fall near a multiple root, so a cell narrower than ``tol``, or
+    whose midpoint is a root, is yielded uncertified for an exact count.
+    The cells are those of bisecting the interval at midpoints, so
+    ``_refine`` gives the bracket it would give on any enclosing cell.
     """
     # cell (k, j) is (lo_num 2^k + (j, j+1) w_num) / (den 2^k); it is at
     # least tol wide while span >= unit << k
     span, unit = w_num * tol.denominator, tol.numerator * den
-    stack = [(0, 0, poly)]
+    stack = [(0, 0, poly, bound, poly[0] > 0, sum(poly) > 0)] if bound else []
     while stack:
-        k, j, poly = stack.pop()
-        bound = descartes_bound(poly)
-        if bound == 0:
-            continue
+        k, j, poly, bound, s0, s1 = stack.pop()
         if bound > 1 and span >= unit << k:
             left = scale(poly, 1, 1)
-            right = taylor_shift(left)
-            if right[0]:  # else the midpoint is a root
-                stack.append((k + 1, 2 * j + 1, right))
-                stack.append((k + 1, 2 * j, left))
+            mid = sum(left)  # 2^d P(1/2)
+            if mid:  # else the midpoint is a root
+                sm = mid > 0
+                lb = s0 != sm if bound - (sm != s1) <= 1 else descartes_bound(left)
+                right = taylor_shift(left) if bound - lb > 1 else None
+                rb = sm != s1 if right is None else descartes_bound(right)
+                if rb:
+                    stack.append((k + 1, 2 * j + 1, right, rb, sm, s1))
+                if lb:
+                    stack.append((k + 1, 2 * j, left, lb, s0, sm))
                 continue
         a_num = (lo_num << k) + j * w_num
         # this cell's P is a positive multiple of q(a_num / den_k + w x)
-        yield a_num, a_num + w_num, den << k, bound == 1, 1 if poly[0] > 0 else -1
+        yield a_num, a_num + w_num, den << k, bound == 1, 1 if s0 else -1
 
 
 def _sturm_isolate(chain, p_int, lo: Fraction, hi: Fraction,
@@ -367,7 +406,7 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
     ``derivative`` passes them as ``poly`` and ``f1``; they are not
     expanded again.
     """
-    tol = Fraction(tol)
+    tol = _positive_tol(tol)
     n, c = profile.n, profile.c
     if poly is None:
         poly = from_profile(profile)

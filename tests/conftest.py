@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from relshape.graphs import Graph  # noqa: E402
 from relshape.verification import CensusCache  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCHMARK_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
 def checkout_env():
@@ -21,6 +23,13 @@ def checkout_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def families_large_digests() -> dict[str, str]:
+    """{selector: sha256 of the stdout of ``analyze --family selector
+    --json``} for the 104 families of the benchmark's families-large
+    workload, as the benchmark's expected outputs record them."""
+    return json.loads(BENCHMARK_EXPECTED.read_text())["families"]
 
 
 def count_calls(monkeypatch, modules, name):

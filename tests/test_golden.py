@@ -7,10 +7,12 @@ with ``PYTHONPATH=src python -m relshape ... > tests/fixtures/golden/<file>``.
 ``verify`` is left out because its detail text carries elapsed seconds.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from conftest import families_large_digests
 from relshape import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -39,3 +41,17 @@ def test_stdout_matches_golden(name, capsys, monkeypatch):
     assert cli.main(COMMANDS[name]) == 0
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / name).read_text(encoding="ascii")
+
+
+def test_families_large_stdout_matches_the_benchmark_digests(capsys):
+    # the degree-62 brackets of the benchmark's families-large workload, at
+    # the digests its gate compares against; the file is only read here
+    digests = families_large_digests()
+    assert len(digests) == 104
+    wrong = []
+    for selector, digest in digests.items():
+        assert cli.main(["analyze", "--family", selector, "--json"]) == 0
+        out = capsys.readouterr().out
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            wrong.append(selector)
+    assert wrong == []

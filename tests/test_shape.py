@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls
+from conftest import count_calls, families_large_digests
 from relshape import shape
+from relshape.cli import parse_family
 from relshape.connsets import count_connected_sets, family_profile, profile_disjoint_union
 from relshape.graphs import FamilySpec, is_two_connected, make_family, parse_edge_list
 from relshape.poly import derivative, eval_exact, from_profile, second_derivative
@@ -61,10 +62,12 @@ def test_constant_polynomial_has_no_roots():
     assert isolate_roots([5]) == []
 
 
-@pytest.mark.parametrize("tol", [0, -1])
+@pytest.mark.parametrize("tol", [0, -1, float("inf"), float("-inf"), float("nan")])
 def test_isolate_roots_needs_a_positive_tol(tol):
     with pytest.raises(ValueError):
         isolate_roots([-1, 2], tol)
+    with pytest.raises(ValueError):
+        analyze_profile(family_profile(fam("path", 4)), tol)
 
 
 def test_isolating_intervals_meet_tolerance():
@@ -163,6 +166,20 @@ def test_sturm_chain_only_where_descartes_cannot_decide(monkeypatch):
     # (3p-1)^2: the bound stays 2 on every cell around the double root
     isolate_roots([1, -6, 9])
     assert len(chains) == 1
+
+
+def test_families_large_shifts_only_where_the_bound_is_open(monkeypatch):
+    """The 104 family profiles of the benchmark's families-large workload
+    (orders 14..62) take at most 150 Taylor shifts and 800 Descartes bounds
+    in ``shape``: a cell's bound is inferred from its parent's wherever the
+    parity of its end signs decides it, and (0, 1) with bound 0 is not
+    split at all."""
+    shifts = count_calls(monkeypatch, [shape], "taylor_shift")
+    bounds = count_calls(monkeypatch, [shape], "descartes_bound")
+    for selector in families_large_digests():
+        analyze_profile(family_profile(parse_family(selector)))
+    assert len(shifts) <= 150
+    assert len(bounds) <= 800
 
 
 def test_root_multiplicity_mixed(monkeypatch):

@@ -137,6 +137,31 @@ def test_interval_maps_keep_signs(coeffs):
         assert sign_at(scale(coeffs, 3, 2), x) == sign_at(coeffs, x * 3 / 4)
 
 
+def end_parity(coeffs):
+    """Whether the polynomial has opposite signs at 0 and at 1."""
+    return (coeffs[0] > 0) != (sum(coeffs) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_with_known_roots(), st.integers(1, 5))
+def test_descartes_bound_is_subadditive_with_the_parity_of_the_end_signs(case, k):
+    # three splits of (0, 1): at 1/2, at 2^-k and at 1 - 2^-k, each piece as
+    # the polynomial that maps (0, 1) onto it
+    p = case[0]
+    left = scale(p, 1, 1)
+    gap = scale(p, 1, k)
+    splits = [
+        (left, taylor_shift(left)),
+        (gap, scale(taylor_shift(gap), (1 << k) - 1, 0)),
+        (scale(p, (1 << k) - 1, k), scale(reflect(p), 1, k)),
+    ]
+    for a, b in splits:
+        assert descartes_bound(a) + descartes_bound(b) <= descartes_bound(p)
+        for piece in (p, a, b):
+            if piece[0] and sum(piece):
+                assert descartes_bound(piece) % 2 == end_parity(piece)
+
+
 # -- exact division and deflation ---------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
