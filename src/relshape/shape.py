@@ -2,19 +2,21 @@
 
 All structural decisions (how many inflection points, whether an interval is
 one of decrease, whether a fixed point is a crossing) are made in integer
-arithmetic.  Roots are counted by Descartes' rule of signs on cells bisected
-at midpoints, each cell integer numerators over one common denominator, and
-by an integer Sturm sequence of the square-free part only in the cells the
-rule cannot decide.  A cell's bound is inferred where two facts decide it:
-the bounds of disjoint subintervals sum to at most the bound of the whole
-(Eigenwillig, Sharma and Yap, ISSAC 2006), and a bound has the parity of
-the signs at the cell's ends (Collins and Akritas, SYMSAC 1976).  So a cell
-left at most 1 by its parent has its parity as bound, and a Taylor shift is
-made only where the bound is still open.  Each root is bisected over a
-doubling denominator into a bracket below the tolerance, and a Fraction is
-built only for the reported bracket.  A float Newton estimate guesses the
-final cell, which is taken only when two exact signs at its ends confirm
-it; the sparse-threshold optimizer is the only other use of floating point.
+arithmetic.  Roots are counted by one rule, Descartes' rule of signs, on
+cells bisected at midpoints, each cell integer numerators over one common
+denominator; a cell the rule leaves open is counted on the square-free
+part, where bisection ends in exact counts.  A cell's bound is inferred
+where two facts decide it: the bounds of disjoint subintervals sum to at
+most the bound of the whole (Eigenwillig, Sharma and Yap, ISSAC 2006), and
+a bound has the parity of the signs at the cell's ends (Collins and
+Akritas, SYMSAC 1976).  So a cell left at most 1 by its parent has its
+parity as bound, and a Taylor shift is made only where the bound is still
+open.  Each root is bisected over a doubling denominator into a bracket
+below the tolerance (exactly the tolerance wide when a midpoint is the
+root), and a Fraction is built only for the reported bracket.  A float
+Newton estimate guesses the final cell, which is taken only when two exact
+signs at its ends confirm it; the sparse-threshold optimizer is the only
+other use of floating point.
 
 Classification vocabulary (assigned from the exact report, never from
 samples):
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .connsets import ConnSetProfile, count_connected_sets
 from .graphs import Graph, is_two_connected
@@ -49,7 +52,7 @@ from .poly import (
 from .sturm import (
     InternalCheckError,
     ZeroPolynomialError,
-    count_roots_open,
+    count_roots,
     deflate_root,
     degree,
     descartes_bound,
@@ -58,7 +61,7 @@ from .sturm import (
     scale,
     sign_at,
     sign_at_ratio,
-    sturm_chain,
+    square_free_part,
     taylor_shift,
     to_primitive_int,
 )
@@ -73,9 +76,10 @@ FLOAT_ROOT_STEPS = 60  # float Newton/bisection steps that estimate a root befor
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One isolated real root: an exact bracketing interval of width < tol,
-    a refined approximation, and whether the polynomial changes sign there
-    (odd multiplicity)."""
+    """One isolated real root: an exact bracketing interval of width below
+    tol (or exactly tol when a midpoint is the root), a refined
+    approximation, and whether the polynomial changes sign there (odd
+    multiplicity)."""
 
     lo: Fraction
     hi: Fraction
@@ -103,13 +107,14 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     Endpoint roots are deflated.  Descartes' bound on (0, 1) is counted
     once, and no root is sought when it is 0.  Otherwise (0, 1) is bisected
     at midpoints and each cell counted by the rule (``_cells``): a cell with
-    one sign variation holds one simple root, which is narrowed below
-    ``tol``.  A gap cut off (0, 1) leaves the rest at most the bound less
-    the gap's, and a budget of at most 1 is the parity of the end signs (the
-    two facts of the module docstring); a bound is counted only above that.
-    Only a cell the rule cannot decide gets a Sturm chain of the deflated
-    polynomial, built once, which counts and bisects it exactly
-    (``_sturm_isolate``).  Raises ValueError unless tol is finite and > 0,
+    one sign change holds one simple root, which is narrowed below ``tol``
+    (or to exactly ``tol`` when a midpoint is the root).  A gap cut off
+    (0, 1) leaves the rest at most the bound less the gap's, and a budget of
+    at most 1 is the parity of the end signs (the two facts of the module
+    docstring); a bound is counted only above that.  Only a cell the rule
+    cannot decide is counted on the square-free part of the deflated
+    polynomial, taken once, and split until each piece holds one root
+    (``_split_isolate``).  Raises ValueError unless tol is finite and > 0,
     and ZeroPolynomialError for the identically zero polynomial.
     """
     tol = _positive_tol(tol)
@@ -125,25 +130,18 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
         inner = deflate_root(inner, 1)
     if degree(inner) < 1 or not (budget := descartes_bound(inner)):
         return []
-    built = []
-
-    def chain():
-        """The Sturm chain of inner, built where Descartes cannot decide."""
-        if not built:
-            built.append(sturm_chain(inner))
-        return built[0]
-
+    square_free = cache(lambda: square_free_part(inner))  # where Descartes cannot decide
     # poly maps (0, 1) onto (lo_num, lo_num + w_num) / den
     lo_num, w_num, den, poly = 0, 1, 1, inner
     # when the original polynomial vanishes at a domain endpoint (those roots
     # were deflated) pull the endpoint inward across a root-free gap, so no
     # bracket can touch a zero of the original; the gap's bound leaves the budget
     if p_int[0] == 0:
-        k, gap = _root_free_gap(poly, budget, chain, 0, 1, 1, tol)
+        k, gap = _root_free_gap(poly, budget, square_free, 0, 1, 1, tol)
         lo_num, w_num, den, budget = 1, (1 << k) - 1, 1 << k, budget - gap
         poly = scale(taylor_shift(scale(poly, 1, k)), (1 << k) - 1, 0)  # P(2^-k + (1 - 2^-k) x)
     if sum(p_int) == 0:
-        k, gap = _root_free_gap(poly, budget, chain, lo_num + w_num, -w_num, den, tol)
+        k, gap = _root_free_gap(poly, budget, square_free, lo_num + w_num, -w_num, den, tol)
         lo_num, w_num, den, budget = lo_num << k, w_num * ((1 << k) - 1), den << k, budget - gap
         poly = scale(poly, (1 << k) - 1, k)  # P((1 - 2^-k) x)
     if budget <= 1 or poly is not inner:  # after a gap, budget only bounds the rest
@@ -154,7 +152,7 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
             # one simple root of inner, which p_int has too: p_int crosses
             records.append(RootRecord(*_refine(inner, a_num, b_num, cell_den, sa, tol), True))
         else:
-            records += _sturm_isolate(chain(), p_int, Fraction(a_num, cell_den),
+            records += _split_isolate(square_free(), p_int, Fraction(a_num, cell_den),
                                       Fraction(b_num, cell_den), tol)
     records.sort(key=lambda r: r.lo)
     return records
@@ -170,7 +168,7 @@ def _positive_tol(tol) -> Fraction:
     raise ValueError(f"need a finite tol > 0, got {tol}")
 
 
-def _root_free_gap(poly, budget: int, chain, end_num: int, w_num: int, den: int,
+def _root_free_gap(poly, budget: int, square_free, end_num: int, w_num: int, den: int,
                    tol: Fraction) -> tuple[int, int]:
     """(k, b) for the least k >= 2 such that the first 2^-k of the interval
     P maps (0, 1) onto holds no root and does not end in one, and b the
@@ -181,7 +179,8 @@ def _root_free_gap(poly, budget: int, chain, end_num: int, w_num: int, den: int,
     end signs differ holds a root, and one whose end signs agree holds none
     when ``budget``, a bound on the whole interval, is at most 1.  Only
     otherwise is the gap's bound counted, after P is reflected for the last
-    2^-k, and a bound above 0 tested cell by cell.  Roots are isolated away
+    2^-k, and a bound above 0 tested cell by cell, a cell the rule leaves
+    open by ``count_roots`` on ``square_free()``.  Roots are isolated away
     from a non-vanishing end, so k exists.
     """
     at_end = w_num < 0  # the gap is P's last 2^-k until P is reflected
@@ -201,7 +200,7 @@ def _root_free_gap(poly, budget: int, chain, end_num: int, w_num: int, den: int,
             cells = (_cells(gap, bound, end_num << k, w_num, den << k, tol) if w_num > 0
                      else _cells(reflect(gap), bound, (end_num << k) + w_num, -w_num,
                                  den << k, tol))
-            if not any(certified or count_roots_open(chain(), Fraction(a, d), Fraction(b, d))
+            if not any(certified or count_roots(square_free(), Fraction(a, d), Fraction(b, d))
                        for a, b, d, certified, _ in cells):
                 return k, bound
         k += 1
@@ -222,7 +221,7 @@ def _cells(poly, bound: int, lo_num: int, w_num: int, den: int, tol: Fraction):
     whose bound is at most 1 by the sum is its parity and is not counted,
     and the right half is shifted only when its bound is counted.  The bound
     need not fall near a multiple root, so a cell narrower than ``tol``, or
-    whose midpoint is a root, is yielded uncertified for an exact count.
+    whose midpoint is a root, is yielded uncertified for ``count_roots``.
     The cells are those of bisecting the interval at midpoints, so
     ``_refine`` gives the bracket it would give on any enclosing cell.
     """
@@ -250,14 +249,13 @@ def _cells(poly, bound: int, lo_num: int, w_num: int, den: int, tol: Fraction):
         yield a_num, a_num + w_num, den << k, bound == 1, 1 if s0 else -1
 
 
-def _sturm_isolate(chain, p_int, lo: Fraction, hi: Fraction,
+def _split_isolate(q, p_int, lo: Fraction, hi: Fraction,
                    tol: Fraction) -> list[RootRecord]:
-    """Isolate the roots in (lo, hi) on a Sturm chain alone: count by its
-    sign variations, split at interior non-roots until each interval holds
-    one root, refine on its square-free head."""
-    q = chain[0]
+    """Isolate the roots in (lo, hi) of q, the square-free part of p_int, by
+    exact counts alone (``count_roots``): split at interior non-roots until
+    each interval holds one root, and refine that on q."""
     records = []
-    stack = [(lo, hi, count_roots_open(chain, lo, hi))]
+    stack = [(lo, hi, count_roots(q, lo, hi))]
     while stack:
         a, b, count = stack.pop()
         if count == 0:
@@ -268,32 +266,25 @@ def _sturm_isolate(chain, p_int, lo: Fraction, hi: Fraction,
             # q is square-free; the root's multiplicity in p_int decides the crossing
             records.append(RootRecord(a, b, approx, sign_at(p_int, a) * sign_at(p_int, b) < 0))
             continue
-        mid = _interior_nonroot(q, a, b)
-        left = count_roots_open(chain, a, mid)
+        # split at the midpoint, else at a + (b - a) i / (deg(q) + 2): of
+        # these deg(q) + 1 distinct points at most deg(q) are roots of q
+        parts = degree(q) + 2
+        grid = (a + (b - a) * Fraction(i, parts) for i in range(1, parts))
+        mid = next(x for x in ((a + b) / 2, *grid) if sign_at(q, x))
+        left = count_roots(q, a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, count - left))
     return records
-
-
-def _interior_nonroot(q, a: Fraction, b: Fraction) -> Fraction:
-    """An interior point that is not a root of q (at most deg(q) interior
-    points can be roots, so some candidate always survives)."""
-    mid = (a + b) / 2
-    if sign_at(q, mid) != 0:
-        return mid
-    parts = degree(q) + 2
-    for i in range(1, parts):
-        cand = a + (b - a) * Fraction(i, parts)
-        if sign_at(q, cand) != 0:
-            return cand
-    raise InternalCheckError("no interior non-root found")
 
 
 def _refine(q, lo_num: int, hi_num: int, den: int, sa: int,
             tol: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """Bisect (lo_num/den, hi_num/den), which holds exactly one (simple) root
     of q and where q has sign ``sa`` at lo, over a doubling denominator;
-    returns the bracket (a, b) below ``tol`` and its approximation.
+    returns the bracket (a, b) below ``tol`` and its approximation.  A
+    midpoint that is the root gets a bracket centred on it, as wide as the
+    half it ends but at most ``tol``: so exactly ``tol`` unless the half is
+    narrower.
 
     The bracket the bisection ends in is tried first from a float estimate of
     the root (``_final_cell``); only when that is not confirmed exactly does

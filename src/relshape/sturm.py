@@ -6,15 +6,15 @@ down to evaluation at num/den by Horner's scheme on the homogenized form.
 Remainder sequences are primitive PRS (W. S. Brown, JACM 18, 1971; Knuth,
 TAOCP vol. 2, 4.6.1): integer pseudo-remainders by a divisor with positive
 leading coefficient, content removed, hence positive multiples of the
-rational remainders with the same signs.  A Sturm chain is one sequence of
-p, p'; it ends in g = gcd(p, p'), and dividing every element by g leaves a
-Sturm sequence of the square-free part of p, which is its first element.
+rational remainders with the same signs.  The last nonzero one of p and p'
+is gcd(p, p'), and dividing it out leaves the square-free part of p.
 
-Descartes' rule of signs bounds the roots in (0, 1) without a chain: by the
-sign variations of (1+t)^d p(1/(1+t)) (Collins and Akritas, SYMSAC 1976;
-Rouillier and Zimmermann, JCAM 162, 2004).  Its integer helpers are the
-Taylor shift p(x + 1), the scaling 2^(kd) p(m x / 2^k), the reflection
-p(1 - x) and the variation count.
+Roots in (0, 1) are counted by one rule, Descartes' rule of signs: the
+sign changes of (1+t)^d p(1/(1+t)) bound them (Collins and Akritas, SYMSAC
+1976; Rouillier and Zimmermann, JCAM 162, 2004), and on the square-free
+part bisection brings every bound to the exact count.  Its integer helpers
+are the Taylor shift p(x + 1), the scaling 2^(kd) p(m x / 2^k), the
+reflection p(1 - x) and the sign-change count.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def reflect(coeffs: list[int]) -> list[int]:
 
 
 def descartes_bound(coeffs: list[int]) -> int:
-    """Descartes' bound on the roots of p in (0, 1): the sign variations of
+    """Descartes' bound on the roots of p in (0, 1): the sign changes of
     (1+t)^d p(1/(1+t)), zeros skipped.  It is at least the number of roots
     counted with multiplicity, of the same parity when p(0) p(1) != 0, and
     equal to it when it is 0 or 1."""
@@ -175,39 +175,44 @@ def deflate_root(coeffs: list[int], root: Fraction) -> list[int]:
     return out[::-1]
 
 
-def sturm_chain(coeffs: list[int]) -> list[list[int]]:
-    """Sturm sequence of the square-free part of an integer polynomial, each
-    element primitive; the first element is the square-free part itself."""
-    chain = [to_primitive_int(coeffs)]
-    d = _primitive(diff_int(chain[0]))
-    if d:
-        chain.append(d)
-    while degree(chain[-1]) >= 1:
-        rem = _rem_primitive(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-x for x in rem])
-    g = chain[-1]
-    if degree(g) >= 1:
-        chain = [exact_div(element, g) for element in chain]
-    return chain
+def square_free_part(coeffs: list[int]) -> list[int]:
+    """p / gcd(p, p') for an integer p: the same distinct roots, each simple,
+    and the leading sign of p.  The gcd is the last nonzero primitive
+    remainder of p and p'."""
+    a, b = coeffs, _primitive(diff_int(coeffs))
+    while b:
+        a, b = b, _rem_primitive(a, b)
+    if degree(a) < 1:
+        return coeffs
+    return exact_div(coeffs, a if a[-1] > 0 else [-x for x in a])
 
 
-def variations(chain: list[list[int]], point: Fraction) -> int:
-    num, den = point.numerator, point.denominator
-    count = 0
-    prev = 0
-    for element in chain:
-        s = sign_at_ratio(element, num, den)
-        if s == 0:
+def count_roots(q: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots in the open interval (lo, hi) of a square-free q.
+
+    q is mapped onto (lo, hi) as D^d q((a + w x) / D) by Horner's scheme on
+    the homogenized form, and (0, 1) is bisected at midpoints until every
+    cell's Descartes bound is 0 or 1, which it reaches on a polynomial
+    without a multiple root (Vincent's theorem; Collins and Akritas, SYMSAC
+    1976).  A root at a midpoint is counted once and divided out.
+    """
+    den = lcm(lo.denominator, hi.denominator)
+    a, w = int(lo * den), int((hi - lo) * den)
+    p, dp = [], 1
+    for c in reversed(q):
+        p = [a * x + w * y for x, y in zip(p + [0], [0] + p)]
+        p[0] += c * dp
+        dp *= den
+    count, stack = 0, [p]
+    while stack:
+        p = stack.pop()
+        bound = descartes_bound(p)
+        if bound <= 1:
+            count += bound
             continue
-        if prev and s != prev:
+        if not horner_ratio(p, 1, 2):
             count += 1
-        prev = s
+            p = deflate_root(p, Fraction(1, 2))
+        left = scale(p, 1, 1)
+        stack += [left, taylor_shift(left)]
     return count
-
-
-def count_roots_open(chain, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in the open interval for a Sturm chain whose first
-    element does not vanish at either endpoint."""
-    return variations(chain, lo) - variations(chain, hi)

@@ -21,7 +21,7 @@ BOUND = [
     ("graphs", "is_connected"),
     ("graphs", "to_graph6"),
     # tracer hook targets
-    ("sturm", "sturm_chain"),
+    ("sturm", "square_free_part"),
     ("poly", "from_profile"),
     ("shape", "isolate_roots"),
     ("graphs", "canonical_graph"),

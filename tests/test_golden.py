@@ -27,6 +27,13 @@ COMMANDS = {
         ["analyze", "--family", "bonded-complete-leaf:10", "--json"],
     "analyze_three_inflection_order7.json":
         ["analyze", "--edges", str(FIXTURES / "three_inflection_order7.edges"), "--json"],
+    # roots the Descartes cells leave open, counted on the square-free part:
+    # the f' root 1/2 bracketed on the split grid a + (b - a) i / (d + 2), the
+    # f'' root 1/2 on a bisection midpoint, and a tangential critical point
+    # at 1 - 1/sqrt(2) in a cell narrower than the tolerance
+    "analyze_order6_critical_on_split_grid.json": ["analyze", "--graph6", "E?NG", "--json"],
+    "analyze_order5_inflection_on_midpoint.json": ["analyze", "--graph6", "DFw", "--json"],
+    "analyze_order8_tangential_critical.json": ["analyze", "--graph6", "GJ\\{Ks", "--json"],
     "coeffs_star6.txt": ["coeffs", "--family", "star:6"],
     "plot_path6_f2.csv": ["plot", "--family", "path:6", "--which", "f2"],
     "census_n6.json": ["census", "--n", "6", "--json"],

@@ -21,16 +21,9 @@ from relshape.shape import (
     isolate_roots,
     maximize_threshold_constant,
 )
-from relshape.sturm import (
-    ZeroPolynomialError,
-    count_roots_open,
-    deflate_root,
-    degree,
-    sign_at,
-    sturm_chain,
-    to_primitive_int,
-)
+from relshape.sturm import ZeroPolynomialError, sign_at
 from strategies import mul, polys_with_known_roots
+from sturm_oracle import sturm_only_isolation
 
 TOLS = (Fraction(1, 10**9), Fraction(1, 7), Fraction(1, 2**40))
 
@@ -77,6 +70,18 @@ def test_isolating_intervals_meet_tolerance():
     assert all(r.hi - r.lo < tol for r in records)
 
 
+def test_a_midpoint_root_gets_a_bracket_exactly_tol_wide():
+    # 2p - 1: the first midpoint of (0, 1) is the root, and the bracket is
+    # centred on it, exactly tol wide rather than below tol
+    half = Fraction(1, 2)
+    for tol in TOLS:
+        [record] = isolate_roots([-1, 2], tol)
+        assert (record.lo, record.hi, record.approx) == (half - tol / 2, half + tol / 2, half)
+    # no wider than the half it ends: 1/2 at tol 1
+    [record] = isolate_roots([-1, 2], 1)
+    assert (record.lo, record.hi) == (Fraction(1, 4), Fraction(3, 4))
+
+
 def test_tolerance_below_the_float_range(monkeypatch):
     # the float estimate's cell width, 2^-1330, is below the least double
     tol = Fraction(1, 10**400)
@@ -111,36 +116,16 @@ def test_float_estimate_keeps_the_bisection_bracket(bracket_polys, monkeypatch):
     assert estimated == [isolate_roots(c, tol=tol) for c in bracket_polys for tol in TOLS]
 
 
-def sturm_only_isolation(coeffs, tol):
-    """isolate_roots on (0, 1) with every count taken on one Sturm chain:
-    endpoints pulled in by chain counts, then the retained Sturm loop on the
-    whole interval."""
-    p_int = to_primitive_int(coeffs)
-    inner = p_int
-    for end in (Fraction(0), Fraction(1)):
-        while sign_at(inner, end) == 0:
-            inner = deflate_root(inner, end)
-    if degree(inner) < 1:
-        return []
-    chain = sturm_chain(inner)
-    lo, hi = Fraction(0), Fraction(1)
-    if sign_at(p_int, lo) == 0:
-        step = (hi - lo) / 4
-        while sign_at(inner, lo + step) == 0 or count_roots_open(chain, lo, lo + step):
-            step /= 2
-        lo += step
-    if sign_at(p_int, hi) == 0:
-        step = (hi - lo) / 4
-        while sign_at(inner, hi - step) == 0 or count_roots_open(chain, hi - step, hi):
-            step /= 2
-        hi -= step
-    return sorted(shape._sturm_isolate(chain, p_int, lo, hi, tol), key=lambda r: r.lo)
+def isolation(coeffs, tol):
+    """isolate_roots as the (lo, hi, approx, sign_change) tuples the oracle
+    gives."""
+    return [(r.lo, r.hi, r.approx, r.sign_change) for r in isolate_roots(coeffs, tol=tol)]
 
 
 def test_isolation_equals_sturm_only_on_census_and_wide_polys(bracket_polys):
     for coeffs in bracket_polys:
         for tol in TOLS:
-            assert isolate_roots(coeffs, tol=tol) == sturm_only_isolation(coeffs, tol)
+            assert isolation(coeffs, tol) == sturm_only_isolation(coeffs, tol)
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,20 +137,20 @@ def test_isolation_equals_sturm_only_on_known_roots(case, at_0, at_1):
     for _ in range(at_1):
         coeffs = mul(coeffs, [1, -1])
     for tol in TOLS:
-        assert isolate_roots(coeffs, tol=tol) == sturm_only_isolation(coeffs, tol)
+        assert isolation(coeffs, tol) == sturm_only_isolation(coeffs, tol)
 
 
-def test_sturm_chain_only_where_descartes_cannot_decide(monkeypatch):
-    chains = count_calls(monkeypatch, [shape], "sturm_chain")
+def test_square_free_part_only_where_descartes_cannot_decide(monkeypatch):
+    parts = count_calls(monkeypatch, [shape], "square_free_part")
     for spec in (fam("cycle", 62), fam("path", 62), fam("star", 62),
                  fam("complete-bipartite", 15, 47), fam("bonded-complete-leaf", 62),
                  FamilySpec("disjoint-union", parts=(fam("star", 61), fam("complete", 1))),
                  FamilySpec("disjoint-union", parts=(fam("path", 31), fam("cycle", 31)))):
         analyze_profile(family_profile(spec))
-    assert chains == []
+    assert parts == []
     # (3p-1)^2: the bound stays 2 on every cell around the double root
     isolate_roots([1, -6, 9])
-    assert len(chains) == 1
+    assert parts == [[1, -6, 9]]
 
 
 def test_families_large_shifts_only_where_the_bound_is_open(monkeypatch):
@@ -185,17 +170,17 @@ def test_families_large_shifts_only_where_the_bound_is_open(monkeypatch):
 def test_root_multiplicity_mixed(monkeypatch):
     # p (p - 1/4) (p - 1/2)^2: crossing at 1/4, tangent at 1/2.  Descartes
     # certifies the simple root, so its sign_change is True by construction;
-    # the bound never falls near the double root, which the Sturm path
-    # isolates and which must not count as a crossing there
-    from_sturm = []
-    real = shape._sturm_isolate
+    # the bound never falls near the double root, which is counted on the
+    # square-free part and must not count as a crossing there
+    from_split = []
+    real = shape._split_isolate
 
-    def sturm_isolate(*args):
+    def split_isolate(*args):
         records = real(*args)
-        from_sturm.extend(records)
+        from_split.extend(records)
         return records
 
-    monkeypatch.setattr(shape, "_sturm_isolate", sturm_isolate)
+    monkeypatch.setattr(shape, "_split_isolate", split_isolate)
     poly = mul(mul([0, 1], [-1, 4]), mul([-1, 2], [-1, 2]))
     records = isolate_roots(poly)
     assert len(records) == 2
@@ -203,7 +188,7 @@ def test_root_multiplicity_mixed(monkeypatch):
     tangent = [r for r in records if not r.sign_change]
     assert len(crossing) == 1 and crossing[0].lo <= Fraction(1, 4) <= crossing[0].hi
     assert len(tangent) == 1 and tangent[0].lo <= Fraction(1, 2) <= tangent[0].hi
-    assert from_sturm == tangent
+    assert from_split == tangent
 
 
 def test_sturm_counts_match_grid_sign_changes(graphs6):

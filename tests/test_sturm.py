@@ -1,4 +1,5 @@
-"""Integer Sturm machinery against rational long division and known roots."""
+"""Integer root machinery against rational long division, known roots and
+an independent Sturm-sequence counter."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from relshape.sturm import (
     InternalCheckError,
     _rem_primitive,
-    count_roots_open,
+    count_roots,
     deflate_root,
     degree,
     descartes_bound,
@@ -19,11 +20,12 @@ from relshape.sturm import (
     reflect,
     scale,
     sign_at,
-    sturm_chain,
+    square_free_part,
     taylor_shift,
     to_primitive_int,
 )
 from strategies import mul, polys_with_known_roots
+from sturm_oracle import count_roots_open, sturm_chain
 
 # -- oracle: rational long division, kept independent of the module ---------------
 
@@ -75,7 +77,7 @@ def test_integer_remainder_on_derivative_matches(case):
         assert _rem_primitive(coeffs, d) == primitive_reference(frac_rem(coeffs, d))
 
 
-# -- chains -----------------------------------------------------------------------
+# -- the Sturm oracle ---------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
 @given(polys_with_known_roots())
@@ -106,6 +108,78 @@ def test_chain_head_is_square_free_part(case):
 
 def test_chain_of_constant_is_itself():
     assert sturm_chain([-6]) == [[-1]]
+
+
+# -- square-free part and the Descartes root counter --------------------------------
+
+def frac_gcd(a, b):
+    """gcd of two polynomials by rational long division (Euclid)."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    while b:
+        a, b = b, frac_rem(a, b)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_known_roots())
+def test_square_free_part_keeps_each_distinct_root_once(case):
+    coeffs, roots, complex_degree = case
+    q = square_free_part(coeffs)
+    assert degree(q) == len(roots) + complex_degree
+    assert q[-1] * coeffs[-1] > 0
+    for r in roots:
+        assert sign_at(q, r) == 0
+    # q shares no root with q', and q divides p exactly
+    assert len(frac_gcd(q, diff_int(q))) == 1
+    assert not frac_rem(coeffs, q)
+
+
+def test_square_free_part_examples():
+    assert square_free_part([1, -6, 9]) == [-1, 3]  # (3p - 1)^2
+    assert square_free_part([-1, 6, -9]) == [1, -3]  # the leading sign is kept
+    assert square_free_part([0, 0, -2, 2]) == [0, -2, 2]  # p^2 (2p - 2): content stays
+    assert square_free_part([-6]) == [-6]
+
+
+def with_midpoint_roots(case, planted):
+    """The case's polynomial times (v x - u)^m for each planted (u/v, m)."""
+    coeffs, roots, _ = case
+    for root, multiplicity in planted:
+        for _ in range(multiplicity):
+            coeffs = mul(coeffs, [-root.numerator, root.denominator])
+    return coeffs
+
+
+MIDPOINTS = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
+INTERVALS = [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(5, 7)),
+             (Fraction(1, 4), Fraction(3, 4)), (Fraction(-10), Fraction(20)),
+             (Fraction(2, 9), Fraction(1, 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_with_known_roots(),
+       st.lists(st.tuples(st.sampled_from(MIDPOINTS), st.integers(1, 3)), max_size=3,
+                unique_by=lambda t: t[0]))
+def test_count_roots_equals_the_sturm_count(case, planted):
+    # roots at 1/2, 1/4 and 3/4 land on bisection midpoints of (0, 1); the
+    # Sturm count needs ends where the polynomial does not vanish
+    coeffs = with_midpoint_roots(case, planted)
+    if degree(coeffs) < 1:
+        return
+    q = square_free_part(coeffs)
+    chain = sturm_chain(coeffs)
+    for lo, hi in INTERVALS:
+        if sign_at(coeffs, lo) and sign_at(coeffs, hi):
+            assert count_roots(q, lo, hi) == count_roots_open(chain, lo, hi)
+
+
+def test_count_roots_counts_a_midpoint_root_once():
+    # (2x - 1)(4x - 1)(4x - 3)(8x - 3): three roots on midpoints of (0, 1)
+    q = mul(mul([-1, 2], [-1, 4]), mul([-3, 4], [-3, 8]))
+    assert count_roots(q, Fraction(0), Fraction(1)) == 4
+    assert count_roots(q, Fraction(1, 3), Fraction(1)) == 3
+    assert count_roots(q, Fraction(1, 4), Fraction(3, 4)) == 2  # open at both ends
+    assert count_roots([1, 0, 1], Fraction(-5), Fraction(5)) == 0
 
 
 # -- Descartes' rule of signs ------------------------------------------------------
