@@ -8,10 +8,19 @@ named graph families used throughout the package, structural predicates
 (connectivity, cut vertices, vertex cuts), and an exact canonical form of
 small graphs: one search gives a graph6 key that is equal exactly for
 isomorphic graphs and generators of the automorphism group.
+
+The passes every input graph goes through work a word at a time, not a bit
+or an edge at a time: the adjacency matrix packs into one integer
+(``_RowMatrix``) for validation, graph6 decoding and triangle counting;
+graph6 strings are base64 in another alphabet; and the depth-first search
+for cut vertices steps a vertex at a time.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -19,6 +28,56 @@ from itertools import combinations
 MAX_ORDER = 62
 
 CANONICAL_MAX_ORDER = 10
+
+
+def _repeat(pattern: int, width: int, total: int) -> int:
+    """``pattern`` (below 2^width) repeated every ``width`` bits over
+    ``total`` bits, a multiple of ``width``."""
+    return pattern * (((1 << total) - 1) // ((1 << width) - 1))
+
+
+class _RowMatrix:
+    """The adjacency matrix of a graph of order up to ``size`` as one
+    integer: row v, the mask adj[v], at bits v size .. v size + size - 1.
+
+    ``code`` is the ``array`` type code of a ``size``-bit word, so packing
+    the rows is one C call; ``ones`` has bit 0 of every row set and
+    ``diagonal`` the bits (v, v).  ``swaps`` are the (shift, mask) delta
+    swaps of the recursive block transpose (Warren, Hacker's Delight,
+    7-3): for b = size/2, ..., 1 the upper-right b x b block of every
+    2b x 2b block, the entries (r, c) with r & b == 0 and c & b != 0, is
+    exchanged with the lower-left one, b (size - 1) bits higher.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.code = next(c for c in "BHILQ" if array(c).itemsize * 8 == size)
+        area = size * size
+        self.ones = _repeat(1, size, area)
+        self.diagonal = _repeat(1, size + 1, size * (size + 1))
+        self.swaps = []
+        b = size // 2
+        while b:
+            columns = _repeat(((1 << b) - 1) << b, 2 * b, size)
+            rows = _repeat(_repeat(1, size, b * size), 2 * b * size, area)
+            self.swaps.append((b * (size - 1), columns * rows))
+            b //= 2
+
+    def pack(self, adj) -> int:
+        """The rows of ``adj``, each a mask in 0 .. 2^size - 1."""
+        return int.from_bytes(array(self.code, adj), sys.byteorder)
+
+    def transpose(self, rows: int) -> int:
+        for shift, mask in self.swaps:
+            t = (rows ^ rows >> shift) & mask
+            rows ^= t ^ t << shift
+        return rows
+
+
+_MATRICES = {size: _RowMatrix(size) for size in (8, 16, 32, 64)}
+# the matrix for each order 0..MAX_ORDER: the least word size that holds it
+_MATRIX_OF_ORDER = tuple(_MATRICES[max(8, 1 << (n - 1).bit_length())]
+                         for n in range(MAX_ORDER + 1))
 
 
 class Graph6ParseError(ValueError):
@@ -48,34 +107,40 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_ORDER:
-            raise ValueError(f"graph order must be in 1..{MAX_ORDER}, got {self.n}")
-        if len(self.adj) != self.n:
+        n, adj = self.n, self.adj
+        if not 1 <= n <= MAX_ORDER:
+            raise ValueError(f"graph order must be in 1..{MAX_ORDER}, got {n}")
+        if len(adj) != n:
             raise ValueError("adjacency length does not match order")
-        full = (1 << self.n) - 1
-        for v, mask in enumerate(self.adj):
-            if mask & ~full:
-                raise ValueError(f"vertex {v} has a neighbor bit outside 0..{self.n - 1}")
-            if mask >> v & 1:
-                raise ValueError(f"vertex {v} has a loop")
-        for v, mask in enumerate(self.adj):
-            w = mask
-            while w:
-                u = (w & -w).bit_length() - 1
-                w &= w - 1
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        # word at a time: the rows packed into one integer (``_RowMatrix``),
+        # a loop is a diagonal bit and an asymmetric pair a bit of the rows
+        # missing from their transpose
+        full = (1 << n) - 1
+        matrix = _MATRIX_OF_ORDER[n]
+        in_range = min(adj) >= 0 and max(adj) <= full
+        rows = matrix.pack(adj) if in_range else 0
+        if not in_range or rows & matrix.diagonal:
+            for v, mask in enumerate(adj):  # the first vertex at fault
+                if mask & ~full:
+                    raise ValueError(f"vertex {v} has a neighbor bit outside 0..{n - 1}")
+                if mask >> v & 1:
+                    raise ValueError(f"vertex {v} has a loop")
+        if asymmetric := rows & ~matrix.transpose(rows):
+            # the least (v, u) with u in adj[v] and v not in adj[u]
+            at = (asymmetric & -asymmetric).bit_length() - 1
+            raise ValueError(f"asymmetric adjacency between {at // matrix.size} "
+                             f"and {at % matrix.size}")
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(mask.bit_count() for mask in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(mask.bit_count() for mask in self.adj)
+        return tuple(map(int.bit_count, self.adj))
 
     def edges(self):
         """Yield edges as (u, v) pairs with u < v."""
@@ -114,6 +179,13 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 # graph6 interchange format (single size byte, order <= 62)
 
 _G6_HEADER = ">>graph6<<"
+# graph6 data characters are base64 digits in another alphabet: the 6-bit
+# groups of the bit string, most significant first, each plus 63
+_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6 = "".join(map(chr, range(63, 127)))
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64.encode(), _GRAPH6.encode())
+_GRAPH6_TO_BASE64 = str.maketrans(_GRAPH6, _BASE64)
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -144,45 +216,62 @@ def parse_graph6(text: str) -> Graph:
             f"need {nchars} data characters for order {n}, got {len(line) - 1}")
     if len(line) - 1 > nchars:
         raise Graph6ParseError("trailing garbage after graph6 data", 1 + nchars)
-    adj = [0] * n
-    bit_index = 0
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for pos, ch in enumerate(line[1:], start=1):
-        byte = ord(ch)
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"data byte {byte} outside [63,126]", pos)
-        value = byte - 63
-        for k in range(5, -1, -1):
-            bit = value >> k & 1
-            if bit_index < nbits:
-                if bit:
-                    i, j = pairs[bit_index]
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            elif bit:
-                raise Graph6ParseError("nonzero padding bit", pos)
-            bit_index += 1
-    return Graph(n, tuple(adj))
+    data = line[1:]
+    if data and not "?" <= min(data) <= max(data) <= "~":
+        pos = next(pos for pos, ch in enumerate(data, start=1) if not "?" <= ch <= "~")
+        raise Graph6ParseError(f"data byte {ord(data[pos - 1])} outside [63,126]", pos)
+    # the 6-bit groups as base64, read into bit t of ``packed`` for bit t of
+    # the string, as ``to_graph6`` packs it; padding bits lie in the last
+    # character
+    size = _graph6_bytes(n)
+    stream = a2b_base64(data.translate(_GRAPH6_TO_BASE64) + "A" * (size // 3 * 4 - nchars))
+    packed = int.from_bytes(stream.translate(_BIT_REVERSED), "little")
+    if packed >> nbits:
+        raise Graph6ParseError("nonzero padding bit", nchars)
+    # column j holds adj[j] below bit j: the lower triangle, and its transpose
+    matrix = _MATRIX_OF_ORDER[n]
+    lower = 0
+    for j in range(1, n):
+        lower |= (packed >> (j * (j - 1) >> 1) & (1 << j) - 1) << j * matrix.size
+    rows = lower | matrix.transpose(lower)
+    return Graph(n, tuple(array(matrix.code, rows.to_bytes(n * matrix.size // 8,
+                                                          sys.byteorder))))
+
+
+def _graph6_bytes(n: int) -> int:
+    """Bytes that hold the n(n-1)/2 upper-triangle bits of order n, rounded
+    up to whole base64 groups of three."""
+    return (n * (n - 1) // 2 + 23) // 24 * 3
+
+
+def _graph6_line(n: int, data: bytes) -> str:
+    """The graph6 line of order n whose upper-triangle bits, column-major,
+    are ``data`` read from the most significant bit of its first byte."""
+    chars = (n * (n - 1) // 2 + 5) // 6
+    return chr(n + 63) + b2a_base64(data, newline=False)[:chars].translate(
+        _BASE64_TO_GRAPH6).decode("ascii")
 
 
 def _pack_graph6(n: int, bits: int) -> str:
     """The graph6 line of order n whose n(n-1)/2 upper-triangle bits,
     column-major, are ``bits`` read from its most significant end."""
-    nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    bits <<= pad
-    return chr(n + 63) + "".join([chr((bits >> shift & 63) + 63)
-                                  for shift in range(nbits + pad - 6, -1, -6)])
+    size = _graph6_bytes(n)
+    return _graph6_line(n, (bits << 8 * size - n * (n - 1) // 2).to_bytes(size, "big"))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no header), the exact inverse of
-    :func:`parse_graph6`."""
-    bits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            bits = bits << 1 | (g.adj[i] >> j & 1)
-    return _pack_graph6(g.n, bits)
+    :func:`parse_graph6`.
+
+    Column j of the upper triangle, the bits (i, j) for i < j, is adj[j]
+    below bit j; packed at bit j(j-1)/2 onward, bit t of the result is bit t
+    of the graph6 bit string, so reversing each byte of its little-endian
+    bytes gives the string most significant bit first."""
+    packed = 0
+    for j, mask in enumerate(g.adj):
+        packed |= (mask & (1 << j) - 1) << (j * (j - 1) >> 1)
+    data = packed.to_bytes(_graph6_bytes(g.n), "little").translate(_BIT_REVERSED)
+    return _graph6_line(g.n, data)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -278,37 +367,38 @@ class FamilySpec:
 
 
 def make_family(spec: FamilySpec) -> Graph:
-    """Construct the named graph.
+    """Construct the named graph, a neighbour mask per vertex.
 
     ``bonded-complete-leaf(n)`` is the complete graph on ``n-1`` vertices with
     one pendant vertex attached to vertex 0 (order ``n``).
     """
     kind, params = spec.kind, spec.params
-    if kind == "complete":
-        n = params[0]
-        return graph_from_edges(n, combinations(range(n), 2))
-    if kind == "empty":
-        return Graph(params[0], (0,) * params[0])
-    if kind == "path":
-        n = params[0]
-        return graph_from_edges(n, ((i, i + 1) for i in range(n - 1)))
-    if kind == "cycle":
-        n = params[0]
-        return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "star":
-        n = params[0]
-        return graph_from_edges(n, ((0, i) for i in range(1, n)))
-    if kind == "complete-bipartite":
-        a, b = params
-        return graph_from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
-    if kind == "bonded-complete-leaf":
-        n = params[0]
-        edges = list(combinations(range(n - 1), 2))
-        edges.append((0, n - 1))
-        return graph_from_edges(n, edges)
     if kind == "disjoint-union":
         return disjoint_union(make_family(spec.parts[0]), make_family(spec.parts[1]))
-    raise ValueError(f"unknown family kind {kind!r}")
+    n = spec.order
+    full = (1 << n) - 1
+    if kind == "complete":
+        adj = [full ^ 1 << v for v in range(n)]
+    elif kind == "empty":
+        adj = [0] * n
+    elif kind in ("path", "cycle"):
+        adj = [(5 << v >> 1) & full for v in range(n)]  # v - 1 and v + 1
+        if kind == "cycle":
+            adj[0] |= 1 << n - 1
+            adj[n - 1] |= 1
+    elif kind == "star":
+        adj = [full ^ 1] + [1] * (n - 1)
+    elif kind == "complete-bipartite":
+        a = params[0]
+        side = (1 << a) - 1
+        adj = [full ^ side] * a + [side] * (n - a)
+    elif kind == "bonded-complete-leaf":
+        clique = (1 << n - 1) - 1
+        adj = [clique ^ 1 << v for v in range(n - 1)] + [1]
+        adj[0] |= 1 << n - 1
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -348,52 +438,46 @@ def cut_vertices(g: Graph) -> tuple[int, ...]:
 
 
 def _articulation_points(adj) -> tuple[int, ...]:
-    """Hopcroft-Tarjan articulation points in one iterative depth-first pass.
+    """Hopcroft-Tarjan articulation points in one iterative depth-first pass,
+    a vertex at a time.
 
-    A non-root vertex v cuts when some DFS child's subtree reaches no vertex
-    discovered before v (``low[child] >= disc[v]``); a root cuts when it has
-    two or more DFS children.  Linear in n + m.
+    The next child of v is the least unvisited neighbour.  Its visited
+    neighbours are then all its ancestors, so each vertex carries the mask
+    of its ancestors and of the ancestors its subtree reaches by one edge.
+    A non-root vertex v cuts when some DFS child's subtree reaches none of
+    v's own ancestors; a root cuts when it has two or more DFS children.
+    Linear in n.
     """
-    n = len(adj)
-    disc = [0] * n  # discovery time from 1; 0 = not yet visited
-    low = [0] * n
-    time = 0
+    unseen = (1 << len(adj)) - 1
     cuts = 0
-    for root in range(n):
-        if disc[root]:
-            continue
-        time += 1
-        disc[root] = low[root] = time
+    while unseen:
+        root = (unseen & -unseen).bit_length() - 1
+        unseen ^= 1 << root
         root_children = 0
-        stack = [[root, adj[root]]]  # vertex, neighbours not yet scanned
-        while stack:
+        # vertex, its ancestors, the ancestors its subtree reaches by an edge
+        stack = [[root, 0, 0]]
+        while True:
             top = stack[-1]
-            v, rest = top
-            if rest:
+            v, above, _ = top
+            if rest := adj[v] & unseen:
                 bit = rest & -rest
-                top[1] = rest ^ bit
+                unseen ^= bit
                 u = bit.bit_length() - 1
-                if disc[u]:
-                    # the edge back to the DFS parent lands here too; it only
-                    # lowers low[v] to disc[parent], which keeps the test
-                    low[v] = min(low[v], disc[u])
-                else:
-                    time += 1
-                    disc[u] = low[u] = time
-                    stack.append([u, adj[u]])
+                above |= 1 << v
+                stack.append([u, above, adj[u] & above])
                 continue
             stack.pop()
             if not stack:
                 break
-            parent = stack[-1][0]
-            low[parent] = min(low[parent], low[v])
-            if parent == root:
+            parent = stack[-1]
+            if parent[0] == root:
                 root_children += 1
-            elif low[v] >= disc[parent]:
-                cuts |= 1 << parent
+            elif not top[2] & parent[1]:
+                cuts |= 1 << parent[0]
+            parent[2] |= top[2]
         if root_children >= 2:
             cuts |= 1 << root
-    return tuple(v for v in range(n) if cuts >> v & 1)
+    return tuple(v for v in range(len(adj)) if cuts >> v & 1)
 
 
 def is_two_connected(g: Graph) -> bool:
@@ -429,10 +513,18 @@ def min_vertex_cut(g: Graph) -> int | None:
 
 
 def triangle_count(g: Graph) -> int:
+    """Triangles of g, one word operation per vertex: with the adjacency rows
+    packed into one integer (``_RowMatrix``), the rows u in N(v) (column v
+    of the symmetric matrix, spread over each row) masked by adj[v] hold
+    N(u) & N(v), and their bits, summed over v, count every triangle six
+    times."""
+    matrix = _MATRIX_OF_ORDER[g.n]
+    rows, ones = matrix.pack(g.adj), matrix.ones
+    spread = (1 << matrix.size) - 1
     total = 0
-    for u, v in g.edges():
-        total += (g.adj[u] & g.adj[v]).bit_count()
-    return total // 3
+    for v, mask in enumerate(g.adj):
+        total += (rows & mask * ones & (rows >> v & ones) * spread).bit_count()
+    return total // 6
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ parity as bound, and a Taylor shift is made only where the bound is still
 open.  Each root is bisected over a doubling denominator into a bracket
 below the tolerance (exactly the tolerance wide when a midpoint is the
 root), and a Fraction is built only for the reported bracket.  A float
-Newton estimate guesses the final cell, which is taken only when two exact
-signs at its ends confirm it; the sparse-threshold optimizer is the only
-other use of floating point.
+Newton estimate guesses the final cell, in the power basis and, where its
+cell is not confirmed, in the scaled Bernstein basis of the polynomial's
+Descartes transform; a cell is taken only when two exact signs at its ends
+confirm it.  The sparse-threshold optimizer is the only other use of
+floating point.
 
 Classification vocabulary (assigned from the exact report, never from
 samples):
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .connsets import ConnSetProfile, count_connected_sets
 from .graphs import Graph, is_two_connected
@@ -56,11 +57,13 @@ from .sturm import (
     deflate_root,
     degree,
     descartes_bound,
+    descartes_transform,
     horner_ratio,
     reflect,
     scale,
     sign_at,
     sign_at_ratio,
+    sign_changes,
     square_free_part,
     taylor_shift,
     to_primitive_int,
@@ -128,20 +131,24 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
         inner = deflate_root(inner, 0)
     while sum(inner) == 0:  # p(1)
         inner = deflate_root(inner, 1)
-    if degree(inner) < 1 or not (budget := descartes_bound(inner)):
+    if degree(inner) < 1:
         return []
-    square_free = cache(lambda: square_free_part(inner))  # where Descartes cannot decide
+    transform = descartes_transform(inner)  # also the basis of the second root estimate
+    if not (budget := sign_changes(transform)):
+        return []
+    square_free = None  # square_free_part(inner), taken where Descartes cannot decide
     # poly maps (0, 1) onto (lo_num, lo_num + w_num) / den
     lo_num, w_num, den, poly = 0, 1, 1, inner
     # when the original polynomial vanishes at a domain endpoint (those roots
     # were deflated) pull the endpoint inward across a root-free gap, so no
     # bracket can touch a zero of the original; the gap's bound leaves the budget
     if p_int[0] == 0:
-        k, gap = _root_free_gap(poly, budget, square_free, 0, 1, 1, tol)
+        k, gap, square_free = _root_free_gap(poly, budget, inner, square_free, 0, 1, 1, tol)
         lo_num, w_num, den, budget = 1, (1 << k) - 1, 1 << k, budget - gap
         poly = scale(taylor_shift(scale(poly, 1, k)), (1 << k) - 1, 0)  # P(2^-k + (1 - 2^-k) x)
     if sum(p_int) == 0:
-        k, gap = _root_free_gap(poly, budget, square_free, lo_num + w_num, -w_num, den, tol)
+        k, gap, square_free = _root_free_gap(poly, budget, inner, square_free,
+                                             lo_num + w_num, -w_num, den, tol)
         lo_num, w_num, den, budget = lo_num << k, w_num * ((1 << k) - 1), den << k, budget - gap
         poly = scale(poly, (1 << k) - 1, k)  # P((1 - 2^-k) x)
     if budget <= 1 or poly is not inner:  # after a gap, budget only bounds the rest
@@ -150,9 +157,11 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     for a_num, b_num, cell_den, certified, sa in _cells(poly, budget, lo_num, w_num, den, tol):
         if certified:
             # one simple root of inner, which p_int has too: p_int crosses
-            records.append(RootRecord(*_refine(inner, a_num, b_num, cell_den, sa, tol), True))
+            records.append(RootRecord(
+                *_refine(inner, transform, a_num, b_num, cell_den, sa, tol), True))
         else:
-            records += _split_isolate(square_free(), p_int, Fraction(a_num, cell_den),
+            square_free = square_free or square_free_part(inner)
+            records += _split_isolate(square_free, p_int, Fraction(a_num, cell_den),
                                       Fraction(b_num, cell_den), tol)
     records.sort(key=lambda r: r.lo)
     return records
@@ -168,11 +177,11 @@ def _positive_tol(tol) -> Fraction:
     raise ValueError(f"need a finite tol > 0, got {tol}")
 
 
-def _root_free_gap(poly, budget: int, square_free, end_num: int, w_num: int, den: int,
-                   tol: Fraction) -> tuple[int, int]:
-    """(k, b) for the least k >= 2 such that the first 2^-k of the interval
-    P maps (0, 1) onto holds no root and does not end in one, and b the
-    Descartes bound of P there; the last 2^-k when w_num < 0.
+def _root_free_gap(poly, budget: int, inner, square_free, end_num: int, w_num: int,
+                   den: int, tol: Fraction) -> tuple[int, int, list[int] | None]:
+    """(k, b, square_free) for the least k >= 2 such that the first 2^-k of
+    the interval P maps (0, 1) onto holds no root and does not end in one,
+    and b the Descartes bound of P there; the last 2^-k when w_num < 0.
 
     That interval has signed length w_num/den from end_num/den, the end the
     gap starts at.  By the two facts of the module docstring, a gap whose
@@ -180,8 +189,9 @@ def _root_free_gap(poly, budget: int, square_free, end_num: int, w_num: int, den
     when ``budget``, a bound on the whole interval, is at most 1.  Only
     otherwise is the gap's bound counted, after P is reflected for the last
     2^-k, and a bound above 0 tested cell by cell, a cell the rule leaves
-    open by ``count_roots`` on ``square_free()``.  Roots are isolated away
-    from a non-vanishing end, so k exists.
+    open by ``count_roots`` on the square-free part of ``inner``: that is
+    ``square_free`` unless it is None, else taken then and returned.  Roots
+    are isolated away from a non-vanishing end, so k exists.
     """
     at_end = w_num < 0  # the gap is P's last 2^-k until P is reflected
     end_sign = (sum(poly) if at_end else poly[0]) > 0
@@ -190,19 +200,24 @@ def _root_free_gap(poly, budget: int, square_free, end_num: int, w_num: int, den
         cut = horner_ratio(poly, (1 << k) - 1 if at_end else 1, 1 << k)
         if cut and (cut > 0) == end_sign:  # else the gap ends in a root or holds one
             if budget <= 1:
-                return k, 0
+                return k, 0, square_free
             if at_end:
                 poly, at_end = reflect(poly), False
             gap = scale(poly, 1, k)
             bound = descartes_bound(gap)
             if bound == 0:
-                return k, 0
+                return k, 0, square_free
             cells = (_cells(gap, bound, end_num << k, w_num, den << k, tol) if w_num > 0
                      else _cells(reflect(gap), bound, (end_num << k) + w_num, -w_num,
                                  den << k, tol))
-            if not any(certified or count_roots(square_free(), Fraction(a, d), Fraction(b, d))
-                       for a, b, d, certified, _ in cells):
-                return k, bound
+            for a, b, d, certified, _ in cells:
+                if certified:
+                    break
+                square_free = square_free or square_free_part(inner)
+                if count_roots(square_free, Fraction(a, d), Fraction(b, d)):
+                    break
+            else:
+                return k, bound, square_free
         k += 1
 
 
@@ -254,6 +269,7 @@ def _split_isolate(q, p_int, lo: Fraction, hi: Fraction,
     """Isolate the roots in (lo, hi) of q, the square-free part of p_int, by
     exact counts alone (``count_roots``): split at interior non-roots until
     each interval holds one root, and refine that on q."""
+    transform = descartes_transform(q)
     records = []
     stack = [(lo, hi, count_roots(q, lo, hi))]
     while stack:
@@ -262,7 +278,8 @@ def _split_isolate(q, p_int, lo: Fraction, hi: Fraction,
             continue
         if count == 1:
             den = math.lcm(a.denominator, b.denominator)
-            a, b, approx = _refine(q, int(a * den), int(b * den), den, sign_at(q, a), tol)
+            a, b, approx = _refine(q, transform, int(a * den), int(b * den), den,
+                                   sign_at(q, a), tol)
             # q is square-free; the root's multiplicity in p_int decides the crossing
             records.append(RootRecord(a, b, approx, sign_at(p_int, a) * sign_at(p_int, b) < 0))
             continue
@@ -277,7 +294,7 @@ def _split_isolate(q, p_int, lo: Fraction, hi: Fraction,
     return records
 
 
-def _refine(q, lo_num: int, hi_num: int, den: int, sa: int,
+def _refine(q, transform, lo_num: int, hi_num: int, den: int, sa: int,
             tol: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """Bisect (lo_num/den, hi_num/den), which holds exactly one (simple) root
     of q and where q has sign ``sa`` at lo, over a doubling denominator;
@@ -286,11 +303,12 @@ def _refine(q, lo_num: int, hi_num: int, den: int, sa: int,
     half it ends but at most ``tol``: so exactly ``tol`` unless the half is
     narrower.
 
-    The bracket the bisection ends in is tried first from a float estimate of
-    the root (``_final_cell``); only when that is not confirmed exactly does
-    the bisection run step by step.  Both give the same bracket.
+    The bracket the bisection ends in is tried first from float estimates of
+    the root (``_final_cell``, ``transform`` being q's
+    ``descartes_transform``); only when none is confirmed exactly does the
+    bisection run step by step.  Both give the same bracket.
     """
-    cell = _final_cell(q, sa, lo_num, hi_num, den, tol)
+    cell = _final_cell(q, transform, sa, lo_num, hi_num, den, tol)
     if cell is not None:
         lo_num, hi_num, den = cell
     while (hi_num - lo_num) * tol.denominator >= tol.numerator * den:  # b - a >= tol
@@ -309,56 +327,104 @@ def _refine(q, lo_num: int, hi_num: int, den: int, sa: int,
     return Fraction(lo_num, den), Fraction(hi_num, den), Fraction(lo_num + hi_num, 2 * den)
 
 
-def _final_cell(q, sa: int, lo_num: int, hi_num: int, den: int, tol: Fraction):
+def _final_cell(q, transform, sa: int, lo_num: int, hi_num: int, den: int, tol: Fraction):
     """The bracket (A, B, D) that bisecting (lo_num/den, hi_num/den) below
     ``tol`` ends in, or None.
 
     After k halvings the bracket is cell j of width (hi_num - lo_num)/(den 2^k)
-    for the k the bisection loop stops at.  A safeguarded float Newton
-    iteration estimates the root and picks j; the cell is returned only when q
-    has sign ``sa`` at its left end and the opposite sign at its right end.
-    As q has one simple root in the interval, the root is then strictly inside
-    the cell, so no midpoint of the bisection hits it and the bisection ends
-    in this very cell.
+    for the k the bisection loop stops at.  A float estimate of the root
+    picks j, and the cell is returned only when q has sign ``sa`` at its left
+    end and the opposite sign at its right end.  As q has one simple root in
+    the interval, the root is then strictly inside the cell, so no midpoint
+    of the bisection hits it and the bisection ends in this very cell.
+
+    The first estimate is Newton's method on q in the power basis.  Where
+    cancellation in Horner's scheme has moved its root so that the exact
+    signs do not confirm its cell, a second estimate is made in the basis of
+    ``transform``, q's ``descartes_transform``, whose coefficients are q's
+    scaled Bernstein coefficients: there q keeps its roots far better
+    (Farouki and Rajan, CAGD 4, 1987).  An estimate whose coefficients
+    overflow a float picks no cell, and one outside the interval picks the
+    cell at its nearer end.
     """
     width = hi_num - lo_num
     k = (width * tol.denominator // (tol.numerator * den)).bit_length()
-    try:
-        coeffs = [float(c) for c in reversed(q)]
-        lo, hi = lo_num / den, hi_num / den
-    except OverflowError:
-        return None
+    den_k = den << k
+    lo, hi = lo_num / den, hi_num / den
     cell_width = math.ldexp(hi - lo, -k)  # no overflow for tol below 2^-1024
+    for estimate, coeffs in ((_power_estimate, q), (_descartes_estimate, transform)):
+        try:
+            x = estimate(coeffs, sa, lo, hi, cell_width)
+        except OverflowError:  # a coefficient beyond the float range
+            continue
+        x_num, x_den = x.as_integer_ratio()
+        j = (x_num * den_k - (lo_num << k) * x_den) // (width * x_den)
+        j = min(max(j, 0), (1 << k) - 1)  # the cell nearest an estimate outside
+        lo_k = (lo_num << k) + j * width
+        if (sign_at_ratio(q, lo_k, den_k) == sa
+                and sign_at_ratio(q, lo_k + width, den_k) == -sa):
+            return lo_k, lo_k + width, den_k
+    return None
+
+
+def _power_estimate(q, sa: int, lo: float, hi: float, cell_width: float) -> float:
+    """q's root in (lo, hi), where q has sign ``sa`` at lo, by Newton's
+    method on Horner's scheme in the power basis (``_newton``)."""
+    return _newton([float(c) for c in reversed(q)], sa, lo, hi, cell_width)
+
+
+def _descartes_estimate(transform, sa: int, lo: float, hi: float,
+                        cell_width: float) -> float:
+    """q's root in (lo, hi), where q has sign ``sa`` at lo, by Newton's
+    method on q's ``descartes_transform`` R (``_newton``)."""
+    return _newton([float(c) for c in transform], sa, lo, hi, cell_width, bernstein=True)
+
+
+def _newton(coeffs, sa: int, lo: float, hi: float, cell_width: float,
+            bernstein: bool = False) -> float:
+    """A root in (lo, hi) of the polynomial q with sign ``sa`` at lo, by
+    Newton's method safeguarded by bisection.  It stops after
+    ``FLOAT_ROOT_STEPS`` steps, or once a step is below an eighth of
+    ``cell_width``: such a step is taken even where it ends on or just past
+    an end of the bracket, as it does when that end lies within rounding
+    error of the root.
+
+    ``coeffs`` are q's, highest degree first, evaluated by Horner's scheme
+    at x.  With ``bernstein`` they are those of R(t) = (1+t)^d q(1/(1+t)),
+    lowest degree first, and q(x) = y^d F(z) is evaluated with z at most 1:
+    for x > 1/2, y = x and F = R at z = 1/x - 1; else y = 1 - x and F is R
+    with its coefficients reversed, at z = x/(1 - x).  F has q's sign, and
+    as dz/dx = s/y^2 (s = -1, else 1), q'/q = s (F' - d y F) / (y^2 F).
+    """
+    d, reverse = len(coeffs) - 1, coeffs[::-1] if bernstein else None
     x = (lo + hi) / 2
     for _ in range(FLOAT_ROOT_STEPS):
+        if not bernstein:
+            z, basis = x, coeffs
+        elif x > 0.5:
+            y, z, basis, s = x, (1 - x) / x, reverse, -1
+        else:
+            y, z, basis, s = 1 - x, x / (1 - x), coeffs, 1
         value = slope = 0.0
-        for c in coeffs:
-            slope = slope * x + value
-            value = value * x + c
+        for c in basis:
+            slope = slope * z + value
+            value = value * z + c
         if value == 0:
             break
         if (value > 0) == (sa > 0):
             lo = x
         else:
             hi = x
+        if bernstein:
+            slope = s * (slope - d * y * value) / (y * y)
         step = value / slope if slope else hi - lo
         nxt = x - step
-        if not lo < nxt < hi:
+        if not lo < nxt < hi and abs(step) >= cell_width / 8:
             nxt = (lo + hi) / 2
         if abs(nxt - x) < cell_width / 8:
-            x = nxt
-            break
+            return nxt
         x = nxt
-    den_k = den << k
-    x_num, x_den = x.as_integer_ratio()
-    j = (x_num * den_k - (lo_num << k) * x_den) // (width * x_den)
-    if not 0 <= j < 1 << k:
-        return None
-    lo_k = (lo_num << k) + j * width
-    if (sign_at_ratio(q, lo_k, den_k) == sa
-            and sign_at_ratio(q, lo_k + width, den_k) == -sa):
-        return lo_k, lo_k + width, den_k
-    return None
+    return x
 
 
 @dataclass(frozen=True)

@@ -105,13 +105,25 @@ def reflect(coeffs: list[int]) -> list[int]:
     return [-c if i % 2 else c for i, c in enumerate(taylor_shift(coeffs))]
 
 
+def descartes_transform(coeffs: list[int]) -> list[int]:
+    """Coefficients of (1+t)^d p(1/(1+t)), lowest degree first: the
+    coefficient of t^(d-i) is C(d, i) b_i for the Bernstein coefficients
+    b_i of p on (0, 1), and p(x) = x^d R(1/x - 1)."""
+    return taylor_shift(coeffs[::-1])
+
+
+def sign_changes(coeffs) -> int:
+    """Sign changes of a coefficient list, zeros skipped."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(map(ne, signs, signs[1:]))
+
+
 def descartes_bound(coeffs: list[int]) -> int:
     """Descartes' bound on the roots of p in (0, 1): the sign changes of
-    (1+t)^d p(1/(1+t)), zeros skipped.  It is at least the number of roots
+    its ``descartes_transform``.  It is at least the number of roots
     counted with multiplicity, of the same parity when p(0) p(1) != 0, and
     equal to it when it is 0 or 1."""
-    signs = [c > 0 for c in taylor_shift(coeffs[::-1]) if c]
-    return sum(map(ne, signs, signs[1:]))
+    return sign_changes(descartes_transform(coeffs))
 
 
 def _rem_primitive(a: list[int], b: list[int]) -> list[int]:

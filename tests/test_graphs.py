@@ -3,10 +3,14 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graph_oracle
 from conftest import automorphisms, relabel
 from relshape.census import generate_connected, generate_trees
 from relshape.graphs import (
+    MAX_ORDER,
+    _articulation_points,
     _component_mask,
     FamilySpec,
     Graph,
@@ -435,3 +439,135 @@ def test_canonical_graph_minimum_on_orders_6_and_7():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert_canonical_is_minimum(relabel(g, perm))
+
+
+# -- word-at-a-time passes against their per-bit oracles ---------------------
+
+@st.composite
+def family_specs(draw, max_order=MAX_ORDER):
+    """A named family of order at most ``max_order``, or the disjoint union
+    of two."""
+    if max_order >= 2 and draw(st.booleans()):
+        left = draw(family_specs(max_order=max_order - 1))
+        right = draw(family_specs(max_order=max_order - left.order))
+        return FamilySpec("disjoint-union", parts=(left, right))
+    kinds = ["complete", "empty", "path", "star"]
+    if max_order >= 2:
+        kinds += ["complete-bipartite", "bonded-complete-leaf"]
+    if max_order >= 3:
+        kinds.append("cycle")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "complete-bipartite":
+        a = draw(st.integers(1, max_order - 1))
+        return FamilySpec(kind, (a, draw(st.integers(1, max_order - a))))
+    least = {"cycle": 3, "bonded-complete-leaf": 2}.get(kind, 1)
+    return FamilySpec(kind, (draw(st.integers(least, max_order)),))
+
+
+@st.composite
+def graphs_of_any_density(draw):
+    """Orders 1..62: each pair an edge with one drawn probability in [0, 1]
+    (0 and 1 among them), or a named family or union of two."""
+    if draw(st.booleans()):
+        return graph_oracle.make_family(draw(family_specs()))
+    n = draw(st.integers(1, MAX_ORDER))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adj = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_of_any_density())
+def test_graph_passes_equal_their_oracles(g):
+    assert graph_oracle.validate(g.n, g.adj) is None
+    assert Graph(g.n, g.adj) == g
+    assert to_graph6(g) == graph_oracle.to_graph6(g)
+    assert parse_graph6(to_graph6(g)) == g
+    assert _articulation_points(g.adj) == graph_oracle.articulation_points(g.adj)
+    assert triangle_count(g) == graph_oracle.triangle_count(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_specs())
+def test_families_equal_their_edge_lists(spec):
+    assert make_family(spec) == graph_oracle.make_family(spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_of_any_density(), st.data())
+def test_invalid_adjacency_raises_the_oracle_error(g, data):
+    """A loop, a bit out of range (above n - 1, or a negative mask) and an
+    asymmetric pair, one to three of them: the ValueError names the same
+    first fault as the vertex-by-vertex check."""
+    adj = list(g.adj)
+    vertex = st.integers(0, g.n - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        v = data.draw(vertex)
+        fault = data.draw(st.sampled_from(["loop", "range", "negative", "flip"]))
+        if fault == "loop":
+            adj[v] |= 1 << v
+        elif fault == "range":
+            adj[v] |= 1 << data.draw(st.integers(g.n, 200))
+        elif fault == "negative":
+            adj[v] = -1 - adj[v]
+        else:
+            adj[v] ^= 1 << data.draw(vertex)
+    adj = tuple(adj)
+    try:
+        graph_oracle.validate(g.n, adj)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            Graph(g.n, adj)
+        assert str(raised.value) == str(exc)
+    else:
+        assert Graph(g.n, adj).adj == adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_of_any_density(), st.data())
+def test_parse_graph6_equals_its_oracle(g, data):
+    """The graph6 line of g, as it is or with one to three characters
+    replaced by any of bytes 0..255, is decoded to the same graph, or
+    rejected with the same message and offset, as character by character."""
+    chars = list(to_graph6(g))
+    if data.draw(st.booleans()):
+        # the last character holds the padding bits
+        position = st.integers(0, len(chars) - 1) | st.just(len(chars) - 1)
+        byte = st.integers(0, 255) | st.integers(63, 126)
+        for _ in range(data.draw(st.integers(1, 3))):
+            chars[data.draw(position)] = chr(data.draw(byte))
+    line = "".join(chars)
+    try:
+        expected = graph_oracle.parse_graph6(line)
+    except Graph6ParseError as exc:
+        with pytest.raises(Graph6ParseError) as raised:
+            parse_graph6(line)
+        assert (str(raised.value), raised.value.offset) == (str(exc), exc.offset)
+    else:
+        assert parse_graph6(line) == expected
+
+
+@pytest.mark.parametrize("adj, message", [
+    ((0b10, 0b11), "vertex 1 has a loop"),
+    ((0b100, 0b00), "vertex 0 has a neighbor bit outside 0..1"),
+    ((-1, 0b01), "vertex 0 has a neighbor bit outside 0..1"),
+    ((0b01, 0b100), "vertex 0 has a loop"),
+    ((0b110, 0b000, 0b001), "asymmetric adjacency between 0 and 1"),
+    ((0b000, 0b100, 0b000), "asymmetric adjacency between 1 and 2"),
+    ((0,) * 61 + (1,), "asymmetric adjacency between 61 and 0"),
+])
+def test_invalid_adjacency_messages(adj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(len(adj), adj)
+
+
+def test_graph6_of_census_classes_and_trees_equals_the_oracle(vcache):
+    graphs = [g for n in range(2, 8) for g in vcache.graphs(n)]
+    graphs += [g for n in range(1, 11) for g in generate_trees(n)]
+    assert [to_graph6(g) for g in graphs] == [graph_oracle.to_graph6(g) for g in graphs]

@@ -20,3 +20,18 @@ def test_shape_gallery_writes_one_curve_per_shape(tmp_path):
     for curve in curves:
         lines = curve.read_text().splitlines()
         assert lines[0] == "p,value" and len(lines) == 12, curve.name
+
+
+def test_output_hashes_are_reproducible():
+    runs = [subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_hashes.py"), "--max-order", "5"],
+        capture_output=True, text=True, timeout=300, env=checkout_env()) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    # census orders 2..5, families-large, sparse-pool, planted-roots; three tols each
+    assert len(lines) == 21
+    assert [line.split()[0] for line in lines[::3]] == [
+        "census-order-2", "census-order-3", "census-order-4", "census-order-5",
+        "families-large", "sparse-pool", "planted-roots"]
+    assert runs[1].stdout == runs[0].stdout

@@ -21,7 +21,7 @@ from relshape.shape import (
     isolate_roots,
     maximize_threshold_constant,
 )
-from relshape.sturm import ZeroPolynomialError, sign_at
+from relshape.sturm import ZeroPolynomialError, descartes_transform, sign_at
 from strategies import mul, polys_with_known_roots
 from sturm_oracle import sturm_only_isolation
 
@@ -111,9 +111,129 @@ def bracket_polys(graphs6):
 
 
 def test_float_estimate_keeps_the_bisection_bracket(bracket_polys, monkeypatch):
-    estimated = [isolate_roots(c, tol=tol) for c in bracket_polys for tol in TOLS]
+    def isolations():
+        return [isolate_roots(c, tol=tol) for c in bracket_polys for tol in TOLS]
+
+    estimated = isolations()
+    real_power, real_descartes = shape._power_estimate, shape._descartes_estimate
+    cells = count_results(monkeypatch, "_final_cell")
+    # the second estimate alone: the power-basis estimate overflows
+    monkeypatch.setattr(shape, "_power_estimate", overflow)
+    assert isolations() == estimated
+    assert sum(cell is not None for cell in cells) > len(cells) // 2
+
+    # estimates a cell off, or at an end of the interval, pick wrong cells
+    def off_by(real, cells_off):
+        def estimate(coeffs, sa, lo, hi, cell_width):
+            return real(coeffs, sa, lo, hi, cell_width) + cells_off * cell_width
+        return estimate
+
+    for power, descartes in [(off_by(real_power, 1), off_by(real_descartes, -1)),
+                             (off_by(real_power, -2), lambda c, sa, lo, hi, w: lo),
+                             (lambda c, sa, lo, hi, w: lo, lambda c, sa, lo, hi, w: hi)]:
+        monkeypatch.setattr(shape, "_power_estimate", power)
+        monkeypatch.setattr(shape, "_descartes_estimate", descartes)
+        assert isolations() == estimated
     monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
-    assert estimated == [isolate_roots(c, tol=tol) for c in bracket_polys for tol in TOLS]
+    assert isolations() == estimated
+
+
+def overflow(*args):
+    """An estimate whose coefficients overflow a float."""
+    raise OverflowError
+
+
+def count_results(monkeypatch, name):
+    """Route ``shape``'s function ``name`` through a wrapper; returns the
+    list of its results, one per call."""
+    real = getattr(shape, name)
+    results = []
+
+    def counted(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(shape, name, counted)
+    return results
+
+
+def test_the_estimates_confirm_almost_every_final_cell(vcache, monkeypatch):
+    """Over the 104 families-large profiles (degree up to 62) at most 2 of
+    the 351 refinements fall back to step-by-step bisection, and none over
+    the 477 distinct profiles of order 7.  The power basis alone loses 53 of
+    the first to cancellation."""
+    cells = count_results(monkeypatch, "_final_cell")
+    for selector in families_large_digests():
+        analyze_profile(family_profile(parse_family(selector)))
+    assert len(cells) == 351 and cells.count(None) <= 2
+    profiles = {p.c: p for p in map(vcache.profile, vcache.graphs(7))}
+    assert len(profiles) == 477
+    cells.clear()
+    for profile in profiles.values():
+        analyze_profile(profile)
+    assert cells and cells.count(None) == 0
+
+
+@pytest.mark.parametrize("power", ["overflow", "outside", "estimated"])
+@pytest.mark.parametrize("descartes", ["overflow", "outside", "estimated"])
+def test_final_cell_rare_exits_keep_the_bisection_bracket(power, descartes, monkeypatch):
+    """An estimate picks no cell when its coefficients overflow a float (a
+    positive multiple of q, or of its transform, by 2^1100).  One outside
+    the interval, at another root whose cell the exact signs would confirm,
+    picks the interval's last cell, which they do not.  Then the other
+    estimate, else the step-by-step bisection, gives the bracket."""
+    q = mul(mul([-1, 3], [-2, 3]), [-5, 6])  # roots 1/3, 2/3 and 5/6
+    tol = Fraction(1, 10**9)
+    lo_num, hi_num, den, sa = 1, 3, 8, -1  # (1/8, 3/8) holds 1/3
+    transform = descartes_transform(q)
+    monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
+    bisected = shape._refine(q, transform, lo_num, hi_num, den, sa, tol)
+    monkeypatch.undo()
+
+    outside = lambda coeffs, sa, lo, hi, cell_width: 5 / 6  # noqa: E731
+    if power == "overflow":
+        q = [c << 1100 for c in q]
+    elif power == "outside":
+        monkeypatch.setattr(shape, "_power_estimate", outside)
+    if descartes == "overflow":
+        transform = [c << 1100 for c in transform]
+    elif descartes == "outside":
+        monkeypatch.setattr(shape, "_descartes_estimate", outside)
+    cell = shape._final_cell(q, transform, sa, lo_num, hi_num, den, tol)
+    if "estimated" in (power, descartes):
+        assert (Fraction(cell[0], cell[2]), Fraction(cell[1], cell[2])) == bisected[:2]
+    else:
+        assert cell is None
+    assert shape._refine(q, transform, lo_num, hi_num, den, sa, tol) == bisected
+    assert bisected[0] < Fraction(1, 3) < bisected[1] and bisected[1] - bisected[0] < tol
+
+
+@pytest.mark.parametrize("root", [Fraction(1, 3), Fraction(3, 5), Fraction(5, 7)])
+def test_descartes_estimate_converges_like_newton(root, monkeypatch):
+    """From the midpoint of (1/8, 7/8), six steps of the second estimate
+    alone reach the bisection's final cell, on either side of 1/2, for
+    (v p - u)(p^2 + 1)^3 of degree 7."""
+    q = [-root.numerator, root.denominator]
+    for _ in range(3):
+        q = mul(q, [1, 0, 1])
+    transform = descartes_transform(q)
+    tol = Fraction(1, 10**9)
+    monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
+    bisected = shape._refine(q, transform, 1, 7, 8, -1, tol)
+    monkeypatch.undo()
+    monkeypatch.setattr(shape, "_power_estimate", overflow)
+    monkeypatch.setattr(shape, "FLOAT_ROOT_STEPS", 6)
+    a, b, d = shape._final_cell(q, transform, -1, 1, 7, 8, tol)
+    assert (Fraction(a, d), Fraction(b, d)) == bisected[:2]
+
+
+def test_a_polynomial_beyond_the_float_range_is_bisected(monkeypatch):
+    # (3p - 1)(p^2 + 2^1100): both estimates overflow, the bisection decides
+    [record] = isolate_roots(mul([-1, 3], [1 << 1100, 0, 1]))
+    assert record.lo < Fraction(1, 3) < record.hi
+    cells = count_results(monkeypatch, "_final_cell")
+    assert isolate_roots(mul([-1, 3], [1 << 1100, 0, 1])) == [record]
+    assert cells == [None]
 
 
 def isolation(coeffs, tol):

@@ -15,6 +15,7 @@ from relshape.sturm import (
     deflate_root,
     degree,
     descartes_bound,
+    descartes_transform,
     diff_int,
     exact_div,
     reflect,
@@ -199,6 +200,30 @@ def test_descartes_bound_counts_roots_in_unit_interval(case):
     assert bound >= inside and (bound - inside) % 2 == 0
     if bound <= 1:
         assert bound == inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys)
+def test_descartes_transform_is_the_scaled_bernstein_form(coeffs):
+    # R(t) = (1+t)^d p(1/(1+t)): p(x) = x^d R(1/x - 1), and the coefficient of
+    # t^(d-i) is C(d, i) b_i, with p = sum_i b_i C(d, i) x^i (1-x)^(d-i)
+    d = degree(coeffs)
+    r = descartes_transform(coeffs)
+    for x in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)):
+        assert eval_poly(coeffs, x) == x ** d * eval_poly(r, 1 / x - 1)
+    bernstein_form = [0] * (d + 1)
+    for i in range(d + 1):
+        term = [r[d - i]]
+        for _ in range(i):
+            term = mul(term, [0, 1])
+        for _ in range(d - i):
+            term = mul(term, [1, -1])
+        bernstein_form = [a + b for a, b in zip(bernstein_form, term)]
+    assert bernstein_form == coeffs
+
+
+def eval_poly(coeffs, x):
+    return sum(c * x ** i for i, c in enumerate(coeffs))
 
 
 @settings(max_examples=200, deadline=None)
