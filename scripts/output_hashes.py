@@ -16,7 +16,11 @@ every result of one group at one tolerance (1e-9, 1/7 and 1):
   benchmark's sparse graphs;
 * ``planted-roots``: ``isolate_roots`` of seeded polynomials with planted
   rational roots of multiplicity 1 to 3, some at 0 and 1, times quadratics
-  without real roots.
+  without real roots;
+* ``gap-pairs``: ``isolate_roots`` of seeded polynomials with a root at 0,
+  at 1 or at both, a conjugate pair within 1/4 of each such end and
+  planted roots elsewhere, so that the gap pulled in from the end has a
+  positive Descartes bound.
 
 The selectors and sparse graphs are read from ``perfbench/expected.json``,
 which is not written.
@@ -41,6 +45,7 @@ from relshape.shape import analyze_profile, isolate_roots  # noqa: E402
 
 TOLS = (Fraction(1, 10**9), Fraction(1, 7), Fraction(1))
 PLANTED = 1000  # planted-root polynomials
+GAP_PAIRS = 300  # gap-pair polynomials
 SEED = 20240601
 
 
@@ -55,6 +60,19 @@ def planted_polynomial(rng: random.Random) -> list[int]:
         s = rng.randint(-4, 4)
         if s * s < 4 * t:
             coeffs = multiply(coeffs, [t, s, 1])
+    return coeffs
+
+
+def gap_pair_polynomial(rng: random.Random) -> list[int]:
+    coeffs = planted_polynomial(rng)
+    for end in rng.choice([(0,), (1,), (0, 1)]):
+        # (x - u)^2 + 1/s^2, u within 1/4 of the end, times (u.den s)^2
+        u = Fraction(rng.randint(1, 24), 100)
+        u = 1 - u if end else u
+        s = rng.choice([20, 100, 1000])
+        a, b = u.numerator * s, u.denominator * s
+        coeffs = multiply(coeffs, [a * a + u.denominator ** 2, -2 * a * b, b * b])
+        coeffs = multiply(coeffs, [-end, 1])
     return coeffs
 
 
@@ -78,6 +96,8 @@ def groups(max_order: int):
                           for t in sorted(expected["sparse_pool"])], None
     rng = random.Random(SEED)
     yield "planted-roots", None, [planted_polynomial(rng) for _ in range(PLANTED)]
+    rng = random.Random(SEED + 1)
+    yield "gap-pairs", None, [gap_pair_polynomial(rng) for _ in range(GAP_PAIRS)]
 
 
 def main(argv=None) -> int:

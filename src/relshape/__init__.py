@@ -6,7 +6,6 @@ from .connsets import (
     check_coefficient_bounds,
     check_coefficient_identities,
     count_connected_sets,
-    count_connected_sets_bruteforce,
     f_coefficients,
     family_profile,
     first_sperner_violation,

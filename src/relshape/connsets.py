@@ -20,8 +20,7 @@ from there on the frontier program runs when its state bound
 ``sum_i Bell(w_i + 1)`` lies below ``2^n``, the bound on connected sets.  So
 sparse graphs of order 16 and more go through the frontier program, while
 small and dense graphs (the censuses, trees, K_18, G(20, 1/2)) are
-enumerated.  An exhaustive subset scan is kept alongside as an independent
-oracle.  ``family_profile`` gives the closed-form profile of every named
+enumerated.  ``family_profile`` gives the closed-form profile of every named
 family, and report-style checks verify the bounds and identities the counts
 are known to satisfy.
 """
@@ -35,12 +34,10 @@ from .graphs import (
     FamilySpec,
     Graph,
     cut_vertices,
-    mask_is_connected,
     triangle_count,
 )
 
 DEFAULT_COUNT_CAP = 30
-BRUTEFORCE_CAP = 20
 FRONTIER_MIN_ORDER = 16
 
 
@@ -317,19 +314,6 @@ def _transition(state: tuple[int, ...], joins: tuple[int, ...],
             _STATES.append(key)
         outcomes.append(sid)
     return tuple(outcomes)
-
-
-def count_connected_sets_bruteforce(g: Graph) -> ConnSetProfile:
-    """Independent oracle: scan all 2^n vertex subsets."""
-    n = g.n
-    if n > BRUTEFORCE_CAP:
-        raise ValueError(f"order {n} above brute-force cap {BRUTEFORCE_CAP}")
-    adj = g.adj
-    counts = [0] * (n + 1)
-    for mask in range(1, 1 << n):
-        if mask_is_connected(adj, mask):
-            counts[mask.bit_count()] += 1
-    return ConnSetProfile(n, tuple(counts))
 
 
 # c_k for k >= 2 of each named family of order n (c_0 = 0 and c_1 = n for all)

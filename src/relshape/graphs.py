@@ -152,8 +152,13 @@ class Graph:
                 yield (v, u)
 
     @cached_property
+    def _connected(self) -> bool:
+        # computed once per graph, as the cut vertices: one analysis asks
+        # for both several times
+        return mask_is_connected(self.adj, (1 << self.n) - 1)
+
+    @cached_property
     def _cut_vertices(self) -> tuple[int, ...]:
-        # computed once per graph: one analysis asks for it several times
         return _articulation_points(self.adj)
 
 
@@ -429,7 +434,7 @@ def mask_is_connected(adj, mask) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    return mask_is_connected(g.adj, (1 << g.n) - 1)
+    return g._connected
 
 
 def cut_vertices(g: Graph) -> tuple[int, ...]:

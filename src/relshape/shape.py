@@ -108,17 +108,17 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     """Isolate the distinct real roots in the open interval (0, 1).
 
     Endpoint roots are deflated.  Descartes' bound on (0, 1) is counted
-    once, and no root is sought when it is 0.  Otherwise (0, 1) is bisected
-    at midpoints and each cell counted by the rule (``_cells``): a cell with
-    one sign change holds one simple root, which is narrowed below ``tol``
-    (or to exactly ``tol`` when a midpoint is the root).  A gap cut off
-    (0, 1) leaves the rest at most the bound less the gap's, and a budget of
-    at most 1 is the parity of the end signs (the two facts of the module
-    docstring); a bound is counted only above that.  Only a cell the rule
-    cannot decide is counted on the square-free part of the deflated
-    polynomial, taken once, and split until each piece holds one root
-    (``_split_isolate``).  Raises ValueError unless tol is finite and > 0,
-    and ZeroPolynomialError for the identically zero polynomial.
+    once, and no root is sought when it is 0.  An end where the polynomial
+    vanished is first pulled inward across a root-free gap
+    (``_root_free_gap``), which gives the rest of (0, 1) with its bound.
+    What is left is bisected at midpoints and each cell counted by the rule
+    (``_cells``): a cell with one sign change holds one simple root, which
+    is narrowed below ``tol`` (or to exactly ``tol`` when a midpoint is the
+    root).  Only a cell the rule cannot decide is counted on the square-free
+    part of the deflated polynomial, taken once, and split until each piece
+    holds one root (``_split_isolate``).  Raises ValueError unless tol is
+    finite and > 0, and ZeroPolynomialError for the identically zero
+    polynomial.
     """
     tol = _positive_tol(tol)
     p_int = to_primitive_int(coeffs)
@@ -137,22 +137,18 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     if not (budget := sign_changes(transform)):
         return []
     square_free = None  # square_free_part(inner), taken where Descartes cannot decide
-    # poly maps (0, 1) onto (lo_num, lo_num + w_num) / den
+    # poly maps (0, 1) onto (lo_num, lo_num + w_num) / den, and budget is its bound
     lo_num, w_num, den, poly = 0, 1, 1, inner
     # when the original polynomial vanishes at a domain endpoint (those roots
     # were deflated) pull the endpoint inward across a root-free gap, so no
-    # bracket can touch a zero of the original; the gap's bound leaves the budget
+    # bracket can touch a zero of the original
     if p_int[0] == 0:
-        k, gap, square_free = _root_free_gap(poly, budget, inner, square_free, 0, 1, 1, tol)
-        lo_num, w_num, den, budget = 1, (1 << k) - 1, 1 << k, budget - gap
-        poly = scale(taylor_shift(scale(poly, 1, k)), (1 << k) - 1, 0)  # P(2^-k + (1 - 2^-k) x)
+        k, poly, budget, square_free = _root_free_gap(poly, budget, inner, square_free, 0, 1, 1)
+        lo_num, w_num, den = 1, (1 << k) - 1, 1 << k
     if sum(p_int) == 0:
-        k, gap, square_free = _root_free_gap(poly, budget, inner, square_free,
-                                             lo_num + w_num, -w_num, den, tol)
-        lo_num, w_num, den, budget = lo_num << k, w_num * ((1 << k) - 1), den << k, budget - gap
-        poly = scale(poly, (1 << k) - 1, k)  # P((1 - 2^-k) x)
-    if budget <= 1 or poly is not inner:  # after a gap, budget only bounds the rest
-        budget = (poly[0] > 0) != (sum(poly) > 0) if budget <= 1 else descartes_bound(poly)
+        k, poly, budget, square_free = _root_free_gap(poly, budget, inner, square_free,
+                                                      lo_num + w_num, -w_num, den)
+        lo_num, w_num, den = lo_num << k, w_num * ((1 << k) - 1), den << k
     records: list[RootRecord] = []
     for a_num, b_num, cell_den, certified, sa in _cells(poly, budget, lo_num, w_num, den, tol):
         if certified:
@@ -178,46 +174,46 @@ def _positive_tol(tol) -> Fraction:
 
 
 def _root_free_gap(poly, budget: int, inner, square_free, end_num: int, w_num: int,
-                   den: int, tol: Fraction) -> tuple[int, int, list[int] | None]:
-    """(k, b, square_free) for the least k >= 2 such that the first 2^-k of
-    the interval P maps (0, 1) onto holds no root and does not end in one,
-    and b the Descartes bound of P there; the last 2^-k when w_num < 0.
+                   den: int) -> tuple[int, list[int], int, list[int] | None]:
+    """(k, rest, b, square_free) for the least k >= 2 such that the first
+    2^-k of the interval P maps (0, 1) onto holds no root and does not end
+    in one; the last 2^-k when w_num < 0.  ``rest`` maps (0, 1) onto the
+    rest of the interval, P(2^-k + (1 - 2^-k) x), else P((1 - 2^-k) x), and
+    b is its Descartes bound.
 
     That interval has signed length w_num/den from end_num/den, the end the
-    gap starts at.  By the two facts of the module docstring, a gap whose
-    end signs differ holds a root, and one whose end signs agree holds none
-    when ``budget``, a bound on the whole interval, is at most 1.  Only
-    otherwise is the gap's bound counted, after P is reflected for the last
-    2^-k, and a bound above 0 tested cell by cell, a cell the rule leaves
-    open by ``count_roots`` on the square-free part of ``inner``: that is
-    ``square_free`` unless it is None, else taken then and returned.  Roots
-    are isolated away from a non-vanishing end, so k exists.
+    gap starts at, and ``budget`` is P's bound there.  By the two facts of
+    the module docstring, a gap whose end signs differ holds a root; else
+    the bounds of the gap and the rest sum to at most the budget.  So a
+    budget of at most 1 leaves the gap no root and the rest its parity, and
+    a rest whose bound is still the budget leaves the gap bound 0.  Only
+    otherwise is the gap's own bound counted, after P is reflected for the
+    last 2^-k, and a bound above 0 decided by ``count_roots`` on the
+    square-free part of ``inner``: that is ``square_free`` unless it is
+    None, else taken then and returned.  Roots are isolated away from a
+    non-vanishing end, so k exists.
     """
-    at_end = w_num < 0  # the gap is P's last 2^-k until P is reflected
+    at_end = w_num < 0
     end_sign = (sum(poly) if at_end else poly[0]) > 0
     k = 2
     while True:
         cut = horner_ratio(poly, (1 << k) - 1 if at_end else 1, 1 << k)
         if cut and (cut > 0) == end_sign:  # else the gap ends in a root or holds one
-            if budget <= 1:
-                return k, 0, square_free
             if at_end:
-                poly, at_end = reflect(poly), False
-            gap = scale(poly, 1, k)
-            bound = descartes_bound(gap)
-            if bound == 0:
-                return k, 0, square_free
-            cells = (_cells(gap, bound, end_num << k, w_num, den << k, tol) if w_num > 0
-                     else _cells(reflect(gap), bound, (end_num << k) + w_num, -w_num,
-                                 den << k, tol))
-            for a, b, d, certified, _ in cells:
-                if certified:
-                    break
-                square_free = square_free or square_free_part(inner)
-                if count_roots(square_free, Fraction(a, d), Fraction(b, d)):
-                    break
+                rest = scale(poly, (1 << k) - 1, k)  # P((1 - 2^-k) x)
             else:
-                return k, bound, square_free
+                gap = scale(poly, 1, k)  # P(2^-k x)
+                rest = scale(taylor_shift(gap), (1 << k) - 1, 0)
+            if budget <= 1:
+                return k, rest, (rest[0] > 0) != (sum(rest) > 0), square_free
+            bound = descartes_bound(rest)
+            if bound == budget or not descartes_bound(
+                    scale(reflect(poly), 1, k) if at_end else gap):
+                return k, rest, bound, square_free
+            square_free = square_free or square_free_part(inner)
+            a, b = sorted((end_num << k, (end_num << k) + w_num))
+            if not count_roots(square_free, Fraction(a, den << k), Fraction(b, den << k)):
+                return k, rest, bound, square_free
         k += 1
 
 

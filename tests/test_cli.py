@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import checkout_env, count_calls
-from relshape import cli, poly, shape
+from relshape import cli, graphs, poly, shape
 from relshape.graphs import parse_graph6
 from relshape.verification import THREE_INFLECTION_ORDER7
 
@@ -78,6 +78,15 @@ def test_analyze_expands_the_profile_once(monkeypatch, capsys):
     code, _, _ = run_inproc(capsys, "analyze", "--family", "path:14", "--json")
     assert code == 0
     assert len(expanded) == len(differentiated) == 1
+
+
+def test_analyze_tests_connectivity_once(monkeypatch, capsys):
+    # the document's min-cut branch and two fields, and the fixed-point
+    # witness, all ask whether the graph is connected
+    searches = count_calls(monkeypatch, [graphs], "_component_mask")
+    code, _, _ = run_inproc(capsys, "analyze", "--family", "cycle:62", "--json")
+    assert code == 0
+    assert len(searches) == 1
 
 
 def test_analyze_path6_text(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import count_connected_sets_frontier
+from connsets_oracle import BRUTEFORCE_CAP, count_connected_sets_bruteforce
 from relshape import connsets
 from relshape.connsets import (
     FRONTIER_MEMO_CAP,
@@ -13,7 +14,6 @@ from relshape.connsets import (
     check_coefficient_identities,
     clear_frontier_memo,
     count_connected_sets,
-    count_connected_sets_bruteforce,
     count_connected_sets_by_extension,
     f_coefficients,
     frontier_memo_size,
@@ -94,7 +94,7 @@ def test_order_cap():
     with pytest.raises(ValueError):
         count_connected_sets(make_family(fam("cycle", 40)))
     with pytest.raises(ValueError):
-        count_connected_sets_bruteforce(make_family(fam("cycle", 21)))
+        count_connected_sets_bruteforce(make_family(fam("cycle", BRUTEFORCE_CAP + 1)))
 
 
 def test_monotone_under_edge_addition():

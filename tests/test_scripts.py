@@ -29,9 +29,10 @@ def test_output_hashes_are_reproducible():
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     lines = runs[0].stdout.splitlines()
-    # census orders 2..5, families-large, sparse-pool, planted-roots; three tols each
-    assert len(lines) == 21
+    # census orders 2..5, families-large, sparse-pool, planted-roots, gap-pairs;
+    # three tols each
+    assert len(lines) == 24
     assert [line.split()[0] for line in lines[::3]] == [
         "census-order-2", "census-order-3", "census-order-4", "census-order-5",
-        "families-large", "sparse-pool", "planted-roots"]
+        "families-large", "sparse-pool", "planted-roots", "gap-pairs"]
     assert runs[1].stdout == runs[0].stdout

@@ -260,6 +260,34 @@ def test_isolation_equals_sturm_only_on_known_roots(case, at_0, at_1):
         assert isolation(coeffs, tol) == sturm_only_isolation(coeffs, tol)
 
 
+LEFT_PAIR, RIGHT_PAIR = [101, -2000, 10000], [8101, -18000, 10000]  # 0.1 ± i/100, 0.9 ± i/100
+
+
+@pytest.mark.parametrize("coeffs, gaps", [
+    (mul(mul([0, 1], LEFT_PAIR), [-1, 2]), [(0, Fraction(1, 4))]),
+    (mul(mul([1, -1], RIGHT_PAIR), [-1, 2]), [(Fraction(3, 4), 1)]),
+    (mul(mul(mul([0, 1], [1, -1]), mul(LEFT_PAIR, RIGHT_PAIR)), [-1, 2]),
+     [(0, Fraction(1, 4)), (Fraction(13, 16), 1)]),
+], ids=["left", "right", "both"])
+def test_a_gap_with_a_complex_pair_is_counted_root_free(coeffs, gaps, monkeypatch):
+    """A complex pair inside the first gap keeps the gap's Descartes bound
+    at 2 and the rest's below the budget (3 at one end, 5 at both), so the
+    gap is decided by ``count_roots`` on the square-free part, which finds
+    it root-free."""
+    real = shape.count_roots
+    counted = []
+
+    def count_roots(q, lo, hi):
+        counted.append((lo, hi, real(q, lo, hi)))
+        return counted[-1][2]
+
+    monkeypatch.setattr(shape, "count_roots", count_roots)
+    for tol in TOLS:
+        counted.clear()
+        assert isolation(coeffs, tol) == sturm_only_isolation(coeffs, tol)
+        assert counted == [(lo, hi, 0) for lo, hi in gaps]
+
+
 def test_square_free_part_only_where_descartes_cannot_decide(monkeypatch):
     parts = count_calls(monkeypatch, [shape], "square_free_part")
     for spec in (fam("cycle", 62), fam("path", 62), fam("star", 62),
@@ -275,16 +303,19 @@ def test_square_free_part_only_where_descartes_cannot_decide(monkeypatch):
 
 def test_families_large_shifts_only_where_the_bound_is_open(monkeypatch):
     """The 104 family profiles of the benchmark's families-large workload
-    (orders 14..62) take at most 150 Taylor shifts and 800 Descartes bounds
-    in ``shape``: a cell's bound is inferred from its parent's wherever the
-    parity of its end signs decides it, and (0, 1) with bound 0 is not
-    split at all."""
+    (orders 14..62) take at most 150 Taylor shifts, 800 Descartes bounds
+    and 10 reflections in ``shape``: a cell's bound is inferred from its
+    parent's wherever the parity of its end signs decides it, (0, 1) with
+    bound 0 is not split at all, and a gap at 1 is reflected only where the
+    bound of the rest leaves the gap's open."""
     shifts = count_calls(monkeypatch, [shape], "taylor_shift")
     bounds = count_calls(monkeypatch, [shape], "descartes_bound")
+    reflections = count_calls(monkeypatch, [shape], "reflect")
     for selector in families_large_digests():
         analyze_profile(family_profile(parse_family(selector)))
     assert len(shifts) <= 150
     assert len(bounds) <= 800
+    assert len(reflections) <= 10
 
 
 def test_root_multiplicity_mixed(monkeypatch):
