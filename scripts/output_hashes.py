@@ -20,7 +20,10 @@ every result of one group at one tolerance (1e-9, 1/7 and 1):
 * ``gap-pairs``: ``isolate_roots`` of seeded polynomials with a root at 0,
   at 1 or at both, a conjugate pair within 1/4 of each such end and
   planted roots elsewhere, so that the gap pulled in from the end has a
-  positive Descartes bound.
+  positive Descartes bound;
+* ``shape-checks``, one line with no tolerance: ``check_sparse_decrease``
+  and ``check_fixed_point_witness`` of every census graph and every sparse
+  graph above, each handed f' or f by keyword.
 
 The selectors and sparse graphs are read from ``perfbench/expected.json``,
 which is not written.
@@ -41,7 +44,13 @@ from relshape.census import generate_connected  # noqa: E402
 from relshape.cli import parse_family  # noqa: E402
 from relshape.connsets import count_connected_sets, family_profile  # noqa: E402
 from relshape.graphs import parse_graph6  # noqa: E402
-from relshape.shape import analyze_profile, isolate_roots  # noqa: E402
+from relshape.poly import derivative, from_profile  # noqa: E402
+from relshape.shape import (  # noqa: E402
+    analyze_profile,
+    check_fixed_point_witness,
+    check_sparse_decrease,
+    isolate_roots,
+)
 
 TOLS = (Fraction(1, 10**9), Fraction(1, 7), Fraction(1))
 PLANTED = 1000  # planted-root polynomials
@@ -84,16 +93,20 @@ def multiply(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def groups(max_order: int):
-    """(name, profiles or None, polynomials or None) per input group."""
+def groups(max_order: int, counted: list):
+    """(name, profiles or None, polynomials or None) per input group; the
+    (graph, profile) pairs of the census and sparse graphs go to ``counted``."""
     for n in range(2, max_order + 1):
-        profiles = {count_connected_sets(g) for g in generate_connected(n)}
-        yield f"census-order-{n}", sorted(profiles, key=lambda p: p.c), None
+        pairs = [(g, count_connected_sets(g)) for g in generate_connected(n)]
+        counted += pairs
+        yield f"census-order-{n}", sorted({p for _, p in pairs}, key=lambda p: p.c), None
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
     yield "families-large", [family_profile(parse_family(s))
                              for s in sorted(expected["families"])], None
-    yield "sparse-pool", [count_connected_sets(parse_graph6(t))
-                          for t in sorted(expected["sparse_pool"])], None
+    pairs = [(g, count_connected_sets(g))
+             for g in map(parse_graph6, sorted(expected["sparse_pool"]))]
+    counted += pairs
+    yield "sparse-pool", [p for _, p in pairs], None
     rng = random.Random(SEED)
     yield "planted-roots", None, [planted_polynomial(rng) for _ in range(PLANTED)]
     rng = random.Random(SEED + 1)
@@ -107,7 +120,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not 2 <= args.max_order <= 8:
         parser.error("--max-order must be in 2..8")
-    for name, profiles, polys in groups(args.max_order):
+    counted = []
+    for name, profiles, polys in groups(args.max_order, counted):
         for tol in TOLS:
             digest = hashlib.sha256()
             if profiles is not None:
@@ -119,6 +133,15 @@ def main(argv=None) -> int:
                     digest.update(repr(isolate_roots(coeffs, tol)).encode())
                 count = len(polys)
             print(f"{name} tol={tol} inputs={count} sha256={digest.hexdigest()}")
+    digest, polys = hashlib.sha256(), {}
+    for g, profile in counted:
+        if profile not in polys:
+            poly = from_profile(profile)
+            polys[profile] = poly, derivative(poly)
+        poly, f1 = polys[profile]
+        digest.update(repr(check_sparse_decrease(g, f1=f1)).encode())
+        digest.update(repr(check_fixed_point_witness(g, poly=poly)).encode())
+    print(f"shape-checks inputs={len(counted)} sha256={digest.hexdigest()}")
     return 0
 
 

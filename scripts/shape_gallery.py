@@ -16,18 +16,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from relshape.census import generate_trees
-from relshape.cli import fmt_dec
-from relshape.connsets import count_connected_sets, family_profile
-from relshape.graphs import FamilySpec, to_graph6
-from relshape.poly import from_profile, sample
+from relshape.cli import main as relshape, parse_family
+from relshape.graphs import make_family, to_graph6
 
 
-def write_curve(path: Path, coeffs, samples: int) -> None:
-    points = sample(coeffs, samples)
-    with open(path, "w", encoding="ascii") as out:
-        out.write("p,value\n")
-        for p, value in points:
-            out.write(f"{fmt_dec(p, 12)},{fmt_dec(value, 12)}\n")
+def write_curve(path: Path, selector: list[str], samples: int) -> None:
+    """``relshape plot`` of one graph into ``path``."""
+    if relshape(["plot", *selector, "--samples", str(samples), "--out", str(path)]):
+        raise SystemExit(f"plot {' '.join(selector)} failed")
 
 
 def main() -> int:
@@ -39,21 +35,17 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     showcase = {
-        "path6": FamilySpec("path", (6,)),
-        "clique9_with_leaf": FamilySpec("bonded-complete-leaf", (10,)),
-        "star20_plus_vertex": FamilySpec(
-            "disjoint-union",
-            parts=(FamilySpec("star", (20,)), FamilySpec("complete", (1,)))),
+        "path6": "path:6",
+        "clique9_with_leaf": "bonded-complete-leaf:10",
+        "star20_plus_vertex": "union(star:20,complete:1)",
     }
-    for name, spec in showcase.items():
-        poly = from_profile(family_profile(spec))
-        write_curve(out_dir / f"{name}.csv", poly.coeffs, args.samples)
-        print(f"{name}: degree {len(poly.coeffs) - 1} curve")
+    for name, selector in showcase.items():
+        write_curve(out_dir / f"{name}.csv", ["--family", selector], args.samples)
+        print(f"{name}: degree {make_family(parse_family(selector)).n} curve")
 
     for tree in generate_trees(7):
         tag = to_graph6(tree).replace("?", "0").replace("|", "I")
-        poly = from_profile(count_connected_sets(tree))
-        write_curve(out_dir / f"tree7_{tag}.csv", poly.coeffs, args.samples)
+        write_curve(out_dir / f"tree7_{tag}.csv", ["--graph6", to_graph6(tree)], args.samples)
     print(f"wrote {sum(1 for _ in generate_trees(7))} order-7 tree curves")
     print(f"output in {out_dir}/")
     return 0

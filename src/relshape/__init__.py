@@ -39,7 +39,6 @@ from .shape import (
     Interval,
     RootRecord,
     ShapeReport,
-    analyze,
     analyze_profile,
     check_fixed_point_witness,
     check_sparse_decrease,

@@ -181,8 +181,7 @@ def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) ->
     elif not is_connected(g):
         min_cut = 0
     elif g.n <= MIN_CUT_ORDER_CAP:
-        value = min_vertex_cut(g)
-        min_cut = "none" if value is None else value
+        min_cut = min_vertex_cut(g)
     else:
         min_cut = None  # search skipped at this order
 

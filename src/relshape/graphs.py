@@ -510,10 +510,8 @@ def min_vertex_cut(g: Graph) -> int | None:
             removed = 0
             for v in subset:
                 removed |= 1 << v
-            remaining = ((1 << g.n) - 1) & ~removed
-            if remaining and remaining.bit_count() >= 2:
-                if not mask_is_connected(g.adj, remaining):
-                    return size
+            if not mask_is_connected(g.adj, ((1 << g.n) - 1) & ~removed):
+                return size
     return None
 
 

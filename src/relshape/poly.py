@@ -54,18 +54,6 @@ def expand_c_form(c, n):
     return out
 
 
-def expand_mixed_form(coeffs_by_k, n, power_offset=0):
-    """Power-basis coefficients of sum_k e_k p^(k-1) (1-p)^(n-k-power_offset)
-    for ``coeffs_by_k`` mapping k -> e_k (k >= 1)."""
-    out = [0] * (n + 1)
-    for k, ek in coeffs_by_k.items():
-        if ek == 0:
-            continue
-        for j, b in enumerate(one_minus_p_power(n - k - power_offset)):
-            out[k - 1 + j] += ek * b
-    return poly_trim(out)
-
-
 @dataclass(frozen=True)
 class ReliabilityPoly:
     """Node-reliability polynomial in the power basis.
@@ -99,15 +87,14 @@ def from_profile(profile: ConnSetProfile) -> ReliabilityPoly:
 
 
 def derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
-    """Formal first derivative; cross-checked against the coefficient form
-    sum_k [k c_k - (n-k+1) c_{k-1}] p^(k-1) (1-p)^(n-k) when the source
-    profile is available."""
+    """Formal first derivative; cross-checked, when the source profile is
+    available, against the c-form of degree n-1 of e_k = k c_k - (n-k+1)
+    c_{k-1}: f' = sum_k e_k p^(k-1) (1-p)^(n-k)."""
     formal = tuple(diff_int(poly.coeffs))
     if poly.c_source is not None:
         n, c = poly.c_source.n, poly.c_source.c
-        ek = {k: k * c[k] - (n - k + 1) * c[k - 1] for k in range(1, n + 1)}
-        mixed = expand_mixed_form(ek, n)
-        if poly_trim(list(formal)) != poly_trim(mixed):
+        e = [k * c[k] - (n - k + 1) * c[k - 1] for k in range(1, n + 1)]
+        if poly_trim(formal) != poly_trim(expand_c_form(e, n - 1)):
             raise InternalCheckError("derivative coefficient form mismatch")
     return formal
 
@@ -147,14 +134,12 @@ def d_coefficients(profile: ConnSetProfile) -> DCoefficients:
 
 
 def second_derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
-    """Formal second derivative; cross-checked against the d-coefficient form
-    when the source profile is available."""
+    """Formal second derivative; cross-checked, when the source profile is
+    available, against the c-form of degree n-2 of d_1..d_{n-1}."""
     formal = tuple(diff_int(diff_int(poly.coeffs)))
     if poly.c_source is not None:
         d = d_coefficients(poly.c_source)
-        mixed = expand_mixed_form(
-            dict(enumerate(d.values, start=1)), poly.n, power_offset=1)
-        if poly_trim(list(formal)) != poly_trim(mixed):
+        if poly_trim(formal) != poly_trim(expand_c_form(d.values, poly.n - 2)):
             raise InternalCheckError("second-derivative coefficient form mismatch")
     return formal
 

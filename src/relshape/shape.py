@@ -20,6 +20,10 @@ Descartes transform; a cell is taken only when two exact signs at its ends
 confirm it.  The sparse-threshold optimizer is the only other use of
 floating point.
 
+The paper's two witness theorems are each one exact evaluation:
+``check_sparse_decrease`` takes f' and ``check_fixed_point_witness`` takes
+f, from a caller that already holds them; neither counts nor expands.
+
 Classification vocabulary (assigned from the exact report, never from
 samples):
 
@@ -40,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connsets import ConnSetProfile, count_connected_sets
+from .connsets import ConnSetProfile
 from .graphs import Graph, is_two_connected
 from .poly import (
     ReliabilityPoly,
@@ -446,10 +450,6 @@ class ShapeReport:
         return tuple(r for r in self.fixed_points if not r.sign_change)
 
 
-def analyze(g: Graph) -> ShapeReport:
-    return analyze_profile(count_connected_sets(g))
-
-
 def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
                     poly: ReliabilityPoly | None = None,
                     f1: tuple[int, ...] | None = None) -> ShapeReport:
@@ -561,18 +561,14 @@ class SparseDecreaseCheck:
         return self.deriv_value < 0
 
 
-def check_sparse_decrease(g: Graph, profile: ConnSetProfile | None = None,
-                          f1: tuple[int, ...] | None = None) -> SparseDecreaseCheck:
+def check_sparse_decrease(g: Graph, f1: tuple[int, ...]) -> SparseDecreaseCheck:
     """For graphs with m <= 0.0851 n^2 (and n >= 2), evaluate f' exactly at
     p = 1.729474372/n; sparseness guarantees a negative value there, hence an
-    interval of decrease.  ``f1``, when given, is that f'; otherwise it is
-    expanded from ``profile`` (counted when None)."""
+    interval of decrease.  ``f1`` is the power-basis f' of g."""
     n, m = g.n, g.m
     applicable = n >= 2 and m * SPARSE_THRESHOLD_DEN <= SPARSE_THRESHOLD_NUM * n * n
     if not applicable:
         return SparseDecreaseCheck(False, m, n, None, None)
-    if f1 is None:
-        f1 = derivative(from_profile(profile or count_connected_sets(g)))
     point = R_HAT / n
     value = eval_exact(f1, point)
     return SparseDecreaseCheck(True, m, n, point, value)
@@ -620,22 +616,18 @@ class FixedPointWitness:
         return self.value is not None and self.value < self.point
 
 
-def check_fixed_point_witness(g: Graph, profile: ConnSetProfile | None = None,
-                              poly: ReliabilityPoly | None = None) -> FixedPointWitness:
+def check_fixed_point_witness(g: Graph, poly: ReliabilityPoly) -> FixedPointWitness:
     """Compare f(1/D^2) with 1/D^2 for maximum degree D.
 
     For a 2-connected graph, f' is n at 0 and 0 at 1, so f starts and ends
     above the identity on (0,1); a value below 1/D^2 at p = 1/D^2 therefore
     certifies at least two interior fixed points.  The comparison is recorded
     either way (small graphs may fail it); edgeless graphs have no evaluation
-    point.  ``poly``, when given, is f; otherwise it is expanded from
-    ``profile`` (counted when None).
+    point.  ``poly`` is f, the reliability polynomial of g.
     """
     max_degree = max(g.degrees())
     if max_degree == 0:
         return FixedPointWitness(False, 0, None, None)
-    if poly is None:
-        poly = from_profile(profile or count_connected_sets(g))
     point = Fraction(1, max_degree * max_degree)
     value = eval_exact(poly, point)
     return FixedPointWitness(is_two_connected(g), max_degree, point, value)

@@ -307,7 +307,7 @@ def check_sparse_decrease_census(cache):
     applicable = bad = 0
     for g in sparse_decrease_graphs():
         profile = cache.profile(g)
-        chk = check_sparse_decrease(g, profile)
+        chk = check_sparse_decrease(g, derivative(from_profile(profile)))
         if not chk.applicable:
             continue
         applicable += 1
@@ -325,7 +325,7 @@ def check_sparse_decrease_instances(cache):
     for spec in cases:
         g = make_family(spec)
         profile = family_profile(spec)
-        chk = check_sparse_decrease(g, profile)
+        chk = check_sparse_decrease(g, derivative(from_profile(profile)))
         if not (chk.applicable and chk.deriv_value < 0 and cache.shape(profile).decreases):
             bad.append(spec.label())
     return CheckResult("sparse-decrease-instances", not bad,
@@ -401,7 +401,7 @@ def check_star_union_m_shape(cache):
 def check_cycle50_fixed_points(cache):
     profile = family_profile(FamilySpec("cycle", (50,)))
     g = make_family(FamilySpec("cycle", (50,)))
-    witness = check_fixed_point_witness(g, profile=profile)
+    witness = check_fixed_point_witness(g, from_profile(profile))
     fixed_points = cache.shape(profile).fixed_points
     ok = witness.applicable and witness.below and fixed_points >= 2
     return CheckResult("cycle50-fixed-points", ok,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from relshape.connsets import count_connected_sets, family_profile
 from relshape.graphs import FamilySpec, is_two_connected, make_family, min_vertex_cut
 from relshape.poly import (
+    ReliabilityPoly,
     d_coefficients,
     derivative,
     eval_exact,
@@ -21,6 +22,7 @@ from relshape.poly import (
 )
 from relshape.verification import closed_form, poly_add, poly_scale, poly_shift
 from relshape.census import generate_trees
+from relshape.sturm import InternalCheckError
 from strategies import graphs
 
 
@@ -95,13 +97,25 @@ def test_derivative_endpoints_from_profile(g):
     assert eval_exact(d1, 1) == n * c[n] - c[n - 1]
 
 
-def test_coefficient_form_cross_checks_run(graphs6):
+def test_coefficient_form_cross_checks_run(vcache):
     # derivative/second_derivative self-verify against the coefficient forms
     # whenever the source profile is attached
-    for g in graphs6:
-        poly = from_profile(count_connected_sets(g))
+    profiles = {vcache.profile(g) for n in range(2, 8) for g in vcache.graphs(n)}
+    assert len(profiles) == 588
+    for profile in profiles:
+        poly = from_profile(profile)
         derivative(poly)
         second_derivative(poly)
+
+
+@pytest.mark.parametrize("check", [derivative, second_derivative])
+def test_coefficient_form_cross_checks_catch_a_foreign_profile(check):
+    # star:4 has one connected 3-set more than path:4, so its coefficient
+    # forms differ from path:4's derivatives by those of p^3 (1-p)
+    path4 = from_profile(family_profile(fam("path", 4)))
+    foreign = ReliabilityPoly(4, path4.coeffs, family_profile(fam("star", 4)))
+    with pytest.raises(InternalCheckError, match="coefficient form mismatch"):
+        check(foreign)
 
 
 def test_star_second_derivative_formula():

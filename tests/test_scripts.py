@@ -30,9 +30,11 @@ def test_output_hashes_are_reproducible():
         assert proc.returncode == 0, proc.stderr
     lines = runs[0].stdout.splitlines()
     # census orders 2..5, families-large, sparse-pool, planted-roots, gap-pairs;
-    # three tols each
-    assert len(lines) == 24
+    # three tols each; then one shape-checks line
+    assert len(lines) == 25
     assert [line.split()[0] for line in lines[::3]] == [
         "census-order-2", "census-order-3", "census-order-4", "census-order-5",
-        "families-large", "sparse-pool", "planted-roots", "gap-pairs"]
+        "families-large", "sparse-pool", "planted-roots", "gap-pairs", "shape-checks"]
+    # the 30 connected graphs of orders 2..5 and the 200 sparse graphs
+    assert lines[-1].startswith("shape-checks inputs=230 ")
     assert runs[1].stdout == runs[0].stdout

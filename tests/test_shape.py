@@ -14,7 +14,6 @@ from relshape.poly import derivative, eval_exact, from_profile, second_derivativ
 from relshape.shape import (
     Interval,
     _decrease_intervals,
-    analyze,
     analyze_profile,
     check_fixed_point_witness,
     check_sparse_decrease,
@@ -30,6 +29,14 @@ TOLS = (Fraction(1, 10**9), Fraction(1, 7), Fraction(1, 2**40))
 
 def fam(kind, *params):
     return FamilySpec(kind, tuple(params))
+
+
+def poly_of(spec):
+    return from_profile(family_profile(spec))
+
+
+def f1_of(spec):
+    return derivative(poly_of(spec))
 
 
 # -- root isolation ----------------------------------------------------------------
@@ -364,7 +371,7 @@ def test_sturm_counts_match_grid_sign_changes(graphs6):
 # -- analyze -----------------------------------------------------------------------
 
 def test_path6_report():
-    report = analyze(make_family(fam("path", 6)))
+    report = analyze_profile(count_connected_sets(make_family(fam("path", 6))))
     assert report.shape_class == "N"
     assert len(report.decrease_intervals) == 1
     interval = report.decrease_intervals[0]
@@ -375,7 +382,7 @@ def test_path6_report():
 
 def test_complete_graphs_monotone_concave_down():
     for n in range(2, 8):
-        report = analyze(make_family(fam("complete", n)))
+        report = analyze_profile(count_connected_sets(make_family(fam("complete", n))))
         assert report.shape_class == "monotone-no-interior-fixed-point"
         assert not report.decrease_intervals
         assert not report.inflections
@@ -384,7 +391,7 @@ def test_complete_graphs_monotone_concave_down():
 
 
 def test_single_vertex_identity():
-    report = analyze(make_family(fam("complete", 1)))
+    report = analyze_profile(count_connected_sets(make_family(fam("complete", 1))))
     assert report.shape_class == "identity"
     assert report.deriv_at_0 == 1 and report.deriv_at_1 == 1
 
@@ -416,24 +423,25 @@ def test_empty_graph_decreases_to_one():
 
 def test_three_inflection_graph(fixtures_dir):
     g = parse_edge_list((fixtures_dir / "three_inflection_order7.edges").read_text())
-    report = analyze(g)
+    report = analyze_profile(count_connected_sets(g))
     assert len(report.inflections) == 3
 
 
 def test_balanced_bipartite_increasing():
     for n in range(2, 6):
-        report = analyze(make_family(fam("complete-bipartite", n, n)))
+        g = make_family(fam("complete-bipartite", n, n))
+        report = analyze_profile(count_connected_sets(g))
         assert not report.decrease_intervals
 
 
 def test_analyze_idempotent():
     g = make_family(fam("path", 6))
-    assert analyze(g) == analyze(g)
+    assert analyze_profile(count_connected_sets(g)) == analyze_profile(count_connected_sets(g))
 
 
 def test_decrease_intervals_well_formed(graphs6):
     for g in graphs6:
-        report = analyze(g)
+        report = analyze_profile(count_connected_sets(g))
         intervals = report.decrease_intervals
         for iv in intervals:
             assert 0 <= iv.lo < iv.hi <= 1
@@ -473,7 +481,7 @@ def test_decrease_intervals_flip_at_crossings_only(case, zero_roots):
 
 def test_concavity_flags_on_census(graphs6):
     for g in graphs6:
-        report = analyze(g)
+        report = analyze_profile(count_connected_sets(g))
         assert report.concave_down_near_0
         if is_two_connected(g):
             assert report.concavity_near_1 == -1
@@ -511,26 +519,26 @@ def test_threshold_function_endpoints():
 
 
 def test_sparse_decrease_cycle12():
-    check = check_sparse_decrease(make_family(fam("cycle", 12)))
+    check = check_sparse_decrease(make_family(fam("cycle", 12)), f1_of(fam("cycle", 12)))
     assert check.applicable       # 12 <= 0.0851 * 144
     assert check.deriv_value < 0
     assert check.decreasing_at_point
 
 
 def test_sparse_decrease_not_applicable():
-    assert not check_sparse_decrease(make_family(fam("path", 6))).applicable
-    assert not check_sparse_decrease(make_family(fam("complete", 6))).applicable
+    for spec in (fam("path", 6), fam("complete", 6)):
+        assert not check_sparse_decrease(make_family(spec), f1_of(spec)).applicable
 
 
 def test_sparse_threshold_is_exact_arithmetic():
     # boundary case: m * 10^4 == 851 * n^2 counts as applicable
-    check = check_sparse_decrease(make_family(fam("empty", 2)))
+    check = check_sparse_decrease(make_family(fam("empty", 2)), f1_of(fam("empty", 2)))
     assert check.applicable
 
 
 def test_fixed_point_witness_cycle50():
     profile = family_profile(fam("cycle", 50))
-    witness = check_fixed_point_witness(make_family(fam("cycle", 50)), profile=profile)
+    witness = check_fixed_point_witness(make_family(fam("cycle", 50)), from_profile(profile))
     assert witness.applicable and witness.max_degree == 2
     assert witness.point == Fraction(1, 4)
     assert witness.below
@@ -540,13 +548,12 @@ def test_fixed_point_witness_cycle50():
 
 
 def test_fixed_point_witness_small_cases_recorded():
-    w5 = check_fixed_point_witness(make_family(fam("cycle", 5)),
-                                   profile=family_profile(fam("cycle", 5)))
+    w5 = check_fixed_point_witness(make_family(fam("cycle", 5)), poly_of(fam("cycle", 5)))
     assert w5.applicable and not w5.below  # too small for the bound to bite
-    w4 = check_fixed_point_witness(make_family(fam("complete", 4)))
+    w4 = check_fixed_point_witness(make_family(fam("complete", 4)), poly_of(fam("complete", 4)))
     assert w4.applicable and w4.max_degree == 3 and w4.point == Fraction(1, 9)
 
 
 def test_fixed_point_witness_not_two_connected():
-    witness = check_fixed_point_witness(make_family(fam("path", 5)))
+    witness = check_fixed_point_witness(make_family(fam("path", 5)), poly_of(fam("path", 5)))
     assert not witness.applicable

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import count_calls
 from relshape import census, cli, connsets, shape, verification
+from relshape.connsets import count_connected_sets
 from relshape.graphs import is_connected
+from relshape.poly import derivative, from_profile
 from relshape.shape import check_sparse_decrease
 
 SWEEPS = [
@@ -64,6 +66,31 @@ def test_check_fails_on_tampered_shape_counts(field, name, monkeypatch):
     assert not result.passed, result.detail
 
 
+@pytest.mark.parametrize("name", ["sparse-decrease-census", "sparse-decrease-instances"])
+def test_sparse_decrease_check_fails_on_a_nonnegative_derivative(name, monkeypatch):
+    # -f' is positive wherever f' is negative
+    real = verification.check_sparse_decrease
+    monkeypatch.setattr(verification, "check_sparse_decrease",
+                        lambda g, f1: real(g, tuple(-c for c in f1)))
+    result = dict(verification.DEFAULT_CHECKS)[name](verification.CensusCache())
+    assert not result.passed, result.detail
+
+
+def test_cycle50_check_fails_when_f_is_not_below_one_quarter(monkeypatch):
+    # f(p) + p >= p on [0, 1], since f is a probability
+    real = verification.check_fixed_point_witness
+
+    def raised(g, poly):
+        coeffs = list(poly.coeffs)
+        coeffs[1] += 1
+        return real(g, tuple(coeffs))
+
+    monkeypatch.setattr(verification, "check_fixed_point_witness", raised)
+    result = verification.check_cycle50_fixed_points(verification.CensusCache())
+    assert not result.passed
+    assert result.detail.startswith("f(1/4) >= 1/4")
+
+
 def test_monte_carlo_check_fails_on_shifted_exact_values(monkeypatch):
     # 0.02 exceeds 4 standard errors, at most 4 sqrt(1/4 / 25000) = 0.0127
     exact = verification.eval_exact
@@ -98,7 +125,8 @@ def test_sparse_decrease_graphs_are_seeded_sparse_and_connected():
     assert graphs == verification.sparse_decrease_graphs()
     for g in graphs:
         assert is_connected(g)
-        assert check_sparse_decrease(g).applicable
+        f1 = derivative(from_profile(count_connected_sets(g)))
+        assert check_sparse_decrease(g, f1).applicable
 
 
 def test_sparse_decrease_census_counts_every_seeded_graph():
@@ -108,8 +136,7 @@ def test_sparse_decrease_census_counts_every_seeded_graph():
 
 
 def test_verify_counts_each_graph_once_and_analyzes_each_profile_once(monkeypatch):
-    counted = count_calls(monkeypatch, [connsets, census, shape, cli],
-                          "count_connected_sets")
+    counted = count_calls(monkeypatch, [connsets, census, cli], "count_connected_sets")
     analyzed = count_calls(monkeypatch, [shape, census, cli], "analyze_profile")
     results = verification.run_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
