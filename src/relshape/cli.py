@@ -164,17 +164,15 @@ def _root_doc(record) -> dict:
 
 def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) -> dict:
     profile = resolve_profile(g, spec)
-    poly = from_profile(profile)
-    try:  # the calls that run internal checks
-        f1 = derivative(poly)
-        report = analyze_profile(profile, tol, poly=poly, f1=f1)
-        sparse = check_sparse_decrease(g, f1=f1)
+    try:  # the call that runs internal checks
+        report = analyze_profile(profile, tol)
     except InternalCheckError as exc:
         raise InternalCheckError(f"graph {to_graph6(g)}: {exc}") from exc
     d = d_coefficients(profile)
     identities = check_coefficient_identities(g, profile)
     bounds = check_coefficient_bounds(profile)
-    witness = check_fixed_point_witness(g, poly=poly)
+    sparse = check_sparse_decrease(g, report.f1)
+    witness = check_fixed_point_witness(g, report.poly)
 
     if is_complete(g):
         min_cut = "none"
@@ -202,7 +200,7 @@ def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) ->
             "f": [fmt_exact(x) for x in f_coefficients(profile)],
             "d": [fmt_exact(x) for x in d.values],
         },
-        "polynomial": {"coeffs": [fmt_exact(x) for x in poly.coeffs]},
+        "polynomial": {"coeffs": [fmt_exact(x) for x in report.poly.coeffs]},
         "shape": {
             "class": report.shape_class,
             "deriv_at_0": fmt_exact(report.deriv_at_0),

@@ -401,8 +401,6 @@ def make_family(spec: FamilySpec) -> Graph:
         clique = (1 << n - 1) - 1
         adj = [clique ^ 1 << v for v in range(n - 1)] + [1]
         adj[0] |= 1 << n - 1
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
     return Graph(n, tuple(adj))
 
 

@@ -20,9 +20,11 @@ Descartes transform; a cell is taken only when two exact signs at its ends
 confirm it.  The sparse-threshold optimizer is the only other use of
 floating point.
 
-The paper's two witness theorems are each one exact evaluation:
-``check_sparse_decrease`` takes f' and ``check_fixed_point_witness`` takes
-f, from a caller that already holds them; neither counts nor expands.
+``analyze_profile`` is the one way into an analysis: it expands the
+profile once, and its report carries that f and f'.  The paper's two
+witness theorems are each one exact evaluation: ``check_sparse_decrease``
+takes f' and ``check_fixed_point_witness`` takes f, such as a report's;
+neither counts nor expands.
 
 Classification vocabulary (assigned from the exact report, never from
 samples):
@@ -41,7 +43,7 @@ reported but never counted as crossings or decrease boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .connsets import ConnSetProfile
@@ -429,6 +431,9 @@ def _newton(coeffs, sa: int, lo: float, hi: float, cell_width: float,
 
 @dataclass(frozen=True)
 class ShapeReport:
+    """The exact shape of one profile's reliability polynomial, with the
+    power-basis f and f' it was decided from (left out of the repr)."""
+
     n: int
     connected: bool
     deriv_at_0: int
@@ -440,6 +445,8 @@ class ShapeReport:
     concave_down_near_0: bool
     concavity_near_1: int
     shape_class: str
+    poly: ReliabilityPoly = field(repr=False)
+    f1: tuple[int, ...] = field(repr=False)
 
     @property
     def crossing_fixed_points(self) -> tuple[RootRecord, ...]:
@@ -450,19 +457,15 @@ class ShapeReport:
         return tuple(r for r in self.fixed_points if not r.sign_change)
 
 
-def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
-                    poly: ReliabilityPoly | None = None,
-                    f1: tuple[int, ...] | None = None) -> ShapeReport:
+def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> ShapeReport:
     """Full exact shape report for the reliability polynomial of a profile.
 
-    A caller that already holds ``from_profile(profile)`` or its
-    ``derivative`` passes them as ``poly`` and ``f1``; they are not
-    expanded again.
+    The profile is expanded here, once; the report carries that f and its
+    derivative f' as ``poly`` and ``f1`` for callers that evaluate them.
     """
     tol = _positive_tol(tol)
     n, c = profile.n, profile.c
-    if poly is None:
-        poly = from_profile(profile)
+    poly = from_profile(profile)
     deriv_at_0 = c[1]
     deriv_at_1 = n * c[n] - c[n - 1] if n >= 1 else 0
 
@@ -471,35 +474,26 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL,
     last = d.last_nonzero()
     concavity_near_1 = 0 if last is None else (1 if last[1] > 0 else -1)
 
-    if f1 is None:
-        f1 = derivative(poly)
+    f1 = derivative(poly)
     f2 = second_derivative(poly)
     shifted = list(poly.coeffs)
-    shifted[1] -= 1  # f(p) - p
-
-    if not any(shifted):
-        # single-vertex graph: the polynomial is the identity
-        return ShapeReport(
-            n=n, connected=profile.connected,
-            deriv_at_0=deriv_at_0, deriv_at_1=deriv_at_1,
-            decrease_intervals=(), critical_points=(), inflections=(),
-            fixed_points=(), concave_down_near_0=concave_down_near_0,
-            concavity_near_1=concavity_near_1, shape_class="identity")
+    shifted[1] -= 1  # f(p) - p, zero for the single-vertex graph
 
     critical = tuple(_isolate(f1, "f'", tol)) if any(f1) else ()
     decrease = _decrease_intervals(f1, critical)
     inflections = tuple(
         r for r in (_isolate(f2, "f''", tol) if any(f2) else ()) if r.sign_change)
-    fixed = tuple(_isolate(shifted, "f - p", tol))
+    fixed = tuple(_isolate(shifted, "f - p", tol)) if any(shifted) else ()
 
-    shape_class = _classify(poly, decrease, fixed)
+    shape_class = _classify(poly, decrease, fixed) if any(shifted) else "identity"
     return ShapeReport(
         n=n, connected=profile.connected,
         deriv_at_0=deriv_at_0, deriv_at_1=deriv_at_1,
         decrease_intervals=decrease, critical_points=critical,
         inflections=inflections, fixed_points=fixed,
         concave_down_near_0=concave_down_near_0,
-        concavity_near_1=concavity_near_1, shape_class=shape_class)
+        concavity_near_1=concavity_near_1, shape_class=shape_class,
+        poly=poly, f1=f1)
 
 
 def _isolate(coeffs, stage: str, tol: Fraction) -> list[RootRecord]:

@@ -100,6 +100,8 @@ def test_generator_order_range():
         list(generate_connected(1))
     with pytest.raises(ValueError):
         list(generate_connected(9))
+    with pytest.raises(ValueError):
+        list(generate_trees(11))
 
 
 def test_tree_counts():

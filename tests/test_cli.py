@@ -142,6 +142,26 @@ def test_analyze_large_family_uses_closed_profile(capsys):
     assert "fixed-point witness: f(1/4) < 1/4 (2-connected)" in out
 
 
+def test_analyze_nested_union(capsys):
+    code, out, _ = run_inproc(capsys, "analyze", "--family",
+                              "union(union(path:2,path:3),star:4)", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["input"]["family"] == "union(union(path:2,path:3),star:4)"
+    assert doc["input"]["n"] == 9
+    assert doc["input"]["min_vertex_cut"] == 0
+
+
+@pytest.mark.parametrize("selector, line", [
+    ("path:2", "    c3_wedges_minus_triangles: n/a"),
+    ("empty:3", "  fixed-point witness: not defined (edgeless graph)"),
+])
+def test_analyze_text_of_what_does_not_apply(selector, line, capsys):
+    code, out, _ = run_inproc(capsys, "analyze", "--family", selector)
+    assert code == 0
+    assert line in out.splitlines()
+
+
 def test_analyze_selector_required(capsys):
     code, _, err = run_inproc(capsys, "analyze")
     assert code == 2
@@ -282,6 +302,19 @@ def test_census_empty_file(tmp_path, capsys):
     code, out, _ = run_inproc(capsys, "census", "--input", str(path))
     assert code == 0
     assert "0 graphs" in out
+    code, out, _ = run_inproc(capsys, "census", "--input", str(path), "--json")
+    assert code == 0
+    assert out == '{"order": null, "total_connected": 0}\n'
+
+
+def test_census_input_skips_blank_lines(fixtures_dir, tmp_path, capsys):
+    lines = (fixtures_dir / "connected_order6.g6").read_text().splitlines()
+    path = tmp_path / "blank_lines.g6"
+    path.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+    code, out, _ = run_inproc(capsys, "census", "--input", str(path))
+    assert code == 0
+    assert "order 6 census: 112 graphs" in out
+    assert "decrease: 37/112" in out
 
 
 def test_census_corrupt_file(tmp_path, capsys):
@@ -392,10 +425,11 @@ def test_verify_fails_on_tampered_expectation(capsys, monkeypatch):
     from relshape import verification
 
     monkeypatch.setitem(verification.CENSUS_EXPECTED, 6,
-                        {"total": 112, "decrease": 38, "budget_s": 10.0})
+                        {"total": 112, "decrease": 38, "three_inflections": 0, "budget_s": 10.0})
     code, out, _ = run_inproc(capsys, "verify", "--only", "census-order-6")
     assert code == 1
     assert "FAIL" in out
+    assert "decrease 37 != 38" in out
 
 
 # -- global behaviour ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from relshape import connsets
 from relshape.connsets import (
     FRONTIER_MEMO_CAP,
     FRONTIER_MIN_ORDER,
+    BoundsReport,
     ConnSetProfile,
     check_coefficient_bounds,
     check_coefficient_identities,
@@ -340,6 +341,10 @@ def test_bounds_violation_reported():
     report = check_coefficient_bounds(ConnSetProfile(4, (0, 4, 6, 40, 1)))
     assert not report.passed
     assert report.first_violation is not None
+    # every consecutive bound holds, with equality at k = 2 and 3, but the
+    # general form fails: (3 - 1 + 1) c_3 = 18 > C(3, 2) c_1 = 12
+    report = check_coefficient_bounds(ConnSetProfile(4, (0, 4, 6, 6, 1)))
+    assert report == BoundsReport(False, (3, 1))
 
 
 def test_f_coefficients_reverse_profile():

@@ -1,5 +1,6 @@
 """Sweep checks must test something: each fails when no graph applies."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,64 @@ def test_monte_carlo_check_passes_with_no_success_on_a_small_value(monkeypatch):
     result = verification.check_monte_carlo(verification.CensusCache())
     assert result.passed, result.detail
     assert result.detail == "1 seeded runs within 4 standard errors"
+
+
+class TamperedCensus(verification.CensusCache):
+    """A cache whose summaries of one order have some fields replaced, or
+    whose elapsed time is replaced."""
+
+    def __init__(self, order, elapsed=None, **fields):
+        super().__init__()
+        self.order, self.elapsed, self.fields = order, elapsed, fields
+
+    def summary(self, n):
+        summary, elapsed = super().summary(n)
+        if n != self.order:
+            return summary, elapsed
+        return replace(summary, **self.fields), elapsed if self.elapsed is None else self.elapsed
+
+
+@pytest.mark.parametrize("n, cache, problem", [
+    (6, TamperedCensus(6, total_connected=111), "total 111 != 112"),
+    (6, TamperedCensus(6, inflection_histogram={3: 1}), "three-inflection count 1 != 0"),
+    (7, TamperedCensus(7, exemplars={"inflections=3": ("F??^w",)}),
+     "three-inflection exemplar ('F??^w',) != "),
+    (6, TamperedCensus(6, elapsed=10.0), "elapsed 10.0s over budget 10s"),
+], ids=["total", "three-inflections", "order-7-exemplar", "budget"])
+def test_census_check_fails_on_a_tampered_summary(n, cache, problem):
+    result = verification._census_check(cache, n)
+    assert not result.passed
+    assert result.detail.startswith(problem), result.detail
+
+
+def test_closed_form_check_fails_on_a_wrong_closed_form(monkeypatch):
+    real = verification.closed_form
+
+    def wrong(spec):
+        poly = real(spec)
+        if spec != verification.FamilySpec("star", (5,)):
+            return poly
+        # f(p) + p - p^2 is still 0 at 0 and keeps the value at 1
+        coeffs = list(poly.coeffs)
+        coeffs[1] += 1
+        coeffs[2] -= 1
+        return verification.ReliabilityPoly(poly.n, tuple(coeffs))
+
+    monkeypatch.setattr(verification, "closed_form", wrong)
+    result = verification.check_closed_form_equivalence(verification.CensusCache())
+    assert not result.passed
+    assert result.detail == "mismatch: star:5"
+
+
+def test_clique_leaf_check_fails_on_a_nonnegative_derivative(monkeypatch):
+    # -f' is positive wherever f' is negative
+    real = verification.derivative
+    monkeypatch.setattr(verification, "derivative",
+                        lambda poly: tuple(-c for c in real(poly)))
+    result = verification.check_clique_leaf_decreasing(verification.CensusCache())
+    assert not result.passed
+    assert result.detail == "nonnegative at n: " + ", ".join(map(str, range(7, 21)))
+
 
 def test_sparse_decrease_graphs_are_seeded_sparse_and_connected():
     graphs = verification.sparse_decrease_graphs()
