@@ -3,11 +3,11 @@
 from .census import CensusSummary, generate_connected, generate_trees, run_census, stream_graph6
 from .connsets import (
     ConnSetProfile,
-    check_coefficient_bounds,
     check_coefficient_identities,
     count_connected_sets,
     f_coefficients,
     family_profile,
+    first_bound_violation,
     first_sperner_violation,
     profile_disjoint_union,
 )
@@ -25,7 +25,6 @@ from .graphs import (
     to_graph6,
 )
 from .poly import (
-    DCoefficients,
     ReliabilityPoly,
     d_coefficients,
     derivative,

@@ -25,11 +25,11 @@ from fractions import Fraction
 
 from .census import census_document, generate_connected, run_census, stream_graph6
 from .connsets import (
-    check_coefficient_bounds,
     check_coefficient_identities,
     count_connected_sets,
     f_coefficients,
     family_profile,
+    first_bound_violation,
     first_sperner_violation,
 )
 from .graphs import (
@@ -168,9 +168,8 @@ def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) ->
         report = analyze_profile(profile, tol)
     except InternalCheckError as exc:
         raise InternalCheckError(f"graph {to_graph6(g)}: {exc}") from exc
-    d = d_coefficients(profile)
     identities = check_coefficient_identities(g, profile)
-    bounds = check_coefficient_bounds(profile)
+    violation = first_bound_violation(profile)
     sparse = check_sparse_decrease(g, report.f1)
     witness = check_fixed_point_witness(g, report.poly)
 
@@ -198,7 +197,7 @@ def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) ->
         "coefficients": {
             "c": [fmt_exact(x) for x in profile.c],
             "f": [fmt_exact(x) for x in f_coefficients(profile)],
-            "d": [fmt_exact(x) for x in d.values],
+            "d": [fmt_exact(x) for x in d_coefficients(profile)],
         },
         "polynomial": {"coeffs": [fmt_exact(x) for x in report.poly.coeffs]},
         "shape": {
@@ -217,7 +216,7 @@ def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) ->
         },
         "checks": {
             "coefficient_identities": {
-                "passed": identities.passed,
+                "passed": all(item.passed for item in identities),
                 "items": [
                     {
                         "label": item.label,
@@ -226,12 +225,12 @@ def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) ->
                         "rhs": None if item.rhs is None else fmt_exact(item.rhs),
                         "passed": item.passed,
                     }
-                    for item in identities.items
+                    for item in identities
                 ],
             },
             "coefficient_bounds": {
-                "passed": bounds.passed,
-                "first_violation": list(bounds.first_violation) if bounds.first_violation else None,
+                "passed": violation is None,
+                "first_violation": None if violation is None else list(violation),
             },
             "sperner_failure": first_sperner_violation(profile) is not None,
             "sparse_decrease": {
@@ -340,7 +339,7 @@ def cmd_coeffs(args) -> int:
     profile = resolve_profile(g, spec)
     f = f_coefficients(profile)
     d = d_coefficients(profile)
-    flagged = {item.label: item for item in check_coefficient_identities(g, profile).items}
+    flagged = {item.label: item for item in check_coefficient_identities(g, profile)}
     n = profile.n
     # the row each identity annotates; at n <= 2 the later keys n-1 and n win
     label_at = {0: "c0_zero", 1: "c1_order", 2: "c2_size", 3: "c3_wedges_minus_triangles",
@@ -351,7 +350,7 @@ def cmd_coeffs(args) -> int:
             "k": k,
             "c": fmt_exact(profile.c[k]),
             "f": fmt_exact(f[k]),
-            "d": fmt_exact(d.at(k)) if 1 <= k <= n - 1 else None,
+            "d": fmt_exact(d[k - 1]) if 1 <= k <= n - 1 else None,
             "note": _identity_note(flagged.get(label_at.get(k))),
         })
     if args.json:

@@ -21,8 +21,9 @@ from there on the frontier program runs when its state bound
 sparse graphs of order 16 and more go through the frontier program, while
 small and dense graphs (the censuses, trees, K_18, G(20, 1/2)) are
 enumerated.  ``family_profile`` gives the closed-form profile of every named
-family, and report-style checks verify the bounds and identities the counts
-are known to satisfy.
+family.  The coefficient checks return plain values: the identities the
+counts are known to satisfy as one item each, and the first violation of
+the growth bounds or of the Sperner bounds, or None.
 """
 
 from __future__ import annotations
@@ -364,21 +365,12 @@ class IdentityItem:
         return not self.applicable or self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class CoefficientIdentityReport:
-    items: tuple[IdentityItem, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-
-def check_coefficient_identities(g: Graph, profile: ConnSetProfile) -> CoefficientIdentityReport:
+def check_coefficient_identities(g: Graph, profile: ConnSetProfile) -> tuple[IdentityItem, ...]:
     """Verify the directly computable profile entries.
 
     c_0 = 0, c_1 = n, c_2 = m, c_3 = sum_v C(deg v, 2) - 2*triangles, and for
     connected graphs of order >= 2 also c_{n-1} = n - t (t = cut vertices)
-    and c_n = 1.  Report-only: each item carries both sides.
+    and c_n = 1.  Report-only: one item per identity, carrying both sides.
     """
     n, c = profile.n, profile.c
     connected = profile.connected
@@ -399,30 +391,25 @@ def check_coefficient_identities(g: Graph, profile: ConnSetProfile) -> Coefficie
     else:
         items.append(IdentityItem("penultimate_noncut", False, None, None))
         items.append(IdentityItem("full_set_connected", False, None, None))
-    return CoefficientIdentityReport(tuple(items))
+    return tuple(items)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    passed: bool
-    first_violation: tuple[int, int] | None  # (k, t); consecutive form has t = k-1
+def first_bound_violation(profile: ConnSetProfile) -> tuple[int, int] | None:
+    """First (k, t) at which the count growth bounds fail, or None.
 
-
-def check_coefficient_bounds(profile: ConnSetProfile) -> BoundsReport:
-    """Check the count growth bounds.
-
-    Consecutive form: 2*c_k <= (n-k+1)*c_{k-1} for k = 2..n.  General form:
-    (k-t+1)*c_k <= C(n-t, k-t)*c_t for 2 <= k <= n, 1 <= t < k.
+    Consecutive form, reported as (k, k-1): 2*c_k <= (n-k+1)*c_{k-1} for
+    k = 2..n.  General form, tried next: (k-t+1)*c_k <= C(n-t, k-t)*c_t for
+    2 <= k <= n, 1 <= t < k.
     """
     n, c = profile.n, profile.c
     for k in range(2, n + 1):
         if 2 * c[k] > (n - k + 1) * c[k - 1]:
-            return BoundsReport(False, (k, k - 1))
+            return k, k - 1
     for k in range(2, n + 1):
         for t in range(1, k):
             if (k - t + 1) * c[k] > comb(n - t, k - t) * c[t]:
-                return BoundsReport(False, (k, t))
-    return BoundsReport(True, None)
+                return k, t
+    return None
 
 
 def f_coefficients(profile: ConnSetProfile) -> tuple[int, ...]:

@@ -9,8 +9,8 @@ nonempty and induce a connected subgraph:
 with c_k the number of connected k-sets.  This module expands that c-form
 into the ordinary power basis exactly (integer coefficients) and provides
 exact differentiation and evaluation at rational points, the
-second-derivative coefficients d_k, and a seeded Monte Carlo estimator used
-as an end-to-end cross-check.
+second-derivative coefficients d_k as a plain tuple, and a seeded Monte
+Carlo estimator used as an end-to-end cross-check.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ def one_minus_p_power(k):
         row = _PASCAL_ROWS[-1]
         _PASCAL_ROWS.append((1, *(b - a for a, b in zip(row, row[1:])), -row[-1]))
     return _PASCAL_ROWS[k]
-
-
-def poly_trim(coeffs):
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def expand_c_form(c, n):
@@ -94,53 +87,29 @@ def derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
     if poly.c_source is not None:
         n, c = poly.c_source.n, poly.c_source.c
         e = [k * c[k] - (n - k + 1) * c[k - 1] for k in range(1, n + 1)]
-        if poly_trim(formal) != poly_trim(expand_c_form(e, n - 1)):
+        if list(formal) != expand_c_form(e, n - 1):
             raise InternalCheckError("derivative coefficient form mismatch")
     return formal
 
 
-@dataclass(frozen=True)
-class DCoefficients:
-    """Integers d_1..d_{n-1} with f''(p) = sum_k d_k p^(k-1) (1-p)^(n-k-1)."""
-
-    n: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != max(self.n - 1, 0):
-            raise ValueError("need n-1 second-derivative coefficients")
-
-    def at(self, k: int) -> int:
-        if not 1 <= k <= self.n - 1:
-            raise IndexError(f"k must be in 1..{self.n - 1}")
-        return self.values[k - 1]
-
-    def last_nonzero(self) -> tuple[int, int] | None:
-        """(k, d_k) for the largest k with d_k != 0, or None."""
-        for k in range(self.n - 1, 0, -1):
-            if self.values[k - 1]:
-                return k, self.values[k - 1]
-        return None
-
-
-def d_coefficients(profile: ConnSetProfile) -> DCoefficients:
-    """d_k = (k+1)k c_{k+1} - 2k(n-k) c_k + (n-k+1)(n-k) c_{k-1}."""
+def d_coefficients(profile: ConnSetProfile) -> tuple[int, ...]:
+    """d_1..d_{n-1}, with d_k at index k - 1, such that
+    f''(p) = sum_k d_k p^(k-1) (1-p)^(n-k-1):
+    d_k = (k+1)k c_{k+1} - 2k(n-k) c_k + (n-k+1)(n-k) c_{k-1}."""
     n, c = profile.n, profile.c
-    values = tuple(
+    return tuple(
         (k + 1) * k * c[k + 1] - 2 * k * (n - k) * c[k] + (n - k + 1) * (n - k) * c[k - 1]
         for k in range(1, n)
     )
-    return DCoefficients(n, values)
 
 
 def second_derivative(poly: ReliabilityPoly) -> tuple[int, ...]:
     """Formal second derivative; cross-checked, when the source profile is
     available, against the c-form of degree n-2 of d_1..d_{n-1}."""
     formal = tuple(diff_int(diff_int(poly.coeffs)))
-    if poly.c_source is not None:
-        d = d_coefficients(poly.c_source)
-        if poly_trim(formal) != poly_trim(expand_c_form(d.values, poly.n - 2)):
-            raise InternalCheckError("second-derivative coefficient form mismatch")
+    if (poly.c_source is not None
+            and list(formal) != expand_c_form(d_coefficients(poly.c_source), poly.n - 2)):
+        raise InternalCheckError("second-derivative coefficient form mismatch")
     return formal
 
 

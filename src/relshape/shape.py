@@ -452,10 +452,6 @@ class ShapeReport:
     def crossing_fixed_points(self) -> tuple[RootRecord, ...]:
         return tuple(r for r in self.fixed_points if r.sign_change)
 
-    @property
-    def tangential_fixed_points(self) -> tuple[RootRecord, ...]:
-        return tuple(r for r in self.fixed_points if not r.sign_change)
-
 
 def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> ShapeReport:
     """Full exact shape report for the reliability polynomial of a profile.
@@ -470,9 +466,9 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> Sha
     deriv_at_1 = n * c[n] - c[n - 1] if n >= 1 else 0
 
     d = d_coefficients(profile)
-    concave_down_near_0 = n >= 2 and d.at(1) < 0
-    last = d.last_nonzero()
-    concavity_near_1 = 0 if last is None else (1 if last[1] > 0 else -1)
+    concave_down_near_0 = n >= 2 and d[0] < 0
+    last = next((x for x in reversed(d) if x), 0)
+    concavity_near_1 = (last > 0) - (last < 0)
 
     f1 = derivative(poly)
     f2 = second_derivative(poly)

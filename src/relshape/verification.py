@@ -3,8 +3,8 @@
 Each check pins one quantitative claim the package is built around: exact
 census counts, decrease-interval endpoints, threshold constants, coefficient
 identities and bounds, family closed forms, shape theorems on their witness
-families, and a seeded Monte Carlo cross-check.  A sweep fails when no graph
-applies, so no check passes vacuously.  Checks are pure functions of one
+families, and a seeded Monte Carlo cross-check.  A check fails when no graph
+or case applies, so none passes vacuously.  Checks are pure functions of one
 shared ``census.CensusCache``, so the CLI and the acceptance test suite run
 exactly the same code, and a run counts each graph and analyzes each
 distinct profile once.
@@ -19,9 +19,9 @@ from math import sqrt
 
 from .census import CensusCache, generate_trees
 from .connsets import (
-    check_coefficient_bounds,
     check_coefficient_identities,
     family_profile,
+    first_bound_violation,
     first_sperner_violation,
 )
 from .graphs import (
@@ -205,15 +205,11 @@ def _closed_form_specs():
 
 
 def check_closed_form_equivalence(cache):
-    bad = []
-    for spec in _closed_form_specs():
-        direct = closed_form(spec)
-        counted = from_profile(cache.profile(make_family(spec)))
-        if direct.coeffs != counted.coeffs:
-            bad.append(spec.label())
-    return CheckResult("closed-form-equivalence", not bad,
-                       f"{len(_closed_form_specs())} family instances coefficient-exact"
-                       if not bad else f"mismatch: {', '.join(bad)}")
+    return _cases("closed-form-equivalence",
+                  [(spec.label(), closed_form(spec).coeffs
+                    == from_profile(cache.profile(make_family(spec))).coeffs)
+                   for spec in _closed_form_specs()],
+                  "{total} family instances coefficient-exact", "mismatch: ")
 
 
 def _census_graphs(cache) -> list[Graph]:
@@ -228,21 +224,31 @@ def _sweep(name: str, graphs, holds, detail: str) -> CheckResult:
                        detail.format(total=len(graphs), bad=bad))
 
 
+def _cases(name: str, cases, passed: str, failed: str) -> CheckResult:
+    """Check labelled (label, holds) cases; fails when one does not hold or
+    there is none, with ``failed`` followed by the failing labels."""
+    bad = [label for label, holds in cases if not holds]
+    ok = bool(cases) and not bad
+    return CheckResult(name, ok, passed.format(total=len(cases)) if ok
+                       else failed + ", ".join(bad))
+
+
 def check_coefficient_identities_sweep(cache):
     return _sweep("coefficient-identities-sweep", _census_graphs(cache),
-                  lambda g: check_coefficient_identities(g, cache.profile(g)).passed,
+                  lambda g: all(item.passed
+                                for item in check_coefficient_identities(g, cache.profile(g))),
                   "{total} census graphs orders 2..7, {bad} failures")
 
 
 def check_coefficient_bounds_sweep(cache):
     return _sweep("coefficient-bounds-sweep", _census_graphs(cache),
-                  lambda g: check_coefficient_bounds(cache.profile(g)).passed,
+                  lambda g: first_bound_violation(cache.profile(g)) is None,
                   "{total} census graphs orders 2..7, {bad} failures")
 
 
 def check_early_concavity_sweep(cache):
     return _sweep("early-concavity-sweep", _census_graphs(cache),
-                  lambda g: d_coefficients(cache.profile(g)).at(1) <= -g.n * (g.n - 1),
+                  lambda g: d_coefficients(cache.profile(g))[0] <= -g.n * (g.n - 1),
                   "d_1 <= -n(n-1) on {total} census graphs, {bad} failures")
 
 
@@ -299,44 +305,33 @@ def sparse_decrease_graphs() -> list[Graph]:
 
 
 def check_sparse_decrease_census(cache):
-    applicable = bad = 0
-    for g in sparse_decrease_graphs():
-        profile = cache.profile(g)
-        chk = check_sparse_decrease(g, derivative(from_profile(profile)))
-        if not chk.applicable:
-            continue
-        applicable += 1
-        if chk.deriv_value >= 0 or not cache.shape(profile, g).decreases:
-            bad += 1
-    return CheckResult("sparse-decrease-census", applicable > 0 and bad == 0,
-                       f"{applicable} seeded sparse graphs of orders 11..24 under the "
-                       f"density threshold, {bad} failures")
+    checks = {g: check_sparse_decrease(g, derivative(from_profile(cache.profile(g))))
+              for g in sparse_decrease_graphs()}
+    return _sweep("sparse-decrease-census", [g for g, chk in checks.items() if chk.applicable],
+                  lambda g: (checks[g].deriv_value < 0
+                             and cache.shape(cache.profile(g), g).decreases),
+                  "{total} seeded sparse graphs of orders 11..24 under the density threshold, "
+                  "{bad} failures")
 
 
 def check_sparse_decrease_instances(cache):
-    bad = []
-    cases = ([FamilySpec("cycle", (n,)) for n in range(12, 17)]
-             + [FamilySpec("path", (n,)) for n in range(11, 17)])
-    for spec in cases:
-        g = make_family(spec)
+    def holds(spec):
         profile = family_profile(spec)
-        chk = check_sparse_decrease(g, derivative(from_profile(profile)))
-        if not (chk.applicable and chk.deriv_value < 0 and cache.shape(profile).decreases):
-            bad.append(spec.label())
-    return CheckResult("sparse-decrease-instances", not bad,
-                       f"{len(cases)} sparse family instances decrease"
-                       if not bad else f"failed: {', '.join(bad)}")
+        chk = check_sparse_decrease(make_family(spec), derivative(from_profile(profile)))
+        return chk.applicable and chk.deriv_value < 0 and cache.shape(profile).decreases
+
+    specs = ([FamilySpec("cycle", (n,)) for n in range(12, 17)]
+             + [FamilySpec("path", (n,)) for n in range(11, 17)])
+    return _cases("sparse-decrease-instances", [(spec.label(), holds(spec)) for spec in specs],
+                  "{total} sparse family instances decrease", "failed: ")
 
 
 def check_sparse_two_inflections(cache):
-    bad = []
-    for n in range(12, 17):
-        spec = FamilySpec("cycle", (n,))
-        if cache.shape(family_profile(spec)).inflections < 2:
-            bad.append(spec.label())
-    return CheckResult("sparse-two-inflection-instances", not bad,
-                       "sparse 2-connected cycles n=12..16 all have >= 2 inflections"
-                       if not bad else f"failed: {', '.join(bad)}")
+    specs = [FamilySpec("cycle", (n,)) for n in range(12, 17)]
+    return _cases("sparse-two-inflection-instances",
+                  [(spec.label(), cache.shape(family_profile(spec)).inflections >= 2)
+                   for spec in specs],
+                  "sparse 2-connected cycles n=12..16 all have >= 2 inflections", "failed: ")
 
 
 def check_tree_inflections(cache):
@@ -354,43 +349,37 @@ def check_two_cut_fixed_point(cache):
 
 
 def check_clique_leaf_decreasing(cache):
-    bad = []
-    for n in range(7, 21):
-        value = eval_exact(derivative(closed_form(FamilySpec("bonded-complete-leaf", (n,)))),
-                           Fraction(2, 5))
-        if value >= 0:
-            bad.append(str(n))
-    return CheckResult("clique-leaf-decreasing-at-2-5", not bad,
-                       "f'(2/5) < 0 exactly for orders 7..20"
-                       if not bad else f"nonnegative at n: {', '.join(bad)}")
+    def holds(n):
+        f1 = derivative(closed_form(FamilySpec("bonded-complete-leaf", (n,))))
+        return eval_exact(f1, Fraction(2, 5)) < 0
+
+    return _cases("clique-leaf-decreasing-at-2-5", [(str(n), holds(n)) for n in range(7, 21)],
+                  "f'(2/5) < 0 exactly for orders 7..20", "nonnegative at n: ")
 
 
 def check_star_single_inflection(cache):
     """Each star has one inflection, and f'' changes sign within
     ``DEFAULT_TOL`` of 2/n, so that is where it lies."""
-    bad = []
-    for n in range(4, 21):
+    def holds(n):
         profile = family_profile(FamilySpec("star", (n,)))
         target = Fraction(2, n)
         below, above = _signs(second_derivative(from_profile(profile)),
                               (target - DEFAULT_TOL, target + DEFAULT_TOL))
-        if cache.shape(profile).inflections != 1 or below * above >= 0:
-            bad.append(str(n))
-    return CheckResult("star-single-inflection", not bad,
-                       "stars n=4..20 have exactly one inflection bracketing 2/n"
-                       if not bad else f"failed at n: {', '.join(bad)}")
+        return cache.shape(profile).inflections == 1 and below * above < 0
+
+    return _cases("star-single-inflection", [(str(n), holds(n)) for n in range(4, 21)],
+                  "stars n=4..20 have exactly one inflection bracketing 2/n", "failed at n: ")
 
 
 def check_star_union_m_shape(cache):
-    bad = []
-    for n in range(12, 21):
+    def holds(n):
         shape = cache.shape(family_profile(FamilySpec(
             "disjoint-union", parts=(FamilySpec("star", (n,)), FamilySpec("complete", (1,))))))
-        if shape.decreases != 2 or shape.shape_class != "M":
-            bad.append(str(n))
-    return CheckResult("star-union-m-shape", not bad,
-                       "star plus isolated vertex has exactly two decrease intervals, n=12..20"
-                       if not bad else f"failed at n: {', '.join(bad)}")
+        return shape.decreases == 2 and shape.shape_class == "M"
+
+    return _cases("star-union-m-shape", [(str(n), holds(n)) for n in range(12, 21)],
+                  "star plus isolated vertex has exactly two decrease intervals, n=12..20",
+                  "failed at n: ")
 
 
 def check_cycle50_fixed_points(cache):
@@ -433,19 +422,19 @@ MONTE_CARLO_CASES = [
 
 
 def check_monte_carlo(cache):
-    bad = []
-    for spec, p, seed in MONTE_CARLO_CASES:
+    def holds(spec, p, seed):
         g = make_family(spec)
         exact = float(eval_exact(from_profile(cache.profile(g)), Fraction(p)))
         est = monte_carlo_estimate(g, p, MONTE_CARLO_TRIALS, seed)
         # the standard error of the exact value, not of the estimate: the
         # estimate's own error is 0 when no trial (or every trial) succeeds
         stderr = sqrt(exact * (1.0 - exact) / MONTE_CARLO_TRIALS)
-        if abs(est.mean - exact) > 4.0 * stderr + 1e-12:
-            bad.append(f"{spec.label()}@p={p}")
-    return CheckResult("monte-carlo-crosscheck", not bad,
-                       f"{len(MONTE_CARLO_CASES)} seeded runs within 4 standard errors"
-                       if not bad else f"outliers: {', '.join(bad)}")
+        return abs(est.mean - exact) <= 4.0 * stderr + 1e-12
+
+    return _cases("monte-carlo-crosscheck",
+                  [(f"{spec.label()}@p={p}", holds(spec, p, seed))
+                   for spec, p, seed in MONTE_CARLO_CASES],
+                  "{total} seeded runs within 4 standard errors", "outliers: ")
 
 
 DEFAULT_CHECKS = [

@@ -15,11 +15,16 @@ from relshape import verification
 BOUND = [
     ("census", "generate_connected"),
     ("census", "run_census"),
+    ("cli", "build_analysis_document"),
     ("cli", "main"),
     ("connsets", "count_connected_sets"),
     ("graphs", "graph_from_edges"),
     ("graphs", "is_connected"),
     ("graphs", "to_graph6"),
+    ("poly", "derivative"),
+    ("poly", "second_derivative"),
+    ("shape", "analyze_profile"),
+    ("sturm", "sign_at"),
     # tracer hook targets
     ("sturm", "square_free_part"),
     ("poly", "from_profile"),

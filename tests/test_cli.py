@@ -176,6 +176,16 @@ def test_analyze_bad_inputs(capsys):
     assert run_inproc(capsys, "analyze", "--family", "complete:80")[0] == 2
 
 
+@pytest.mark.parametrize("selector, message", [
+    ("union(path:3,path:3,path:3)", "union takes two members, got 3"),
+    ("path6", "family selector 'path6' needs kind:params"),
+], ids=["three-members", "no-colon"])
+def test_analyze_bad_selector_named(capsys, selector, message):
+    code, _, err = run_inproc(capsys, "analyze", "--family", selector)
+    assert code == 2
+    assert message in err
+
+
 def test_analyze_enumeration_cap_named(capsys):
     code, _, err = run_inproc(capsys, "analyze", "--graph6", "~")
     assert code == 2

@@ -9,9 +9,7 @@ from relshape import connsets
 from relshape.connsets import (
     FRONTIER_MEMO_CAP,
     FRONTIER_MIN_ORDER,
-    BoundsReport,
     ConnSetProfile,
-    check_coefficient_bounds,
     check_coefficient_identities,
     clear_frontier_memo,
     count_connected_sets,
@@ -20,6 +18,7 @@ from relshape.connsets import (
     frontier_memo_size,
     frontier_order,
     frontier_plan,
+    first_bound_violation,
     first_sperner_violation,
     family_profile,
     profile_disjoint_union,
@@ -231,7 +230,7 @@ def test_grid_profile_by_frontier_program():
     # c_3 = wedges (4*1 + 12*3 + 9*6), c_24 = n - 0 cut vertices
     assert profile.c[:4] == (0, 25, 40, 94)
     assert profile.c[-2:] == (25, 1)
-    assert check_coefficient_identities(g, profile).passed
+    assert all(item.passed for item in check_coefficient_identities(g, profile))
 
 
 def test_frontier_memo_cold_and_warm():
@@ -263,7 +262,7 @@ def test_frontier_memo_stops_at_its_cap(monkeypatch):
     profile = count_connected_sets(g)
     assert frontier_memo_size() == FRONTIER_MEMO_CAP
     assert sum(profile.c) == 12834219
-    assert check_coefficient_identities(g, profile).passed
+    assert all(item.passed for item in check_coefficient_identities(g, profile))
     count_connected_sets(grid(4, 4))
     assert 0 < frontier_memo_size() < FRONTIER_MEMO_CAP
     # with no room at all every transition is worked out afresh
@@ -287,44 +286,44 @@ def test_frontier_memo_cap_keeps_wide_grid_profile(monkeypatch, cap):
     assert all(p == profiles[0] for p in profiles)
     assert sum(profiles[0].c) == 45280509
     assert profiles[0].c[:4] == (0, 30, 49, 118)
-    assert check_coefficient_identities(g, profiles[0]).passed
+    assert all(item.passed for item in check_coefficient_identities(g, profiles[0]))
 
 
 # -- report checks ---------------------------------------------------------------
 
 def test_identities_k4():
     g = make_family(fam("complete", 4))
-    report = check_coefficient_identities(g, count_connected_sets(g))
-    assert report.passed
-    c3 = next(i for i in report.items if i.label == "c3_wedges_minus_triangles")
+    items = check_coefficient_identities(g, count_connected_sets(g))
+    assert all(i.passed for i in items)
+    c3 = next(i for i in items if i.label == "c3_wedges_minus_triangles")
     assert c3.lhs == c3.rhs == 4  # 4*C(3,2) - 2*4
 
 
 def test_identities_p6_penultimate():
     g = make_family(fam("path", 6))
-    report = check_coefficient_identities(g, count_connected_sets(g))
-    item = next(i for i in report.items if i.label == "penultimate_noncut")
+    items = check_coefficient_identities(g, count_connected_sets(g))
+    item = next(i for i in items if i.label == "penultimate_noncut")
     assert item.lhs == item.rhs == 2  # n - t = 6 - 4
 
 
 def test_identities_not_applicable_when_disconnected():
     g = make_family(fam("empty", 4))
-    report = check_coefficient_identities(g, count_connected_sets(g))
-    labels = {i.label: i for i in report.items}
+    items = check_coefficient_identities(g, count_connected_sets(g))
+    labels = {i.label: i for i in items}
     assert not labels["penultimate_noncut"].applicable
     assert not labels["full_set_connected"].applicable
-    assert report.passed
+    assert all(i.passed for i in items)
 
 
 def test_identities_detect_corruption():
     g = make_family(fam("path", 4))
-    report = check_coefficient_identities(g, ConnSetProfile(4, (0, 4, 9, 2, 1)))
-    assert not report.passed
+    items = check_coefficient_identities(g, ConnSetProfile(4, (0, 4, 9, 2, 1)))
+    assert not all(i.passed for i in items)
 
 
 def test_bounds_pass_on_small_census(graphs6):
     for g in graphs6:
-        assert check_coefficient_bounds(count_connected_sets(g)).passed
+        assert first_bound_violation(count_connected_sets(g)) is None
 
 
 def test_bounds_complete_equality_pattern():
@@ -334,17 +333,15 @@ def test_bounds_complete_equality_pattern():
     assert 2 * c[2] == (n - 1) * c[1]
     for k in range(3, n + 1):
         assert 2 * c[k] < (n - k + 1) * c[k - 1]
-    assert check_coefficient_bounds(profile).passed
+    assert first_bound_violation(profile) is None
 
 
 def test_bounds_violation_reported():
-    report = check_coefficient_bounds(ConnSetProfile(4, (0, 4, 6, 40, 1)))
-    assert not report.passed
-    assert report.first_violation is not None
+    # 2 c_3 = 80 > (4 - 3 + 1) c_2 = 12
+    assert first_bound_violation(ConnSetProfile(4, (0, 4, 6, 40, 1))) == (3, 2)
     # every consecutive bound holds, with equality at k = 2 and 3, but the
     # general form fails: (3 - 1 + 1) c_3 = 18 > C(3, 2) c_1 = 12
-    report = check_coefficient_bounds(ConnSetProfile(4, (0, 4, 6, 6, 1)))
-    assert report == BoundsReport(False, (3, 1))
+    assert first_bound_violation(ConnSetProfile(4, (0, 4, 6, 6, 1))) == (3, 1)
 
 
 def test_f_coefficients_reverse_profile():

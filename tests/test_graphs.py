@@ -19,6 +19,7 @@ from relshape.graphs import (
     canonical_form,
     canonical_graph,
     cut_vertices,
+    disjoint_union,
     graph_from_edges,
     is_connected,
     is_two_connected,
@@ -565,6 +566,25 @@ def test_parse_graph6_equals_its_oracle(g, data):
 def test_invalid_adjacency_messages(adj, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Graph(len(adj), adj)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Graph(0, ()), "graph order must be in 1..62, got 0"),
+    (lambda: Graph(2, (0,)), "adjacency length does not match order"),
+    (lambda: graph_from_edges(3, [(0, 1), (2, 2)]), "loop at vertex 2"),
+    (lambda: disjoint_union(Graph(31, (0,) * 31), Graph(32, (0,) * 32)),
+     "union order 63 exceeds 62"),
+    (lambda: parse_graph6(">>graph6<<\n"), "empty graph6 string"),
+    (lambda: parse_edge_list("six 0 1"), "order token 'six' is not an integer"),
+    (lambda: FamilySpec("disjoint-union", (2,), (FamilySpec("path", (2,)),) * 2),
+     "disjoint-union takes exactly two sub-specs"),
+    (lambda: FamilySpec("path", (4,), (FamilySpec("path", (2,)),)), "path takes no sub-specs"),
+], ids=["order", "length", "loop", "union-order", "empty-graph6", "edge-list-order",
+        "union-params", "sub-specs"])
+def test_invalid_input_messages(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert str(raised.value) == message
 
 
 def test_graph6_of_census_classes_and_trees_equals_the_oracle(vcache):

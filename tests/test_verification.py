@@ -168,6 +168,17 @@ def test_closed_form_check_fails_on_a_wrong_closed_form(monkeypatch):
     assert result.detail == "mismatch: star:5"
 
 
+def test_closed_form_rejects_a_kind_without_one():
+    with pytest.raises(ValueError) as raised:
+        verification.closed_form(verification.FamilySpec("path", (5,)))
+    assert str(raised.value) == "no closed form for family kind 'path'"
+
+
+def test_cases_check_fails_with_no_case():
+    result = verification._cases("x", [], "{total} cases hold", "failed: ")
+    assert result == verification.CheckResult("x", False, "failed: ")
+
+
 def test_clique_leaf_check_fails_on_a_nonnegative_derivative(monkeypatch):
     # -f' is positive wherever f' is negative
     real = verification.derivative
@@ -176,6 +187,47 @@ def test_clique_leaf_check_fails_on_a_nonnegative_derivative(monkeypatch):
     result = verification.check_clique_leaf_decreasing(verification.CensusCache())
     assert not result.passed
     assert result.detail == "nonnegative at n: " + ", ".join(map(str, range(7, 21)))
+
+
+class RaisedC2Census(verification.CensusCache):
+    """A cache whose profiles count one connected 2-set too many."""
+
+    def profile(self, g):
+        profile = super().profile(g)
+        c = list(profile.c)
+        c[2] += 1
+        return connsets.ConnSetProfile(profile.n, tuple(c))
+
+
+@pytest.mark.parametrize("check, failures", [
+    (verification.check_coefficient_identities_sweep, 995),
+    (verification.check_coefficient_bounds_sweep, 6),
+    (verification.check_early_concavity_sweep, 6),
+    (verification.check_sperner_sweep, 10),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_coefficient_sweep_fails_on_a_raised_c2(check, failures):
+    result = check(RaisedC2Census())
+    assert not result.passed
+    assert result.detail.endswith(f", {failures} failures"), result.detail
+
+
+def test_endpoint_derivative_sweep_fails_on_a_negated_derivative(monkeypatch):
+    # a raised c_2 cannot serve here: f(1) = 2 is not a reliability value
+    real = verification.derivative
+    monkeypatch.setattr(verification, "derivative",
+                        lambda poly: tuple(-c for c in real(poly)))
+    result = verification.check_endpoint_derivative_sweep(verification.CensusCache())
+    assert not result.passed
+    assert result.detail.endswith(", 995 failures"), result.detail
+
+
+def test_threshold_check_fails_on_a_wrong_argmax(monkeypatch):
+    real = verification.maximize_threshold_constant
+    monkeypatch.setattr(verification, "maximize_threshold_constant",
+                        lambda: (1.8, real()[1]))
+    result = verification.check_threshold_constants(verification.CensusCache())
+    assert not result.passed
+    assert result.detail.startswith("argmax 1.8000000000, maximum 0.0851046444"), result.detail
 
 
 def test_sparse_decrease_graphs_are_seeded_sparse_and_connected():
