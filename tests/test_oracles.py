@@ -1,0 +1,193 @@
+"""Independent oracles from installed packages: sympy for the reported root
+brackets, networkx for graph generation and vertex cuts.
+
+Every other oracle in ``tests/`` was written in this repository; these two
+share no code with the package.  sympy counts the real roots of each
+square-free factor exactly (``Poly.sqf_list`` and ``count_roots``, which
+counts a closed interval), so a bracket, its crossing flag and the number
+of brackets are checked against the factorization rather than against the
+isolation that produced them.
+"""
+
+import functools
+from fractions import Fraction
+
+import networkx as nx
+import pytest
+import sympy
+
+from relshape import shape
+from relshape.census import generate_trees
+from relshape.connsets import count_connected_sets
+from relshape.graphs import (
+    canonical_graph,
+    graph_from_edges,
+    is_complete,
+    min_vertex_cut,
+    parse_edge_list,
+    to_graph6,
+)
+from relshape.poly import second_derivative
+from relshape.shape import DEFAULT_TOL, RootRecord, analyze_profile
+
+X = sympy.Symbol("x")
+
+
+# -- sympy: the brackets of a shape report -----------------------------------------
+
+@functools.cache
+def square_free_factors(coeffs: tuple[int, ...]):
+    """sympy's square-free factors, with multiplicity, of the nonzero
+    polynomial with these coefficients (lowest degree first).  The oracle
+    is pure, so its counts are cached for the controls that rerun it."""
+    return sympy.Poly(list(reversed(coeffs)), X).sqf_list()[1]
+
+
+@functools.cache
+def held_roots(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[int, ...]:
+    """The multiplicity of each distinct root in the closed [lo, hi]."""
+    return tuple(m for f, m in square_free_factors(coeffs) for _ in range(f.count_roots(lo, hi)))
+
+
+@functools.cache
+def interior_roots(coeffs: tuple[int, ...], odd_only: bool) -> int:
+    """The distinct roots in (0, 1), or those of odd multiplicity."""
+    return sum(f.count_roots(0, 1) - (f.eval(0) == 0) - (f.eval(1) == 0)
+               for f, m in square_free_factors(coeffs) if m % 2 or not odd_only)
+
+
+def bracket_faults(coeffs, records, tol, odd_only=False) -> list[str]:
+    """What is wrong with ``records`` as the brackets of the distinct roots
+    in (0, 1) of the polynomial with these coefficients (lowest degree
+    first), or of its odd-multiplicity roots with ``odd_only``: each bracket
+    must be no wider than ``tol`` and hold exactly one distinct root, its
+    ``sign_change`` must say that root has odd multiplicity, and there must
+    be one bracket per root."""
+    if not any(coeffs):
+        return [f"{len(records)} brackets of the zero polynomial"] if records else []
+    coeffs = tuple(coeffs)
+    faults = []
+    for r in records:
+        if r.hi - r.lo > tol:
+            faults.append(f"({r.lo}, {r.hi}) wider than tol")
+        held = held_roots(coeffs, r.lo, r.hi)
+        if len(held) != 1:
+            faults.append(f"({r.lo}, {r.hi}) holds {len(held)} roots")
+        elif r.sign_change != (held[0] % 2 == 1):
+            faults.append(f"({r.lo}, {r.hi}) sign_change {r.sign_change}, multiplicity {held[0]}")
+    if len(records) != (roots := interior_roots(coeffs, odd_only)):
+        faults.append(f"{len(records)} brackets for {roots} roots")
+    return faults
+
+
+def report_faults(report, tol=DEFAULT_TOL) -> list[str]:
+    """``bracket_faults`` of a report's critical points (f'), inflections
+    (f'', odd multiplicity only) and fixed points (f - p)."""
+    shifted = list(report.poly.coeffs)
+    shifted[1] -= 1
+    return [f"{name}: {fault}" for name, coeffs, records, odd_only in (
+        ("f'", report.f1, report.critical_points, False),
+        ("f''", second_derivative(report.poly), report.inflections, True),
+        ("f - p", shifted, report.fixed_points, False),
+    ) for fault in bracket_faults(coeffs, records, tol, odd_only)]
+
+
+def failing(profiles) -> list:
+    """The profiles whose report the sympy oracle faults."""
+    return [p for p in profiles if report_faults(analyze_profile(p))]
+
+
+@pytest.fixture(scope="module")
+def three_inflection(fixtures_dir):
+    """The profile of the one graph of order <= 7 with three inflections."""
+    return count_connected_sets(
+        parse_edge_list((fixtures_dir / "three_inflection_order7.edges").read_text()))
+
+
+@pytest.fixture(scope="module")
+def oracle_slice(vcache, three_inflection):
+    """The distinct profiles of orders 2..6, then the three-inflection one."""
+    profiles = {p.c: p for n in range(2, 7) for p in map(vcache.profile, vcache.graphs(n))}
+    assert len(profiles) == 111
+    return [*profiles.values(), three_inflection]
+
+
+def test_brackets_hold_the_sympy_roots(oracle_slice):
+    assert failing(oracle_slice) == []
+
+
+@pytest.mark.slow
+def test_brackets_hold_the_sympy_roots_on_order_7(vcache):
+    profiles = {p.c: p for p in map(vcache.profile, vcache.graphs(7))}
+    assert len(profiles) == 477
+    assert failing(profiles.values()) == []
+
+
+def test_oracle_sees_every_root_reported_as_a_crossing(oracle_slice, monkeypatch):
+    real = shape.isolate_roots
+
+    def all_crossings(coeffs, tol=DEFAULT_TOL):
+        return [RootRecord(r.lo, r.hi, r.approx, True) for r in real(coeffs, tol)]
+
+    monkeypatch.setattr(shape, "isolate_roots", all_crossings)
+    assert [p.n for p in failing(oracle_slice)] == [4, 4]
+
+
+def test_oracle_sees_a_cell_left_unrefined(oracle_slice, monkeypatch):
+    def input_cell(q, transform, lo_num, hi_num, den, sa, tol):
+        return Fraction(lo_num, den), Fraction(hi_num, den), Fraction(lo_num + hi_num, 2 * den)
+
+    monkeypatch.setattr(shape, "_refine", input_cell)
+    failed = failing(oracle_slice)
+    assert len(failed) == 90 and {p.n for p in failed} == {3, 4, 5, 6, 7}
+
+
+def test_oracle_sees_the_last_of_three_roots_dropped(oracle_slice, three_inflection,
+                                                     monkeypatch):
+    real = shape.isolate_roots
+
+    def drop_last(coeffs, tol=DEFAULT_TOL):
+        records = real(coeffs, tol)
+        return records[:-1] if len(records) >= 3 else records
+
+    monkeypatch.setattr(shape, "isolate_roots", drop_last)
+    assert failing(oracle_slice) == [three_inflection]
+
+
+# -- networkx: generation and vertex cuts ------------------------------------------
+
+def to_package(g: nx.Graph):
+    return graph_from_edges(g.number_of_nodes(), g.edges())
+
+
+def keys(graphs) -> set[str]:
+    return {to_graph6(canonical_graph(g)) for g in graphs}
+
+
+def test_atlas_connected_graphs_equal_generation(vcache):
+    atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() >= 2 and nx.is_connected(g)]
+    by_order = {n: [to_package(g) for g in atlas if g.number_of_nodes() == n] for n in range(2, 8)}
+    assert [len(graphs) for graphs in by_order.values()] == [1, 2, 6, 21, 112, 853]
+    for n, graphs in by_order.items():
+        atlas_keys = keys(graphs)
+        assert len(atlas_keys) == len(graphs)
+        assert atlas_keys == {to_graph6(g) for g in vcache.graphs(n)}
+
+
+def test_nonisomorphic_trees_equal_generation():
+    assert {to_graph6(g) for g in generate_trees(1)} == keys([graph_from_edges(1, [])])
+    for n in range(2, 11):
+        assert keys(map(to_package, nx.nonisomorphic_trees(n))) == {
+            to_graph6(g) for g in generate_trees(n)}
+
+
+def test_node_connectivity_equals_min_vertex_cut(vcache):
+    checked = 0
+    for n in range(3, 7):
+        for g in vcache.graphs(n):
+            if is_complete(g):
+                continue
+            h = nx.Graph([(u, v) for u in range(g.n) for v in range(u) if g.adj[u] >> v & 1])
+            assert min_vertex_cut(g) == nx.node_connectivity(h)
+            checked += 1
+    assert checked == 1 + 5 + 20 + 111
