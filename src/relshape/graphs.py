@@ -497,20 +497,22 @@ def min_vertex_cut(g: Graph) -> int | None:
     graphs).
 
     Brute force over subsets in increasing size; exponential in the cut size,
-    fine for the small orders this package analyzes.
+    fine for the small orders this package analyzes.  A connected graph that
+    is not complete has two non-adjacent vertices, and removing the other
+    n - 2 separates them, so sizes up to n - 3 are searched.
     """
     if is_complete(g):
         return None
     if not is_connected(g):
         return 0
-    for size in range(1, g.n - 1):
+    for size in range(1, g.n - 2):
         for subset in combinations(range(g.n), size):
             removed = 0
             for v in subset:
                 removed |= 1 << v
             if not mask_is_connected(g.adj, ((1 << g.n) - 1) & ~removed):
                 return size
-    return None
+    return g.n - 2
 
 
 def triangle_count(g: Graph) -> int:

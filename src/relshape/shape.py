@@ -11,14 +11,15 @@ most the bound of the whole (Eigenwillig, Sharma and Yap, ISSAC 2006), and
 a bound has the parity of the signs at the cell's ends (Collins and
 Akritas, SYMSAC 1976).  So a cell left at most 1 by its parent has its
 parity as bound, and a Taylor shift is made only where the bound is still
-open.  Each root is bisected over a doubling denominator into a bracket
-below the tolerance (exactly the tolerance wide when a midpoint is the
-root), and a Fraction is built only for the reported bracket.  A float
-Newton estimate guesses the final cell, in the power basis and, where its
-cell is not confirmed, in the scaled Bernstein basis of the polynomial's
-Descartes transform; a cell is taken only when two exact signs at its ends
-confirm it.  The sparse-threshold optimizer is the only other use of
-floating point.
+open.  Each root gets the bracket that bisecting its cell at midpoints
+ends in, below the tolerance (exactly the tolerance wide when a midpoint
+is the root): one of the 2^k cells at the first level k below it.  A float
+Newton estimate picks that cell, in the power basis and, where its cell is
+not confirmed, in the scaled Bernstein basis of the polynomial's Descartes
+transform; a cell is taken only when two exact signs at its ends confirm
+it, else it is bisected for over the cells.  A Fraction is built only for
+the reported bracket.  The sparse-threshold optimizer is the only other
+use of floating point.
 
 ``analyze_profile`` is the one way into an analysis: it expands the
 profile once, and its report carries that f and f'.  The paper's two
@@ -42,6 +43,7 @@ reported but never counted as crossings or decrease boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -142,18 +144,18 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     transform = descartes_transform(inner)  # also the basis of the second root estimate
     if not (budget := sign_changes(transform)):
         return []
-    square_free = None  # square_free_part(inner), taken where Descartes cannot decide
+    # taken once, and only where Descartes' rule cannot decide
+    square_free = functools.cache(lambda: square_free_part(inner))
     # poly maps (0, 1) onto (lo_num, lo_num + w_num) / den, and budget is its bound
     lo_num, w_num, den, poly = 0, 1, 1, inner
     # when the original polynomial vanishes at a domain endpoint (those roots
     # were deflated) pull the endpoint inward across a root-free gap, so no
     # bracket can touch a zero of the original
     if p_int[0] == 0:
-        k, poly, budget, square_free = _root_free_gap(poly, budget, inner, square_free, 0, 1, 1)
+        k, poly, budget = _root_free_gap(poly, budget, square_free, 0, 1, 1)
         lo_num, w_num, den = 1, (1 << k) - 1, 1 << k
     if sum(p_int) == 0:
-        k, poly, budget, square_free = _root_free_gap(poly, budget, inner, square_free,
-                                                      lo_num + w_num, -w_num, den)
+        k, poly, budget = _root_free_gap(poly, budget, square_free, lo_num + w_num, -w_num, den)
         lo_num, w_num, den = lo_num << k, w_num * ((1 << k) - 1), den << k
     records: list[RootRecord] = []
     for a_num, b_num, cell_den, certified, sa in _cells(poly, budget, lo_num, w_num, den, tol):
@@ -162,8 +164,7 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
             records.append(RootRecord(
                 *_refine(inner, transform, a_num, b_num, cell_den, sa, tol), True))
         else:
-            square_free = square_free or square_free_part(inner)
-            records += _split_isolate(square_free, p_int, Fraction(a_num, cell_den),
+            records += _split_isolate(square_free(), p_int, Fraction(a_num, cell_den),
                                       Fraction(b_num, cell_den), tol)
     records.sort(key=lambda r: r.lo)
     return records
@@ -179,9 +180,9 @@ def _positive_tol(tol) -> Fraction:
     raise ValueError(f"need a finite tol > 0, got {tol}")
 
 
-def _root_free_gap(poly, budget: int, inner, square_free, end_num: int, w_num: int,
-                   den: int) -> tuple[int, list[int], int, list[int] | None]:
-    """(k, rest, b, square_free) for the least k >= 2 such that the first
+def _root_free_gap(poly, budget: int, square_free, end_num: int, w_num: int,
+                   den: int) -> tuple[int, list[int], int]:
+    """(k, rest, b) for the least k >= 2 such that the first
     2^-k of the interval P maps (0, 1) onto holds no root and does not end
     in one; the last 2^-k when w_num < 0.  ``rest`` maps (0, 1) onto the
     rest of the interval, P(2^-k + (1 - 2^-k) x), else P((1 - 2^-k) x), and
@@ -195,9 +196,8 @@ def _root_free_gap(poly, budget: int, inner, square_free, end_num: int, w_num: i
     a rest whose bound is still the budget leaves the gap bound 0.  Only
     otherwise is the gap's own bound counted, after P is reflected for the
     last 2^-k, and a bound above 0 decided by ``count_roots`` on the
-    square-free part of ``inner``: that is ``square_free`` unless it is
-    None, else taken then and returned.  Roots are isolated away from a
-    non-vanishing end, so k exists.
+    square-free part that ``square_free()`` returns.  Roots are isolated
+    away from a non-vanishing end, so k exists.
     """
     at_end = w_num < 0
     end_sign = (sum(poly) if at_end else poly[0]) > 0
@@ -211,15 +211,14 @@ def _root_free_gap(poly, budget: int, inner, square_free, end_num: int, w_num: i
                 gap = scale(poly, 1, k)  # P(2^-k x)
                 rest = scale(taylor_shift(gap), (1 << k) - 1, 0)
             if budget <= 1:
-                return k, rest, (rest[0] > 0) != (sum(rest) > 0), square_free
+                return k, rest, (rest[0] > 0) != (sum(rest) > 0)
             bound = descartes_bound(rest)
             if bound == budget or not descartes_bound(
                     scale(reflect(poly), 1, k) if at_end else gap):
-                return k, rest, bound, square_free
-            square_free = square_free or square_free_part(inner)
+                return k, rest, bound
             a, b = sorted((end_num << k, (end_num << k) + w_num))
-            if not count_roots(square_free, Fraction(a, den << k), Fraction(b, den << k)):
-                return k, rest, bound, square_free
+            if not count_roots(square_free(), Fraction(a, den << k), Fraction(b, den << k)):
+                return k, rest, bound
         k += 1
 
 
@@ -298,88 +297,59 @@ def _split_isolate(q, p_int, lo: Fraction, hi: Fraction,
 
 def _refine(q, transform, lo_num: int, hi_num: int, den: int, sa: int,
             tol: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Bisect (lo_num/den, hi_num/den), which holds exactly one (simple) root
-    of q and where q has sign ``sa`` at lo, over a doubling denominator;
-    returns the bracket (a, b) below ``tol`` and its approximation.  A
-    midpoint that is the root gets a bracket centred on it, as wide as the
-    half it ends but at most ``tol``: so exactly ``tol`` unless the half is
-    narrower.
+    """The bracket (a, b) below ``tol``, and its approximation, that
+    bisecting (lo_num/den, hi_num/den) at midpoints ends in; that interval
+    holds exactly one (simple) root of q, and q has sign ``sa`` at lo.
 
-    The bracket the bisection ends in is tried first from float estimates of
-    the root (``_final_cell``, ``transform`` being q's
-    ``descartes_transform``); only when none is confirmed exactly does the
-    bisection run step by step.  Both give the same bracket.
-    """
-    cell = _final_cell(q, transform, sa, lo_num, hi_num, den, tol)
-    if cell is not None:
-        lo_num, hi_num, den = cell
-    while (hi_num - lo_num) * tol.denominator >= tol.numerator * den:  # b - a >= tol
-        mid_num = lo_num + hi_num
-        lo_num, hi_num, den = 2 * lo_num, 2 * hi_num, 2 * den
-        sm = sign_at_ratio(q, mid_num, den)
-        if sm == 0:
-            # landed exactly on the root; shrink a symmetric bracket
-            mid = Fraction(mid_num, den)
-            delta = min(Fraction(mid_num - lo_num, den), tol) / 2
-            return mid - delta, mid + delta, mid
-        if sm == sa:
-            lo_num = mid_num
-        else:
-            hi_num = mid_num
-    return Fraction(lo_num, den), Fraction(hi_num, den), Fraction(lo_num + hi_num, 2 * den)
-
-
-def _final_cell(q, transform, sa: int, lo_num: int, hi_num: int, den: int, tol: Fraction):
-    """The bracket (A, B, D) that bisecting (lo_num/den, hi_num/den) below
-    ``tol`` ends in, or None.
-
-    After k halvings the bracket is cell j of width (hi_num - lo_num)/(den 2^k)
-    for the k the bisection loop stops at.  A float estimate of the root
-    picks j, and the cell is returned only when q has sign ``sa`` at its left
-    end and the opposite sign at its right end.  As q has one simple root in
-    the interval, the root is then strictly inside the cell, so no midpoint
-    of the bisection hits it and the bisection ends in this very cell.
-
-    The first estimate is Newton's method on q in the power basis.  Where
-    cancellation in Horner's scheme has moved its root so that the exact
-    signs do not confirm its cell, a second estimate is made in the basis of
-    ``transform``, q's ``descartes_transform``, whose coefficients are q's
-    scaled Bernstein coefficients: there q keeps its roots far better
-    (Farouki and Rajan, CAGD 4, 1987).  An estimate whose coefficients
-    overflow a float picks no cell, and one outside the interval picks the
-    cell at its nearer end.
+    After the least k halvings that take the width below ``tol``, the
+    bracket is one of 2^k cells, cell j being (base + (j, j+1) width) / den_k.
+    A float estimate of the root picks j: Newton's method (``_newton``) on q
+    in the power basis, then, where cancellation in Horner's scheme has
+    moved its root, on ``transform``, q's ``descartes_transform``, whose
+    coefficients are q's scaled Bernstein coefficients and keep its roots
+    far better (Farouki and Rajan, CAGD 4, 1987).  An estimate whose
+    coefficients overflow a float picks no cell, and one outside the
+    interval picks the cell at its nearer end.  A cell is taken only when q
+    has sign ``sa`` at its left end and ``-sa`` at its right: the root is
+    then strictly inside, so no midpoint is the root and bisection ends in
+    this very cell.  Else j is bisected for, one exact sign per halving at
+    the midpoints bisection evaluates; a midpoint that is the root gets a
+    bracket centred on it, as wide as the half it ends but at most ``tol``:
+    so exactly ``tol`` unless the half is narrower.
     """
     width = hi_num - lo_num
     k = (width * tol.denominator // (tol.numerator * den)).bit_length()
-    den_k = den << k
+    base, den_k = lo_num << k, den << k
     lo, hi = lo_num / den, hi_num / den
     cell_width = math.ldexp(hi - lo, -k)  # no overflow for tol below 2^-1024
-    for estimate, coeffs in ((_power_estimate, q), (_descartes_estimate, transform)):
+    for coeffs, bernstein in ((q[::-1], False), (transform, True)):
         try:
-            x = estimate(coeffs, sa, lo, hi, cell_width)
+            x = _newton([float(c) for c in coeffs], sa, lo, hi, cell_width, bernstein)
         except OverflowError:  # a coefficient beyond the float range
             continue
         x_num, x_den = x.as_integer_ratio()
-        j = (x_num * den_k - (lo_num << k) * x_den) // (width * x_den)
+        j = (x_num * den_k - base * x_den) // (width * x_den)
         j = min(max(j, 0), (1 << k) - 1)  # the cell nearest an estimate outside
-        lo_k = (lo_num << k) + j * width
-        if (sign_at_ratio(q, lo_k, den_k) == sa
-                and sign_at_ratio(q, lo_k + width, den_k) == -sa):
-            return lo_k, lo_k + width, den_k
-    return None
-
-
-def _power_estimate(q, sa: int, lo: float, hi: float, cell_width: float) -> float:
-    """q's root in (lo, hi), where q has sign ``sa`` at lo, by Newton's
-    method on Horner's scheme in the power basis (``_newton``)."""
-    return _newton([float(c) for c in reversed(q)], sa, lo, hi, cell_width)
-
-
-def _descartes_estimate(transform, sa: int, lo: float, hi: float,
-                        cell_width: float) -> float:
-    """q's root in (lo, hi), where q has sign ``sa`` at lo, by Newton's
-    method on q's ``descartes_transform`` R (``_newton``)."""
-    return _newton([float(c) for c in transform], sa, lo, hi, cell_width, bernstein=True)
+        if (sign_at_ratio(q, base + j * width, den_k) == sa
+                and sign_at_ratio(q, base + (j + 1) * width, den_k) == -sa):
+            break
+    else:
+        j, end = 0, 1 << k  # the root is in cells j .. end - 1
+        while end - j > 1:
+            mid = (j + end) // 2
+            sm = sign_at_ratio(q, base + mid * width, den_k)
+            if sm == 0:
+                # landed exactly on the root; shrink a symmetric bracket
+                root = Fraction(base + mid * width, den_k)
+                delta = min(Fraction((mid - j) * width, den_k), tol) / 2
+                return root - delta, root + delta, root
+            if sm == sa:
+                j = mid
+            else:
+                end = mid
+    a_num = base + j * width
+    return (Fraction(a_num, den_k), Fraction(a_num + width, den_k),
+            Fraction(2 * a_num + width, 2 * den_k))
 
 
 def _newton(coeffs, sa: int, lo: float, hi: float, cell_width: float,

@@ -49,6 +49,7 @@ from .shape import (
     DEFAULT_TOL,
     SPARSE_THRESHOLD_DEN,
     SPARSE_THRESHOLD_NUM,
+    analyze_profile,
     check_fixed_point_witness,
     check_sparse_decrease,
     maximize_threshold_constant,
@@ -112,19 +113,25 @@ def _signs(coeffs, points) -> list[int]:
 
 def check_path6_decrease_endpoints(cache):
     """The one decrease interval of P6 ends within 5e-5 of 0.2137 and
-    0.5851: f' turns negative inside the first window and positive again
-    inside the second, so with a single interval its ends lie there."""
+    0.5851: each end is a reported bracket no wider than the tolerance,
+    lying within 5e-5 of its value, across which f' changes sign."""
     profile = family_profile(FamilySpec("path", (6,)))
     decreases = cache.shape(profile).decreases
+    report = analyze_profile(profile)
+    intervals = report.decrease_intervals
+    ends = (intervals[0].lo_root, intervals[0].hi_root) if decreases == len(intervals) == 1 else ()
+    problems = [] if ends else [f"{decreases} decrease intervals, {len(intervals)} reported"]
     slack = Fraction(5, 10**5)
-    lo, hi = Fraction(2137, 10**4), Fraction(5851, 10**4)
-    signs = _signs(derivative(from_profile(profile)),
-                   (lo - slack, lo + slack, hi - slack, hi + slack))
-    ok = decreases == 1 and signs == [1, -1, -1, 1]
-    detail = ("one decrease interval, f' changes sign within 5e-5 of 0.2137 and of 0.5851"
-              if ok else f"{decreases} decrease intervals, f' signs {signs} at "
-                         f"0.2137 -+5e-5 and 0.5851 -+5e-5")
-    return CheckResult("path6-decrease-endpoints", ok, detail)
+    for root, target in zip(ends, (Fraction(2137, 10**4), Fraction(5851, 10**4))):
+        signs = _signs(report.f1, (root.lo, root.hi)) if root else None
+        if not (root and root.hi - root.lo <= DEFAULT_TOL and signs[0] == -signs[1] != 0
+                and target - slack <= root.lo and root.hi <= target + slack):
+            bracket = root and f"[{float(root.lo):.10f}, {float(root.hi):.10f}]"
+            problems.append(f"end {bracket}, f' signs {signs}: not a sign change "
+                            f"within tol and within 5e-5 of {float(target)}")
+    detail = "one decrease interval, f' changes sign within 5e-5 of 0.2137 and of 0.5851"
+    return CheckResult("path6-decrease-endpoints", not problems,
+                       "; ".join(problems) or detail)
 
 
 def check_threshold_constants(cache):

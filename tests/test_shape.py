@@ -94,7 +94,7 @@ def test_tolerance_below_the_float_range(monkeypatch):
     tol = Fraction(1, 10**400)
     [record] = isolate_roots([-1, 3], tol=tol)
     assert record.lo < Fraction(1, 3) < record.hi and record.hi - record.lo < tol
-    monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
+    monkeypatch.setattr(shape, "_newton", overflow)
     assert isolate_roots([-1, 3], tol=tol) == [record]
 
 
@@ -122,26 +122,23 @@ def test_float_estimate_keeps_the_bisection_bracket(bracket_polys, monkeypatch):
         return [isolate_roots(c, tol=tol) for c in bracket_polys for tol in TOLS]
 
     estimated = isolations()
-    real_power, real_descartes = shape._power_estimate, shape._descartes_estimate
-    cells = count_results(monkeypatch, "_final_cell")
-    # the second estimate alone: the power-basis estimate overflows
-    monkeypatch.setattr(shape, "_power_estimate", overflow)
+    refinements = exact_signs(monkeypatch)
+    # the second estimate alone: the power-basis estimate overflows, and the
+    # Bernstein estimate's cell is confirmed by its two exact signs
+    patch_newton(monkeypatch, power=overflow)
     assert isolations() == estimated
-    assert sum(cell is not None for cell in cells) > len(cells) // 2
+    assert sum(signs == [1, -1] for signs in refinements) > len(refinements) // 2
 
     # estimates a cell off, or at an end of the interval, pick wrong cells
-    def off_by(real, cells_off):
-        def estimate(coeffs, sa, lo, hi, cell_width):
-            return real(coeffs, sa, lo, hi, cell_width) + cells_off * cell_width
-        return estimate
+    def off_by(cells_off):
+        return lambda real, lo, hi, cell_width: real() + cells_off * cell_width
 
-    for power, descartes in [(off_by(real_power, 1), off_by(real_descartes, -1)),
-                             (off_by(real_power, -2), lambda c, sa, lo, hi, w: lo),
-                             (lambda c, sa, lo, hi, w: lo, lambda c, sa, lo, hi, w: hi)]:
-        monkeypatch.setattr(shape, "_power_estimate", power)
-        monkeypatch.setattr(shape, "_descartes_estimate", descartes)
+    for power, bernstein in [(off_by(1), off_by(-1)),
+                             (off_by(-2), lambda real, lo, hi, w: lo),
+                             (lambda real, lo, hi, w: lo, lambda real, lo, hi, w: hi)]:
+        patch_newton(monkeypatch, power, bernstein)
         assert isolations() == estimated
-    monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
+    monkeypatch.setattr(shape, "_newton", overflow)
     assert isolations() == estimated
 
 
@@ -150,18 +147,51 @@ def overflow(*args):
     raise OverflowError
 
 
-def count_results(monkeypatch, name):
-    """Route ``shape``'s function ``name`` through a wrapper; returns the
-    list of its results, one per call."""
-    real = getattr(shape, name)
-    results = []
+def patch_newton(monkeypatch, power=None, bernstein=None):
+    """Route ``shape._newton``'s estimate in the power basis, or in the
+    Bernstein basis (``bernstein=True``), through ``estimate(real, lo, hi,
+    cell_width)``, where ``real()`` gives the real estimate; a basis given
+    None keeps it."""
+    real_newton = shape._newton
 
-    def counted(*args):
-        results.append(real(*args))
-        return results[-1]
+    def newton(coeffs, sa, lo, hi, cell_width, in_bernstein=False):
+        def real():
+            return real_newton(coeffs, sa, lo, hi, cell_width, in_bernstein)
+        estimate = bernstein if in_bernstein else power
+        return estimate(real, lo, hi, cell_width) if estimate else real()
 
-    monkeypatch.setattr(shape, name, counted)
-    return results
+    monkeypatch.setattr(shape, "_newton", newton)
+
+
+FALLBACK = 4  # a refinement making more exact signs than this confirmed no estimate
+
+
+def exact_signs(monkeypatch):
+    """Route ``shape._refine`` and ``shape.sign_at_ratio``, which only it
+    calls in ``shape``, through wrappers; returns one list per refinement of
+    the exact signs it made, each times the sign at its interval's left end.
+
+    A confirmed float estimate makes 2 to 4 signs: 1 or 2 for an estimate
+    that fails, then 2 for the one confirmed.  With none confirmed, the
+    bisection makes one more per halving, 28 from a cell 1/4 wide down to
+    tol 1e-9, so more than ``FALLBACK`` at the tolerances where cells are
+    many."""
+    real_refine, real_sign = shape._refine, shape.sign_at_ratio
+    refinements, left_signs = [], []
+
+    def refine(q, transform, lo_num, hi_num, den, sa, tol):
+        refinements.append([])
+        left_signs.append(sa)
+        return real_refine(q, transform, lo_num, hi_num, den, sa, tol)
+
+    def sign_at_ratio(*args):
+        sign = real_sign(*args)
+        refinements[-1].append(sign * left_signs[-1])
+        return sign
+
+    monkeypatch.setattr(shape, "_refine", refine)
+    monkeypatch.setattr(shape, "sign_at_ratio", sign_at_ratio)
+    return refinements
 
 
 def test_the_estimates_confirm_almost_every_final_cell(vcache, monkeypatch):
@@ -169,16 +199,17 @@ def test_the_estimates_confirm_almost_every_final_cell(vcache, monkeypatch):
     the 351 refinements fall back to step-by-step bisection, and none over
     the 477 distinct profiles of order 7.  The power basis alone loses 53 of
     the first to cancellation."""
-    cells = count_results(monkeypatch, "_final_cell")
+    refinements = exact_signs(monkeypatch)
     for selector in families_large_digests():
         analyze_profile(family_profile(parse_family(selector)))
-    assert len(cells) == 351 and cells.count(None) <= 2
+    assert len(refinements) == 351
+    assert sum(len(signs) > FALLBACK for signs in refinements) <= 2
     profiles = {p.c: p for p in map(vcache.profile, vcache.graphs(7))}
     assert len(profiles) == 477
-    cells.clear()
+    refinements.clear()
     for profile in profiles.values():
         analyze_profile(profile)
-    assert cells and cells.count(None) == 0
+    assert refinements and all(len(signs) <= FALLBACK for signs in refinements)
 
 
 @pytest.mark.parametrize("power", ["overflow", "outside", "estimated"])
@@ -187,31 +218,36 @@ def test_final_cell_rare_exits_keep_the_bisection_bracket(power, descartes, monk
     """An estimate picks no cell when its coefficients overflow a float (a
     positive multiple of q, or of its transform, by 2^1100).  One outside
     the interval, at another root whose cell the exact signs would confirm,
-    picks the interval's last cell, which they do not.  Then the other
-    estimate, else the step-by-step bisection, gives the bracket."""
+    picks the interval's last cell, which its first exact sign rejects.
+    Then the other estimate, else the step-by-step bisection (28 halvings
+    from 1/4 to below tol), gives the bracket."""
     q = mul(mul([-1, 3], [-2, 3]), [-5, 6])  # roots 1/3, 2/3 and 5/6
     tol = Fraction(1, 10**9)
     lo_num, hi_num, den, sa = 1, 3, 8, -1  # (1/8, 3/8) holds 1/3
     transform = descartes_transform(q)
-    monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
+    monkeypatch.setattr(shape, "_newton", overflow)
     bisected = shape._refine(q, transform, lo_num, hi_num, den, sa, tol)
     monkeypatch.undo()
 
-    outside = lambda coeffs, sa, lo, hi, cell_width: 5 / 6  # noqa: E731
+    def outside(real, lo, hi, cell_width):
+        return 5 / 6
+
     if power == "overflow":
         q = [c << 1100 for c in q]
-    elif power == "outside":
-        monkeypatch.setattr(shape, "_power_estimate", outside)
     if descartes == "overflow":
         transform = [c << 1100 for c in transform]
-    elif descartes == "outside":
-        monkeypatch.setattr(shape, "_descartes_estimate", outside)
-    cell = shape._final_cell(q, transform, sa, lo_num, hi_num, den, tol)
-    if "estimated" in (power, descartes):
-        assert (Fraction(cell[0], cell[2]), Fraction(cell[1], cell[2])) == bisected[:2]
-    else:
-        assert cell is None
+    patch_newton(monkeypatch, outside if power == "outside" else None,
+                 outside if descartes == "outside" else None)
+    refinements = exact_signs(monkeypatch)
     assert shape._refine(q, transform, lo_num, hi_num, den, sa, tol) == bisected
+    expected = 0
+    for estimate in (power, descartes):
+        expected += {"overflow": 0, "outside": 1, "estimated": 2}[estimate]
+        if estimate == "estimated":
+            break
+    else:
+        expected += 28
+    assert [len(signs) for signs in refinements] == [expected]
     assert bisected[0] < Fraction(1, 3) < bisected[1] and bisected[1] - bisected[0] < tol
 
 
@@ -219,28 +255,29 @@ def test_final_cell_rare_exits_keep_the_bisection_bracket(power, descartes, monk
 def test_descartes_estimate_converges_like_newton(root, monkeypatch):
     """From the midpoint of (1/8, 7/8), six steps of the second estimate
     alone reach the bisection's final cell, on either side of 1/2, for
-    (v p - u)(p^2 + 1)^3 of degree 7."""
+    (v p - u)(p^2 + 1)^3 of degree 7: its two exact signs confirm it."""
     q = [-root.numerator, root.denominator]
     for _ in range(3):
         q = mul(q, [1, 0, 1])
     transform = descartes_transform(q)
     tol = Fraction(1, 10**9)
-    monkeypatch.setattr(shape, "_final_cell", lambda *args: None)
+    monkeypatch.setattr(shape, "_newton", overflow)
     bisected = shape._refine(q, transform, 1, 7, 8, -1, tol)
     monkeypatch.undo()
-    monkeypatch.setattr(shape, "_power_estimate", overflow)
+    patch_newton(monkeypatch, power=overflow)
     monkeypatch.setattr(shape, "FLOAT_ROOT_STEPS", 6)
-    a, b, d = shape._final_cell(q, transform, -1, 1, 7, 8, tol)
-    assert (Fraction(a, d), Fraction(b, d)) == bisected[:2]
+    refinements = exact_signs(monkeypatch)
+    assert shape._refine(q, transform, 1, 7, 8, -1, tol) == bisected
+    assert refinements == [[1, -1]]
 
 
 def test_a_polynomial_beyond_the_float_range_is_bisected(monkeypatch):
     # (3p - 1)(p^2 + 2^1100): both estimates overflow, the bisection decides
     [record] = isolate_roots(mul([-1, 3], [1 << 1100, 0, 1]))
     assert record.lo < Fraction(1, 3) < record.hi
-    cells = count_results(monkeypatch, "_final_cell")
+    refinements = exact_signs(monkeypatch)
     assert isolate_roots(mul([-1, 3], [1 << 1100, 0, 1])) == [record]
-    assert cells == [None]
+    assert len(refinements) == 1 and len(refinements[0]) > FALLBACK
 
 
 def isolation(coeffs, tol):

@@ -77,6 +77,17 @@ def test_sparse_decrease_check_fails_on_a_nonnegative_derivative(name, monkeypat
     assert not result.passed, result.detail
 
 
+def test_path6_check_fails_on_an_unrefined_bracket(monkeypatch):
+    # each end reported as the Descartes cell that holds it, wider than tol
+    def input_cell(q, transform, lo_num, hi_num, den, sa, tol):
+        return Fraction(lo_num, den), Fraction(hi_num, den), Fraction(lo_num + hi_num, 2 * den)
+
+    monkeypatch.setattr(shape, "_refine", input_cell)
+    result = verification.check_path6_decrease_endpoints(verification.CensusCache())
+    assert not result.passed
+    assert result.detail.count("not a sign change within tol") == 2
+
+
 def test_cycle50_check_fails_when_f_is_not_below_one_quarter(monkeypatch):
     # f(p) + p >= p on [0, 1], since f is a probability
     real = verification.check_fixed_point_witness
