@@ -147,16 +147,17 @@ def overflow(*args):
     raise OverflowError
 
 
+NEWTON = shape._newton  # the real estimate, however a test has patched it since
+
+
 def patch_newton(monkeypatch, power=None, bernstein=None):
     """Route ``shape._newton``'s estimate in the power basis, or in the
     Bernstein basis (``bernstein=True``), through ``estimate(real, lo, hi,
     cell_width)``, where ``real()`` gives the real estimate; a basis given
     None keeps it."""
-    real_newton = shape._newton
-
     def newton(coeffs, sa, lo, hi, cell_width, in_bernstein=False):
         def real():
-            return real_newton(coeffs, sa, lo, hi, cell_width, in_bernstein)
+            return NEWTON(coeffs, sa, lo, hi, cell_width, in_bernstein)
         estimate = bernstein if in_bernstein else power
         return estimate(real, lo, hi, cell_width) if estimate else real()
 
