@@ -209,7 +209,8 @@ def census_document(summary: CensusSummary) -> dict:
 
 class ShapeCounts(NamedTuple):
     """The fields of a shape report that the census and the verify sweeps
-    read: a few counts, the class and the concavity sign near 1.  Like
+    read: a few counts, the class, the concavity sign near 1 and the
+    report's f' coefficients (the same tuple, not a copy).  Like
     inflections, fixed points count only crossings of the identity.  Every
     graph with one profile shares one instance."""
 
@@ -218,6 +219,7 @@ class ShapeCounts(NamedTuple):
     fixed_points: int
     shape_class: str
     concavity_near_1: int
+    f1: tuple[int, ...]
 
 
 def shape_counts(profile: ConnSetProfile, g: Graph | None = None) -> ShapeCounts:
@@ -232,7 +234,7 @@ def shape_counts(profile: ConnSetProfile, g: Graph | None = None) -> ShapeCounts
         raise InternalCheckError(f"graph {to_graph6(g)}: {exc}") from exc
     return ShapeCounts(len(report.decrease_intervals), len(report.inflections),
                        len(report.crossing_fixed_points), report.shape_class,
-                       report.concavity_near_1)
+                       report.concavity_near_1, report.f1)
 
 
 def summarize(items, exemplar_cap: int = 10) -> CensusSummary:
@@ -282,9 +284,9 @@ def summarize(items, exemplar_cap: int = 10) -> CensusSummary:
 
 
 class CensusCache:
-    """The one census object of ``census`` and ``verify``: the graphs of each
-    order with their generation seconds, one profile per graph and one
-    ShapeCounts per distinct profile.
+    """The one census object of ``census`` and ``verify``: one profile per
+    graph and one ShapeCounts per distinct profile.  The graphs themselves
+    are generation's, which keeps one copy of each order per process.
 
     Within one cache every graph is counted once (``profile``) and every
     distinct profile analyzed once (``shape``), however many checks read it.
@@ -294,16 +296,8 @@ class CensusCache:
 
     def __init__(self, jobs: int = 1):
         self.jobs = jobs
-        self._graphs: dict[int, tuple[list[Graph], float]] = {}
         self._profiles: dict[Graph, ConnSetProfile] = {}
         self._shapes: dict[tuple[int, ...], ShapeCounts] = {}
-
-    def graphs(self, n: int) -> list[Graph]:
-        if n not in self._graphs:
-            start = time.monotonic()
-            graphs = list(generate_connected(n))
-            self._graphs[n] = (graphs, time.monotonic() - start)
-        return self._graphs[n][0]
 
     def profile(self, g: Graph) -> ConnSetProfile:
         profile = self._profiles.get(g)
@@ -338,11 +332,11 @@ class CensusCache:
 
     def summary(self, n: int) -> tuple[CensusSummary, float]:
         """(summary, elapsed seconds including generation)."""
-        graphs = self.graphs(n)
         start = time.monotonic()
+        graphs = list(generate_connected(n))
         self.fill(graphs)
         summary = summarize((g, self.shape(self.profile(g), g)) for g in graphs)
-        return summary, self._graphs[n][1] + time.monotonic() - start
+        return summary, time.monotonic() - start
 
 
 def run_census(source, jobs: int = 1, exemplar_cap: int = 10) -> CensusSummary:

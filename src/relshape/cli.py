@@ -197,7 +197,7 @@ def build_analysis_document(g: Graph, spec: FamilySpec | None, tol: Fraction) ->
         "coefficients": {
             "c": [fmt_exact(x) for x in profile.c],
             "f": [fmt_exact(x) for x in f_coefficients(profile)],
-            "d": [fmt_exact(x) for x in d_coefficients(profile)],
+            "d": [fmt_exact(x) for x in report.d],
         },
         "polynomial": {"coeffs": [fmt_exact(x) for x in report.poly.coeffs]},
         "shape": {

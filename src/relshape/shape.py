@@ -402,7 +402,8 @@ def _newton(coeffs, sa: int, lo: float, hi: float, cell_width: float,
 @dataclass(frozen=True)
 class ShapeReport:
     """The exact shape of one profile's reliability polynomial, with the
-    power-basis f and f' it was decided from (left out of the repr)."""
+    power-basis f and f' and the coefficients d of f'' it was decided from
+    (left out of the repr)."""
 
     n: int
     connected: bool
@@ -417,6 +418,7 @@ class ShapeReport:
     shape_class: str
     poly: ReliabilityPoly = field(repr=False)
     f1: tuple[int, ...] = field(repr=False)
+    d: tuple[int, ...] = field(repr=False)
 
     @property
     def crossing_fixed_points(self) -> tuple[RootRecord, ...]:
@@ -426,8 +428,9 @@ class ShapeReport:
 def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> ShapeReport:
     """Full exact shape report for the reliability polynomial of a profile.
 
-    The profile is expanded here, once; the report carries that f and its
-    derivative f' as ``poly`` and ``f1`` for callers that evaluate them.
+    The profile is expanded here, once; the report carries that f, its
+    derivative f' and the d_k of f'' as ``poly``, ``f1`` and ``d`` for
+    callers that read them.
     """
     tol = _positive_tol(tol)
     n, c = profile.n, profile.c
@@ -459,7 +462,7 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> Sha
         inflections=inflections, fixed_points=fixed,
         concave_down_near_0=concave_down_near_0,
         concavity_near_1=concavity_near_1, shape_class=shape_class,
-        poly=poly, f1=f1)
+        poly=poly, f1=f1, d=d)
 
 
 def _isolate(coeffs, stage: str, tol: Fraction) -> list[RootRecord]:

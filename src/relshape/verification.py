@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .census import CensusCache, generate_trees
+from .census import CensusCache, generate_connected, generate_trees
 from .connsets import (
     check_coefficient_identities,
     family_profile,
@@ -221,7 +221,7 @@ def check_closed_form_equivalence(cache):
 
 def _census_graphs(cache) -> list[Graph]:
     """Every census graph of orders 2..7."""
-    return [g for n in range(2, 8) for g in cache.graphs(n)]
+    return [g for n in range(2, 8) for g in generate_connected(n)]
 
 
 def _sweep(name: str, graphs, holds, detail: str) -> CheckResult:
@@ -261,7 +261,7 @@ def check_early_concavity_sweep(cache):
 
 def check_endpoint_derivative_sweep(cache):
     def holds(g):
-        d1 = derivative(from_profile(cache.profile(g)))
+        d1 = cache.shape(cache.profile(g), g).f1
         return eval_exact(d1, 0) == g.n and eval_exact(d1, 1) == len(cut_vertices(g))
 
     return _sweep("endpoint-derivative-sweep", _census_graphs(cache), holds,
@@ -312,20 +312,19 @@ def sparse_decrease_graphs() -> list[Graph]:
 
 
 def check_sparse_decrease_census(cache):
-    checks = {g: check_sparse_decrease(g, derivative(from_profile(cache.profile(g))))
-              for g in sparse_decrease_graphs()}
+    shapes = {g: cache.shape(cache.profile(g), g) for g in sparse_decrease_graphs()}
+    checks = {g: check_sparse_decrease(g, shape.f1) for g, shape in shapes.items()}
     return _sweep("sparse-decrease-census", [g for g, chk in checks.items() if chk.applicable],
-                  lambda g: (checks[g].deriv_value < 0
-                             and cache.shape(cache.profile(g), g).decreases),
+                  lambda g: checks[g].deriv_value < 0 and shapes[g].decreases,
                   "{total} seeded sparse graphs of orders 11..24 under the density threshold, "
                   "{bad} failures")
 
 
 def check_sparse_decrease_instances(cache):
     def holds(spec):
-        profile = family_profile(spec)
-        chk = check_sparse_decrease(make_family(spec), derivative(from_profile(profile)))
-        return chk.applicable and chk.deriv_value < 0 and cache.shape(profile).decreases
+        shape = cache.shape(family_profile(spec))
+        chk = check_sparse_decrease(make_family(spec), shape.f1)
+        return chk.applicable and chk.deriv_value < 0 and shape.decreases
 
     specs = ([FamilySpec("cycle", (n,)) for n in range(12, 17)]
              + [FamilySpec("path", (n,)) for n in range(11, 17)])

@@ -10,7 +10,7 @@ sys.path.insert(0, str(SRC))
 
 from relshape import connsets  # noqa: E402
 from relshape.graphs import Graph  # noqa: E402
-from relshape.verification import CensusCache  # noqa: E402
+from relshape.census import CensusCache, generate_connected  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCHMARK_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -88,20 +88,19 @@ def automorphisms(g):
 
 @pytest.fixture(scope="session")
 def vcache():
-    """One census cache for the whole session; orders are generated and
-    analyzed at most once, with elapsed times recorded for the runtime
-    criteria."""
+    """One census cache for the whole session: each graph is counted and
+    each distinct profile analyzed at most once."""
     return CensusCache()
 
 
 @pytest.fixture(scope="session")
-def graphs6(vcache):
-    return vcache.graphs(6)
+def graphs6():
+    return list(generate_connected(6))
 
 
 @pytest.fixture(scope="session")
-def graphs7(vcache):
-    return vcache.graphs(7)
+def graphs7():
+    return list(generate_connected(7))
 
 
 @pytest.fixture(scope="session")

@@ -44,10 +44,11 @@ def test_c03_census_order_8(vcache):
     report(check_census_order_8(vcache))
     # count bounds hold at order 8 too, and the retained three-inflection
     # exemplars all show the one-leaf-one-cut-vertex pattern
+    from relshape.census import generate_connected
     from relshape.connsets import count_connected_sets, first_bound_violation
     from relshape.graphs import cut_vertices, parse_graph6
 
-    for g in vcache.graphs(8):
+    for g in generate_connected(8):
         assert first_bound_violation(count_connected_sets(g)) is None
     summary, _ = vcache.summary(8)
     for tag in summary.exemplars["inflections=3"]:

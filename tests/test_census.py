@@ -78,8 +78,8 @@ CENSUS_CHECKSUMS = {
 
 
 @pytest.mark.parametrize("n", [7, pytest.param(8, marks=pytest.mark.slow)])
-def test_census_checksum(n, vcache):
-    tags = sorted(to_graph6(g) for g in vcache.graphs(n))
+def test_census_checksum(n):
+    tags = sorted(to_graph6(g) for g in generate_connected(n))
     listing = "".join(tag + "\n" for tag in tags)
     assert hashlib.sha256(listing.encode("ascii")).hexdigest() == CENSUS_CHECKSUMS[n]
 
@@ -217,24 +217,24 @@ def test_census_analyzes_each_distinct_profile_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [7, pytest.param(8, marks=pytest.mark.slow)])
-def test_census_has_no_tangential_fixed_point(n, vcache):
+def test_census_has_no_tangential_fixed_point(n):
     # census fixed-point counts take only crossings, as inflections do; no
     # census graph has a tangential fixed point, so counting them too would
     # move no census count
-    profiles = {p.c: p for p in map(count_connected_sets, vcache.graphs(n))}
+    profiles = {p.c: p for p in map(count_connected_sets, generate_connected(n))}
     tangential = sum(not r.sign_change for p in profiles.values()
                      for r in analyze_profile(p).fixed_points)
     assert tangential == 0
 
 
-def test_shape_counts_do_not_depend_on_the_tolerance(vcache):
+def test_shape_counts_do_not_depend_on_the_tolerance():
     # the census and the verify sweeps read only these fields, so they
     # analyze at the default tolerance alone
-    profiles = {p.c: p for n in range(2, 8) for p in map(count_connected_sets, vcache.graphs(n))}
+    profiles = {p.c: p for n in range(2, 8) for p in map(count_connected_sets, generate_connected(n))}
     assert len(profiles) == 588
     for profile in profiles.values():
         fields = {(len(r.decrease_intervals), len(r.inflections), len(r.crossing_fixed_points),
-                   r.shape_class, r.concavity_near_1)
+                   r.shape_class, r.concavity_near_1, r.f1)
                   for r in (analyze_profile(profile, tol) for tol in TOLS)}
         assert fields == {tuple(shape_counts(profile))}
 

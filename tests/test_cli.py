@@ -80,6 +80,15 @@ def test_analyze_expands_the_profile_once(monkeypatch, capsys):
     assert len(expanded) == len(differentiated) == 1
 
 
+def test_analyze_derives_d_twice(monkeypatch, capsys):
+    # once in the analysis, once in the second derivative's cross-check;
+    # the document reads the report's d
+    derived = count_calls(monkeypatch, [poly, shape, cli], "d_coefficients")
+    code, _, _ = run_inproc(capsys, "analyze", "--family", "cycle:62", "--json")
+    assert code == 0
+    assert len(derived) == 2
+
+
 def test_analyze_tests_connectivity_once(monkeypatch, capsys):
     # the document's min-cut branch and two fields, and the fixed-point
     # witness, all ask whether the graph is connected

@@ -1,5 +1,6 @@
 """Independent oracles from installed packages: sympy for the reported root
-brackets, networkx for graph generation and vertex cuts.
+brackets and root counts, networkx for graph generation and the graph
+passes.
 
 Every other oracle in ``tests/`` was written in this repository; these two
 share no code with the package.  sympy counts the real roots of each
@@ -15,20 +16,25 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 import sympy
+from hypothesis import given, settings
 
 from relshape import shape
-from relshape.census import generate_trees
+from relshape.census import generate_connected, generate_trees
 from relshape.connsets import count_connected_sets
 from relshape.graphs import (
     canonical_graph,
+    cut_vertices,
     graph_from_edges,
     is_complete,
+    is_connected,
     min_vertex_cut,
     parse_edge_list,
     to_graph6,
+    triangle_count,
 )
 from relshape.poly import second_derivative
 from relshape.shape import DEFAULT_TOL, RootRecord, analyze_profile
+from strategies import graphs, sparse_graphs
 
 X = sympy.Symbol("x")
 
@@ -80,16 +86,33 @@ def bracket_faults(coeffs, records, tol, odd_only=False) -> list[str]:
     return faults
 
 
-def report_faults(report, tol=DEFAULT_TOL) -> list[str]:
-    """``bracket_faults`` of a report's critical points (f'), inflections
-    (f'', odd multiplicity only) and fixed points (f - p)."""
+def reported_roots(report):
+    """(name, coefficients, brackets, odd only) of a report's critical points
+    (f'), inflections (f'', odd multiplicity only) and fixed points (f - p)."""
     shifted = list(report.poly.coeffs)
     shifted[1] -= 1
-    return [f"{name}: {fault}" for name, coeffs, records, odd_only in (
-        ("f'", report.f1, report.critical_points, False),
-        ("f''", second_derivative(report.poly), report.inflections, True),
-        ("f - p", shifted, report.fixed_points, False),
-    ) for fault in bracket_faults(coeffs, records, tol, odd_only)]
+    return (("f'", report.f1, report.critical_points, False),
+            ("f''", second_derivative(report.poly), report.inflections, True),
+            ("f - p", tuple(shifted), report.fixed_points, False))
+
+
+def report_faults(report, tol=DEFAULT_TOL) -> list[str]:
+    """``bracket_faults`` of a report's f', f'' and f - p."""
+    return [f"{name}: {fault}" for name, coeffs, records, odd_only in reported_roots(report)
+            for fault in bracket_faults(coeffs, records, tol, odd_only)]
+
+
+def count_faults(report) -> list[str]:
+    """The root counts in (0, 1) of a report that sympy's disagree with: the
+    brackets count the distinct roots (the odd ones for f''), and those
+    flagged as crossings count the odd-multiplicity roots."""
+    faults = []
+    for name, coeffs, records, odd_only in reported_roots(report):
+        for odd, reported in ((odd_only, len(records)),
+                              (True, sum(r.sign_change for r in records))):
+            if reported != (roots := interior_roots(tuple(coeffs), odd)):
+                faults.append(f"{name}{' odd' * odd}: {reported} roots, sympy {roots}")
+    return faults
 
 
 def failing(profiles) -> list:
@@ -107,7 +130,7 @@ def three_inflection(fixtures_dir):
 @pytest.fixture(scope="module")
 def oracle_slice(vcache, three_inflection):
     """The distinct profiles of orders 2..6, then the three-inflection one."""
-    profiles = {p.c: p for n in range(2, 7) for p in map(vcache.profile, vcache.graphs(n))}
+    profiles = {p.c: p for n in range(2, 7) for p in map(vcache.profile, generate_connected(n))}
     assert len(profiles) == 111
     return [*profiles.values(), three_inflection]
 
@@ -118,9 +141,16 @@ def test_brackets_hold_the_sympy_roots(oracle_slice):
 
 @pytest.mark.slow
 def test_brackets_hold_the_sympy_roots_on_order_7(vcache):
-    profiles = {p.c: p for p in map(vcache.profile, vcache.graphs(7))}
+    profiles = {p.c: p for p in map(vcache.profile, generate_connected(7))}
     assert len(profiles) == 477
     assert failing(profiles.values()) == []
+
+
+@pytest.mark.slow
+def test_root_counts_equal_sympy_on_order_8():
+    profiles = {p.c: p for p in map(count_connected_sets, generate_connected(8))}
+    assert len(profiles) == 4065
+    assert [p for p in profiles.values() if count_faults(analyze_profile(p))] == []
 
 
 def test_oracle_sees_every_root_reported_as_a_crossing(oracle_slice, monkeypatch):
@@ -160,18 +190,24 @@ def to_package(g: nx.Graph):
     return graph_from_edges(g.number_of_nodes(), g.edges())
 
 
+def to_networkx(g) -> nx.Graph:
+    h = nx.empty_graph(g.n)
+    h.add_edges_from((u, v) for u in range(g.n) for v in range(u) if g.adj[u] >> v & 1)
+    return h
+
+
 def keys(graphs) -> set[str]:
     return {to_graph6(canonical_graph(g)) for g in graphs}
 
 
-def test_atlas_connected_graphs_equal_generation(vcache):
+def test_atlas_connected_graphs_equal_generation():
     atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() >= 2 and nx.is_connected(g)]
     by_order = {n: [to_package(g) for g in atlas if g.number_of_nodes() == n] for n in range(2, 8)}
     assert [len(graphs) for graphs in by_order.values()] == [1, 2, 6, 21, 112, 853]
     for n, graphs in by_order.items():
         atlas_keys = keys(graphs)
         assert len(atlas_keys) == len(graphs)
-        assert atlas_keys == {to_graph6(g) for g in vcache.graphs(n)}
+        assert atlas_keys == {to_graph6(g) for g in generate_connected(n)}
 
 
 def test_nonisomorphic_trees_equal_generation():
@@ -181,13 +217,40 @@ def test_nonisomorphic_trees_equal_generation():
             to_graph6(g) for g in generate_trees(n)}
 
 
-def test_node_connectivity_equals_min_vertex_cut(vcache):
+def test_node_connectivity_equals_min_vertex_cut():
     checked = 0
     for n in range(3, 7):
-        for g in vcache.graphs(n):
+        for g in generate_connected(n):
             if is_complete(g):
                 continue
-            h = nx.Graph([(u, v) for u in range(g.n) for v in range(u) if g.adj[u] >> v & 1])
-            assert min_vertex_cut(g) == nx.node_connectivity(h)
+            assert min_vertex_cut(g) == nx.node_connectivity(to_networkx(g))
             checked += 1
     assert checked == 1 + 5 + 20 + 111
+
+
+def assert_graph_passes_equal_networkx(g):
+    h = to_networkx(g)
+    assert is_connected(g) == nx.is_connected(h)
+    assert set(cut_vertices(g)) == set(nx.articulation_points(h))
+    assert triangle_count(g) == sum(nx.triangles(h).values()) // 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs(min_n=1, max_n=62))
+def test_graph_passes_equal_networkx_on_sparse_graphs(g):
+    assert_graph_passes_equal_networkx(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(min_n=1, max_n=24))
+def test_graph_passes_equal_networkx_on_dense_graphs(g):
+    assert_graph_passes_equal_networkx(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=1, max_n=12) | sparse_graphs(min_n=1, max_n=12))
+def test_min_vertex_cut_equals_node_connectivity(g):
+    # networkx gives 0 for a disconnected graph, as the package does, and
+    # n - 1 for a complete graph, which has no vertex cut
+    expected = None if is_complete(g) else nx.node_connectivity(to_networkx(g))
+    assert min_vertex_cut(g) == expected

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, families_large_digests
 from relshape import shape
+from relshape.census import generate_connected
 from relshape.cli import parse_family
 from relshape.connsets import count_connected_sets, family_profile, profile_disjoint_union
 from relshape.graphs import FamilySpec, is_two_connected, make_family, parse_edge_list
@@ -195,7 +196,7 @@ def exact_signs(monkeypatch):
     return refinements
 
 
-def test_the_estimates_confirm_almost_every_final_cell(vcache, monkeypatch):
+def test_the_estimates_confirm_almost_every_final_cell(monkeypatch):
     """Over the 104 families-large profiles (degree up to 62) at most 2 of
     the 351 refinements fall back to step-by-step bisection, and none over
     the 477 distinct profiles of order 7.  The power basis alone loses 53 of
@@ -205,7 +206,7 @@ def test_the_estimates_confirm_almost_every_final_cell(vcache, monkeypatch):
         analyze_profile(family_profile(parse_family(selector)))
     assert len(refinements) == 351
     assert sum(len(signs) > FALLBACK for signs in refinements) <= 2
-    profiles = {p.c: p for p in map(vcache.profile, vcache.graphs(7))}
+    profiles = {p.c: p for p in map(count_connected_sets, generate_connected(7))}
     assert len(profiles) == 477
     refinements.clear()
     for profile in profiles.values():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import count_calls
-from relshape import census, cli, connsets, shape, verification
+from relshape import census, cli, connsets, poly, shape, verification
 from relshape.connsets import count_connected_sets
 from relshape.graphs import is_connected
 from relshape.poly import derivative, from_profile
@@ -25,18 +25,12 @@ SWEEPS = [
 ]
 
 
-class EmptyCensus(verification.CensusCache):
-    """A cache whose census orders hold no graph."""
-
-    def graphs(self, n):
-        return []
-
-
 @pytest.mark.parametrize("check", SWEEPS, ids=lambda check: check.__name__)
 def test_sweep_fails_when_no_graph_applies(check, monkeypatch):
+    monkeypatch.setattr(verification, "generate_connected", lambda n: iter(()))
     monkeypatch.setattr(verification, "generate_trees", lambda n: iter(()))
     monkeypatch.setattr(verification, "sparse_decrease_graphs", lambda: [])
-    result = check(EmptyCensus())
+    result = check(verification.CensusCache())
     assert not result.passed, result.detail
 
 
@@ -49,13 +43,13 @@ SHAPE_TAMPERING = {
     "decreases": (lambda v: 0, ["census-order-6", "sparse-decrease-census",
                                 "sparse-decrease-instances", "star-union-m-shape",
                                 "path6-decrease-endpoints"]),
+    "f1": (lambda v: tuple(-c for c in v), ["endpoint-derivative-sweep", "sparse-decrease-census",
+                                            "sparse-decrease-instances"]),
 }
 
 
-@pytest.mark.parametrize("field, name", [
-    pytest.param(field, name, id=f"{name}-{field}")
-    for field, (_, names) in SHAPE_TAMPERING.items() for name in names])
-def test_check_fails_on_tampered_shape_counts(field, name, monkeypatch):
+def tamper_shape_counts(monkeypatch, field):
+    """Make every ShapeCounts carry the wrong value of ``field``."""
     real, wrong = census.shape_counts, SHAPE_TAMPERING[field][0]
 
     def tampered(*args):
@@ -63,6 +57,13 @@ def test_check_fails_on_tampered_shape_counts(field, name, monkeypatch):
         return counts._replace(**{field: wrong(getattr(counts, field))})
 
     monkeypatch.setattr(census, "shape_counts", tampered)
+
+
+@pytest.mark.parametrize("field, name", [
+    pytest.param(field, name, id=f"{name}-{field}")
+    for field, (_, names) in SHAPE_TAMPERING.items() for name in names])
+def test_check_fails_on_tampered_shape_counts(field, name, monkeypatch):
+    tamper_shape_counts(monkeypatch, field)
     result = dict(verification.DEFAULT_CHECKS)[name](verification.CensusCache())
     assert not result.passed, result.detail
 
@@ -224,9 +225,7 @@ def test_coefficient_sweep_fails_on_a_raised_c2(check, failures):
 
 def test_endpoint_derivative_sweep_fails_on_a_negated_derivative(monkeypatch):
     # a raised c_2 cannot serve here: f(1) = 2 is not a reliability value
-    real = verification.derivative
-    monkeypatch.setattr(verification, "derivative",
-                        lambda poly: tuple(-c for c in real(poly)))
+    tamper_shape_counts(monkeypatch, "f1")
     result = verification.check_endpoint_derivative_sweep(verification.CensusCache())
     assert not result.passed
     assert result.detail.endswith(", 995 failures"), result.detail
@@ -251,8 +250,9 @@ def test_sparse_decrease_graphs_are_seeded_sparse_and_connected():
         assert check_sparse_decrease(g, f1).applicable
 
 
-def test_sparse_decrease_census_counts_every_seeded_graph():
-    result = verification.check_sparse_decrease_census(EmptyCensus())
+def test_sparse_decrease_census_counts_every_seeded_graph(monkeypatch):
+    monkeypatch.setattr(verification, "generate_connected", lambda n: iter(()))
+    result = verification.check_sparse_decrease_census(verification.CensusCache())
     assert result.passed
     assert result.detail.startswith("14 seeded sparse graphs")
 
@@ -260,7 +260,15 @@ def test_sparse_decrease_census_counts_every_seeded_graph():
 def test_verify_counts_each_graph_once_and_analyzes_each_profile_once(monkeypatch):
     counted = count_calls(monkeypatch, [connsets, census, cli], "count_connected_sets")
     analyzed = count_calls(monkeypatch, [shape, census, cli], "analyze_profile")
+    # path6-decrease-endpoints analyzes path:6 itself for its brackets
+    bracketed = count_calls(monkeypatch, [verification], "analyze_profile")
+    differentiated = count_calls(monkeypatch, [poly, shape, verification, cli], "derivative")
+    expanded = count_calls(monkeypatch, [poly], "expand_c_form")
     results = verification.run_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     assert len(counted) == len({g.adj for g in counted}) == 1078
-    assert len(analyzed) == len({p.c for p in analyzed}) == 651
+    assert len(analyzed) == len({p.c for p in analyzed}) == 658
+    assert len(bracketed) == 1
+    # one f' per analysis, and the 14 closed forms of clique-leaf-decreasing-at-2-5
+    assert len(differentiated) <= len(analyzed) + len(bracketed) + 14 <= 680
+    assert len(expanded) <= 2100
