@@ -5,10 +5,13 @@ J. Algorithms 26, 1998): every class of order n-1 gets one new vertex, and
 only the children that pass a cheap invariant test are canonized and
 deduplicated.  One search per child (``graphs.canonical_form``) gives
 both its key and its automorphism group, and the group of a class picks the
-masks attached to it as a parent.  Aggregation over a stream of graphs is
-associative and commutative, so censuses can be parallelized and merged.  ``CensusCache``
-holds the census that ``census`` and ``verify`` share: each graph counted
-once, each distinct profile analyzed once.
+masks attached to it as a parent.  A new class's profile is its parent's
+plus the connected sets through the new vertex, so generated graphs are
+never counted whole (``graph_profile``).  Aggregation over a stream of
+graphs is associative and commutative, so censuses can be parallelized and
+merged.  ``CensusCache`` holds the census that ``census`` and ``verify``
+share: each graph that generation did not build counted once, each
+distinct profile analyzed once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from .connsets import ConnSetProfile, count_connected_sets
+from .connsets import ConnSetProfile, count_connected_sets, extend_profile
 from .graphs import (CANONICAL_MAX_ORDER, Graph, Graph6ParseError, canonical_form,
                      canonical_graph, mask_is_connected, parse_graph6, to_graph6)
 from .shape import analyze_profile
@@ -102,11 +105,40 @@ def _orbit_masks(parent: Graph, generators, trees: bool) -> list[int]:
     return least
 
 
+def _unranked(parent: Graph, masks: list[int]) -> list[int]:
+    """The masks of ``masks`` whose child no non-cut vertex of the parent
+    outranks on degree alone; ``_rejected`` rejects the children of the
+    others, so they are not built.
+
+    Let u be a non-cut vertex of the parent and M a mask of s >= 2
+    vertices.  u stays non-cut in the child, since the new vertex keeps a
+    neighbour other than u, and it has degree deg(u) + [u in M] there
+    against the new vertex's s.  So with top the largest degree of a
+    non-cut vertex, M is dropped when s < top, or s == top and M holds a
+    non-cut vertex of degree top."""
+    adj, full = parent.adj, (1 << parent.n) - 1
+    degs = [a.bit_count() for a in adj]
+    top = tops = 0
+    for u in sorted(range(parent.n), key=degs.__getitem__, reverse=True):
+        if degs[u] < top:
+            break
+        if mask_is_connected(adj, full & ~(1 << u)):  # u is non-cut
+            top, tops = degs[u], tops | 1 << u
+    return [m for m in masks
+            if (s := m.bit_count()) < 2 or s > top or s == top and not m & tops]
+
+
+# the profile of each class that ``_augment`` has built, by its canonical
+# representative; every graph with one profile shares one instance
+_PROFILES: dict[Graph, ConnSetProfile] = {Graph(1, (0,)): ConnSetProfile(1, (0, 1))}
+
+
 @lru_cache(maxsize=None)
 def _augment(n: int, trees: bool):
     """Canonical representatives of the connected graphs (trees when
     ``trees``) of order n, sorted by graph6 string, and a parallel tuple of
-    generators of each one's automorphism group.
+    generators of each one's automorphism group.  Each class's profile goes
+    to ``_PROFILES``.
 
     A connected parent plus a vertex attached by a nonempty mask (one bit
     for trees) is a connected child; it is canonized unless ``_rejected``.
@@ -115,7 +147,9 @@ def _augment(n: int, trees: bool):
     is connected, so it maps isomorphically onto a canonical parent, and the
     image of N(v) as mask gives a child isomorphic to G with the new vertex
     in v's place.  Invariant and cut property are kept by isomorphism, so no
-    non-cut vertex outranks the new vertex and the child is accepted.
+    non-cut vertex outranks the new vertex and the child is accepted.  A
+    child that a non-cut vertex outranks on degree alone is not even built
+    (``_unranked``).
 
     Only the least mask of each Aut(parent) orbit is attached
     (``_orbit_masks``).  An automorphism a of the parent that maps mask M to
@@ -126,24 +160,32 @@ def _augment(n: int, trees: bool):
 
     Children are deduplicated on the key of ``canonical_form``.  A class
     keeps the generators from the search that found it first, and is
-    decoded into a ``Graph`` once.  Equal generators and equal generator
-    sets are stored once: order 8 has 705 distinct sets for its 11,117
-    classes.
+    decoded into a ``Graph`` once.  Its profile is the parent's plus the
+    connected sets through the new vertex of that first child
+    (``extend_profile``).  Equal generators, generator sets and profiles
+    are stored once: order 8 has 705 distinct generator sets and 4,065
+    profiles for its 11,117 classes.
     """
     if n == 1:
         return (Graph(1, (0,)),), ((),)
-    found: dict[str, tuple[bytes, ...]] = {}
+    found: dict[str, tuple[tuple[bytes, ...], ConnSetProfile]] = {}
     interned: dict = {}  # one copy of each generator and generator set
+    profiles: dict[tuple[int, ...], ConnSetProfile] = {}
     for parent, generators in zip(*_augment(n - 1, trees)):
-        for mask in _orbit_masks(parent, generators, trees):
+        base = _PROFILES[parent]
+        for mask in _unranked(parent, _orbit_masks(parent, generators, trees)):
             child = _attach(parent.adj, mask)
             if not _rejected(child):
                 key, group = canonical_form(child)
                 if key not in found:
                     group = tuple(interned.setdefault(p, p) for p in group)
-                    found[key] = interned.setdefault(group, group)
+                    profile = extend_profile(base, child)
+                    found[key] = (interned.setdefault(group, group),
+                                  profiles.setdefault(profile.c, profile))
     keys = sorted(found)
-    return tuple(map(parse_graph6, keys)), tuple(found[key] for key in keys)
+    graphs = tuple(map(parse_graph6, keys))
+    _PROFILES.update(zip(graphs, (found[key][1] for key in keys)))
+    return graphs, tuple(found[key][0] for key in keys)
 
 
 def generate_connected(n: int):
@@ -283,15 +325,22 @@ def summarize(items, exemplar_cap: int = 10) -> CensusSummary:
     )
 
 
+def graph_profile(g: Graph) -> ConnSetProfile:
+    """g's profile: generation's when generation has built g's class in this
+    process (g its canonical representative), else counted."""
+    return _PROFILES.get(g) or count_connected_sets(g)
+
+
 class CensusCache:
     """The one census object of ``census`` and ``verify``: one profile per
     graph and one ShapeCounts per distinct profile.  The graphs themselves
-    are generation's, which keeps one copy of each order per process.
+    are generation's, which keeps one copy of each order per process, and
+    so are their profiles.
 
-    Within one cache every graph is counted once (``profile``) and every
-    distinct profile analyzed once (``shape``), however many checks read it.
-    With ``jobs`` > 1, ``fill`` counts and analyzes graphs in worker
-    processes first.
+    Within one cache every graph generation did not build is counted once
+    (``profile``) and every distinct profile analyzed once (``shape``),
+    however many checks read it.  With ``jobs`` > 1, ``fill`` counts and
+    analyzes graphs in worker processes first.
     """
 
     def __init__(self, jobs: int = 1):
@@ -300,7 +349,7 @@ class CensusCache:
         self._shapes: dict[tuple[int, ...], ShapeCounts] = {}
 
     def profile(self, g: Graph) -> ConnSetProfile:
-        profile = self._profiles.get(g)
+        profile = _PROFILES.get(g) or self._profiles.get(g)
         if profile is None:
             profile = self._profiles[g] = count_connected_sets(g)
         return profile
@@ -312,19 +361,19 @@ class CensusCache:
         return shape
 
     def fill(self, graphs: list[Graph]) -> None:
-        """With ``jobs`` > 1, count the graphs not yet counted, then analyze
-        one graph per new profile, in one pool of worker processes."""
+        """With ``jobs`` > 1, count the graphs that have no profile yet, then
+        analyze one graph per new profile, in one pool of worker processes."""
         if self.jobs <= 1:
             return
         from multiprocessing import Pool  # only here, so other commands skip its import
 
-        new = [g for g in dict.fromkeys(graphs) if g not in self._profiles]
+        new = [g for g in dict.fromkeys(graphs) if g not in _PROFILES and g not in self._profiles]
         with Pool(self.jobs) as pool:
             self._profiles.update(zip(new, pool.map(
                 count_connected_sets, new, chunksize=max(1, len(new) // (self.jobs * 8)))))
             first = {}
             for g in graphs:
-                profile = self._profiles[g]
+                profile = self.profile(g)
                 if profile.c not in self._shapes:
                     first.setdefault(profile.c, (profile, g))
             self._shapes.update(zip(first, pool.starmap(
@@ -344,14 +393,16 @@ def run_census(source, jobs: int = 1, exemplar_cap: int = 10) -> CensusSummary:
 
     Graphs are tagged by their graph6 string as given: the source must yield
     canonical representatives, as the generators and ``stream_graph6`` do.
-    Each distinct profile is analyzed once (``CensusCache.shape``).  With one
-    job the stream is consumed lazily and no profile is kept per graph;
-    ``jobs`` > 1 reads the whole stream and spreads counting and analysis
-    over worker processes (``CensusCache.fill``) with an identical result.
+    A graph takes its profile from generation where generation built it
+    (``graph_profile``), and each distinct profile is analyzed once
+    (``CensusCache.shape``).  With one job the stream is consumed lazily
+    and no profile is kept per graph; ``jobs`` > 1 reads the whole stream
+    and spreads counting and analysis over worker processes
+    (``CensusCache.fill``) with an identical result.
     """
     cache = CensusCache(jobs)
     if jobs > 1:
         source = list(source)
         cache.fill(source)
-    profile = cache.profile if jobs > 1 else count_connected_sets
+    profile = cache.profile if jobs > 1 else graph_profile
     return summarize(((g, cache.shape(profile(g), g)) for g in source), exemplar_cap)

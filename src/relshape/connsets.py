@@ -20,7 +20,9 @@ from there on the frontier program runs when its state bound
 ``sum_i Bell(w_i + 1)`` lies below ``2^n``, the bound on connected sets.  So
 sparse graphs of order 16 and more go through the frontier program, while
 small and dense graphs (the censuses, trees, K_18, G(20, 1/2)) are
-enumerated.  ``family_profile`` gives the closed-form profile of every named
+enumerated.  ``extend_profile`` gives the profile of a graph one vertex
+larger than one of known profile, by rooted extension from the new vertex
+alone; census generation builds every profile that way.  ``family_profile`` gives the closed-form profile of every named
 family.  The coefficient checks return plain values: the identities the
 counts are known to satisfy as one item each, and the first violation of
 the growth bounds or of the Sperner bounds, or None.
@@ -42,7 +44,7 @@ DEFAULT_COUNT_CAP = 30
 FRONTIER_MIN_ORDER = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnSetProfile:
     """Exact counts ``c[k]`` of connected induced k-subsets, ``k = 0..n``."""
 
@@ -86,8 +88,31 @@ def count_connected_sets_by_extension(g: Graph) -> ConnSetProfile:
     connected sets.
     """
     n = g.n
-    adj = g.adj
     counts = [0] * (n + 1)
+    for root in range(n):
+        _extend(g.adj, counts, root, ~((2 << root) - 1))
+    return ConnSetProfile(n, tuple(counts))
+
+
+def extend_profile(profile: ConnSetProfile, adj: tuple[int, ...]) -> ConnSetProfile:
+    """The profile of the graph ``adj`` whose vertices other than the last
+    induce a graph with ``profile``.
+
+    A connected set without the last vertex is one of that graph's, so only
+    the sets through the last vertex are counted, by rooted extension from
+    it; their cost is proportional to their number.
+    """
+    n = len(adj)
+    counts = [*profile.c, 0]
+    _extend(adj, counts, n - 1, (1 << (n - 1)) - 1)
+    return ConnSetProfile(n, tuple(counts))
+
+
+def _extend(adj, counts: list[int], root: int, allowed: int) -> None:
+    """Add to ``counts[k]`` the connected k-sets that hold ``root`` and
+    otherwise only vertices of ``allowed``, each visited once: a set grows by
+    frontier vertices, and a vertex tried on one branch is banned on the
+    branches after it."""
 
     def grow(sub, size, frontier, allowed):
         counts[size] += 1
@@ -106,10 +131,7 @@ def count_connected_sets_by_extension(g: Graph) -> ConnSetProfile:
             )
             allowed = branch_allowed
 
-    for root in range(n):
-        above = ~((2 << root) - 1)
-        grow(1 << root, 1, adj[root] & above, above)
-    return ConnSetProfile(n, tuple(counts))
+    grow(1 << root, 1, adj[root] & allowed, allowed)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ reported but never counted as crossings or decrease boundaries.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,6 +66,7 @@ from .sturm import (
     descartes_bound,
     descartes_transform,
     horner_ratio,
+    primitive,
     reflect,
     scale,
     sign_at,
@@ -129,7 +129,12 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     polynomial.
     """
     tol = _positive_tol(tol)
-    p_int = to_primitive_int(coeffs)
+    return _isolate_int(to_primitive_int(coeffs), tol)
+
+
+def _isolate_int(p_int: list[int], tol: Fraction) -> list[RootRecord]:
+    """``isolate_roots`` of a primitive integer coefficient list (as
+    ``primitive`` leaves it) at a validated tol."""
     if not p_int:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if degree(p_int) == 0:
@@ -144,8 +149,15 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     transform = descartes_transform(inner)  # also the basis of the second root estimate
     if not (budget := sign_changes(transform)):
         return []
-    # taken once, and only where Descartes' rule cannot decide
-    square_free = functools.cache(lambda: square_free_part(inner))
+    memo = []
+
+    def square_free():
+        """inner's square-free part, taken once, and only where Descartes'
+        rule cannot decide."""
+        if not memo:
+            memo.append(square_free_part(inner))
+        return memo[0]
+
     # poly maps (0, 1) onto (lo_num, lo_num + w_num) / den, and budget is its bound
     lo_num, w_num, den, poly = 0, 1, 1, inner
     # when the original polynomial vanishes at a domain endpoint (those roots
@@ -466,9 +478,10 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> Sha
 
 
 def _isolate(coeffs, stage: str, tol: Fraction) -> list[RootRecord]:
-    """isolate_roots on (0,1), naming the polynomial when a check fails."""
+    """isolate_roots of integer coefficients on (0,1) at a validated tol,
+    naming the polynomial when a check fails."""
     try:
-        return isolate_roots(coeffs, tol=tol)
+        return _isolate_int(primitive(list(coeffs)), tol)
     except InternalCheckError as exc:
         raise InternalCheckError(f"{stage}: {exc}") from exc
 

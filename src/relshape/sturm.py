@@ -42,10 +42,10 @@ def to_primitive_int(coeffs) -> list[int]:
         fracs = [Fraction(c) for c in coeffs]
         denom_lcm = lcm(*(f.denominator for f in fracs))
         coeffs = [f.numerator * (denom_lcm // f.denominator) for f in fracs]
-    return _primitive(coeffs)
+    return primitive(coeffs)
 
 
-def _primitive(coeffs: list[int]) -> list[int]:
+def primitive(coeffs: list[int]) -> list[int]:
     """Trim trailing zeros of an integer list in place and divide out its
     content."""
     while coeffs and coeffs[-1] == 0:
@@ -147,7 +147,7 @@ def _rem_primitive(a: list[int], b: list[int]) -> list[int]:
         shift = len(r) - db
         for i in range(db):
             r[shift + i] -= factor * b[i]
-    return _primitive(r)
+    return primitive(r)
 
 
 def exact_div(a: list[int], b: list[int]) -> list[int]:
@@ -191,7 +191,7 @@ def square_free_part(coeffs: list[int]) -> list[int]:
     """p / gcd(p, p') for an integer p: the same distinct roots, each simple,
     and the leading sign of p.  The gcd is the last nonzero primitive
     remainder of p and p'."""
-    a, b = coeffs, _primitive(diff_int(coeffs))
+    a, b = coeffs, primitive(diff_int(coeffs))
     while b:
         a, b = b, _rem_primitive(a, b)
     if degree(a) < 1:

@@ -49,9 +49,9 @@ from .shape import (
     DEFAULT_TOL,
     SPARSE_THRESHOLD_DEN,
     SPARSE_THRESHOLD_NUM,
-    analyze_profile,
     check_fixed_point_witness,
     check_sparse_decrease,
+    isolate_roots,
     maximize_threshold_constant,
 )
 
@@ -113,21 +113,23 @@ def _signs(coeffs, points) -> list[int]:
 
 def check_path6_decrease_endpoints(cache):
     """The one decrease interval of P6 ends within 5e-5 of 0.2137 and
-    0.5851: each end is a reported bracket no wider than the tolerance,
-    lying within 5e-5 of its value, across which f' changes sign."""
-    profile = family_profile(FamilySpec("path", (6,)))
-    decreases = cache.shape(profile).decreases
-    report = analyze_profile(profile)
-    intervals = report.decrease_intervals
-    ends = (intervals[0].lo_root, intervals[0].hi_root) if decreases == len(intervals) == 1 else ()
-    problems = [] if ends else [f"{decreases} decrease intervals, {len(intervals)} reported"]
+    0.5851: each end is a bracket of a root of f' no wider than the
+    tolerance, lying within 5e-5 of its value, across which f' changes
+    sign.  The decrease count and f' come from the cache's one analysis of
+    P6; f' starts and ends positive, so its two crossings, as
+    ``isolate_roots`` brackets them, are the ends."""
+    shape = cache.shape(family_profile(FamilySpec("path", (6,))))
+    crossings = [r for r in isolate_roots(shape.f1) if r.sign_change]
+    ends = tuple(crossings) if shape.decreases == 1 and len(crossings) == 2 else ()
+    problems = [] if ends else [f"{shape.decreases} decrease intervals, "
+                                f"{len(crossings)} sign changes of f'"]
     slack = Fraction(5, 10**5)
     for root, target in zip(ends, (Fraction(2137, 10**4), Fraction(5851, 10**4))):
-        signs = _signs(report.f1, (root.lo, root.hi)) if root else None
-        if not (root and root.hi - root.lo <= DEFAULT_TOL and signs[0] == -signs[1] != 0
+        signs = _signs(shape.f1, (root.lo, root.hi))
+        if not (root.hi - root.lo <= DEFAULT_TOL and signs[0] == -signs[1] != 0
                 and target - slack <= root.lo and root.hi <= target + slack):
-            bracket = root and f"[{float(root.lo):.10f}, {float(root.hi):.10f}]"
-            problems.append(f"end {bracket}, f' signs {signs}: not a sign change "
+            problems.append(f"end [{float(root.lo):.10f}, {float(root.hi):.10f}], "
+                            f"f' signs {signs}: not a sign change "
                             f"within tol and within 5e-5 of {float(target)}")
     detail = "one decrease interval, f' changes sign within 5e-5 of 0.2137 and of 0.5851"
     return CheckResult("path6-decrease-endpoints", not problems,

@@ -11,12 +11,12 @@ brackets ``isolate_roots`` must give.
 from fractions import Fraction
 
 from relshape.sturm import (
-    _primitive,
     _rem_primitive,
     deflate_root,
     degree,
     diff_int,
     exact_div,
+    primitive,
     sign_at,
     to_primitive_int,
 )
@@ -26,7 +26,7 @@ def sturm_chain(coeffs):
     """Sturm sequence of the square-free part of an integer polynomial, each
     element primitive; the first element is the square-free part itself."""
     chain = [to_primitive_int(coeffs)]
-    d = _primitive(diff_int(chain[0]))
+    d = primitive(diff_int(chain[0]))
     if d:
         chain.append(d)
     while degree(chain[-1]) >= 1:

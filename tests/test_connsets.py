@@ -14,6 +14,7 @@ from relshape.connsets import (
     clear_frontier_memo,
     count_connected_sets,
     count_connected_sets_by_extension,
+    extend_profile,
     f_coefficients,
     frontier_memo_size,
     frontier_order,
@@ -41,6 +42,16 @@ def fam(kind, *params):
 @given(graphs(max_n=10))
 def test_enumeration_matches_exhaustive_scan(g):
     assert count_connected_sets(g) == count_connected_sets_bruteforce(g)
+
+
+@given(graphs(min_n=2, max_n=10))
+def test_extended_profile_matches_exhaustive_scan(g):
+    # the profile of g without its last vertex plus the sets through it;
+    # disconnected graphs and an isolated last vertex included
+    n = g.n
+    rest = Graph(n - 1, tuple(a & ~(1 << (n - 1)) for a in g.adj[:-1]))
+    assert extend_profile(count_connected_sets_bruteforce(rest), g.adj) == \
+        count_connected_sets_bruteforce(g)
 
 
 def test_enumeration_matches_scan_on_order6_census(graphs6):

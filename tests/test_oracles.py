@@ -154,12 +154,13 @@ def test_root_counts_equal_sympy_on_order_8():
 
 
 def test_oracle_sees_every_root_reported_as_a_crossing(oracle_slice, monkeypatch):
-    real = shape.isolate_roots
+    # analyze_profile isolates through the validated entry behind isolate_roots
+    real = shape._isolate_int
 
-    def all_crossings(coeffs, tol=DEFAULT_TOL):
-        return [RootRecord(r.lo, r.hi, r.approx, True) for r in real(coeffs, tol)]
+    def all_crossings(p_int, tol):
+        return [RootRecord(r.lo, r.hi, r.approx, True) for r in real(p_int, tol)]
 
-    monkeypatch.setattr(shape, "isolate_roots", all_crossings)
+    monkeypatch.setattr(shape, "_isolate_int", all_crossings)
     assert [p.n for p in failing(oracle_slice)] == [4, 4]
 
 
@@ -174,13 +175,13 @@ def test_oracle_sees_a_cell_left_unrefined(oracle_slice, monkeypatch):
 
 def test_oracle_sees_the_last_of_three_roots_dropped(oracle_slice, three_inflection,
                                                      monkeypatch):
-    real = shape.isolate_roots
+    real = shape._isolate_int
 
-    def drop_last(coeffs, tol=DEFAULT_TOL):
-        records = real(coeffs, tol)
+    def drop_last(p_int, tol):
+        records = real(p_int, tol)
         return records[:-1] if len(records) >= 3 else records
 
-    monkeypatch.setattr(shape, "isolate_roots", drop_last)
+    monkeypatch.setattr(shape, "_isolate_int", drop_last)
     assert failing(oracle_slice) == [three_inflection]
 
 

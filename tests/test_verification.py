@@ -258,17 +258,20 @@ def test_sparse_decrease_census_counts_every_seeded_graph(monkeypatch):
 
 
 def test_verify_counts_each_graph_once_and_analyzes_each_profile_once(monkeypatch):
+    # generation gives each census graph and tree its profile, so only the
+    # family, sparse and Monte Carlo graphs are counted
     counted = count_calls(monkeypatch, [connsets, census, cli], "count_connected_sets")
     analyzed = count_calls(monkeypatch, [shape, census, cli], "analyze_profile")
-    # path6-decrease-endpoints analyzes path:6 itself for its brackets
-    bracketed = count_calls(monkeypatch, [verification], "analyze_profile")
+    # path6-decrease-endpoints brackets the f' of the cache's analysis of path:6
+    bracketed = count_calls(monkeypatch, [verification], "isolate_roots")
     differentiated = count_calls(monkeypatch, [poly, shape, verification, cli], "derivative")
     expanded = count_calls(monkeypatch, [poly], "expand_c_form")
     results = verification.run_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert len(counted) == len({g.adj for g in counted}) == 1078
+    assert len(counted) == len({g.adj for g in counted}) == 59
     assert len(analyzed) == len({p.c for p in analyzed}) == 658
+    assert not hasattr(verification, "analyze_profile")
     assert len(bracketed) == 1
     # one f' per analysis, and the 14 closed forms of clique-leaf-decreasing-at-2-5
-    assert len(differentiated) <= len(analyzed) + len(bracketed) + 14 <= 680
+    assert len(differentiated) <= len(analyzed) + 14 <= 672
     assert len(expanded) <= 2100
