@@ -8,10 +8,10 @@ both its key and its automorphism group, and the group of a class picks the
 masks attached to it as a parent.  A new class's profile is its parent's
 plus the connected sets through the new vertex, so generated graphs are
 never counted whole (``graph_profile``).  Aggregation over a stream of
-graphs is associative and commutative, so censuses can be parallelized and
-merged.  ``CensusCache`` holds the census that ``census`` and ``verify``
-share: each graph that generation did not build counted once, each
-distinct profile analyzed once.
+graphs does not depend on the order of the stream.  ``CensusCache`` holds
+the census that ``census`` and ``verify`` share, in one process: each
+graph that generation did not build counted once, each distinct profile
+analyzed once.
 """
 
 from __future__ import annotations
@@ -339,12 +339,10 @@ class CensusCache:
 
     Within one cache every graph generation did not build is counted once
     (``profile``) and every distinct profile analyzed once (``shape``),
-    however many checks read it.  With ``jobs`` > 1, ``fill`` counts and
-    analyzes graphs in worker processes first.
+    however many checks read it.
     """
 
-    def __init__(self, jobs: int = 1):
-        self.jobs = jobs
+    def __init__(self):
         self._profiles: dict[Graph, ConnSetProfile] = {}
         self._shapes: dict[tuple[int, ...], ShapeCounts] = {}
 
@@ -360,31 +358,10 @@ class CensusCache:
             shape = self._shapes[profile.c] = shape_counts(profile, g)
         return shape
 
-    def fill(self, graphs: list[Graph]) -> None:
-        """With ``jobs`` > 1, count the graphs that have no profile yet, then
-        analyze one graph per new profile, in one pool of worker processes."""
-        if self.jobs <= 1:
-            return
-        from multiprocessing import Pool  # only here, so other commands skip its import
-
-        new = [g for g in dict.fromkeys(graphs) if g not in _PROFILES and g not in self._profiles]
-        with Pool(self.jobs) as pool:
-            self._profiles.update(zip(new, pool.map(
-                count_connected_sets, new, chunksize=max(1, len(new) // (self.jobs * 8)))))
-            first = {}
-            for g in graphs:
-                profile = self.profile(g)
-                if profile.c not in self._shapes:
-                    first.setdefault(profile.c, (profile, g))
-            self._shapes.update(zip(first, pool.starmap(
-                shape_counts, first.values(), chunksize=max(1, len(first) // (self.jobs * 8)))))
-
     def summary(self, n: int) -> tuple[CensusSummary, float]:
         """(summary, elapsed seconds including generation)."""
         start = time.monotonic()
-        graphs = list(generate_connected(n))
-        self.fill(graphs)
-        summary = summarize((g, self.shape(self.profile(g), g)) for g in graphs)
+        summary = summarize((g, self.shape(self.profile(g), g)) for g in generate_connected(n))
         return summary, time.monotonic() - start
 
 
@@ -395,14 +372,10 @@ def run_census(source, jobs: int = 1, exemplar_cap: int = 10) -> CensusSummary:
     canonical representatives, as the generators and ``stream_graph6`` do.
     A graph takes its profile from generation where generation built it
     (``graph_profile``), and each distinct profile is analyzed once
-    (``CensusCache.shape``).  With one job the stream is consumed lazily
-    and no profile is kept per graph; ``jobs`` > 1 reads the whole stream
-    and spreads counting and analysis over worker processes
-    (``CensusCache.fill``) with an identical result.
+    (``CensusCache.shape``).  The stream is consumed lazily, in this
+    process, and no profile is kept per graph.
     """
-    cache = CensusCache(jobs)
-    if jobs > 1:
-        source = list(source)
-        cache.fill(source)
-    profile = cache.profile if jobs > 1 else graph_profile
-    return summarize(((g, cache.shape(profile(g), g)) for g in source), exemplar_cap)
+    if jobs != 1:  # the keyword stays for perfbench/rep.py, which passes jobs=1
+        raise ValueError(f"run_census runs in one process: jobs must be 1, got {jobs}")
+    cache = CensusCache()
+    return summarize(((g, cache.shape(graph_profile(g), g)) for g in source), exemplar_cap)

@@ -401,15 +401,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _check_jobs(args) -> None:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-
-
 def cmd_census(args) -> int:
     if (args.n is None) == (args.input is None):
         raise ValueError("need exactly one of --n or --input")
-    _check_jobs(args)
     if args.exemplars < 0:
         raise ValueError(f"--exemplars must be at least 0, got {args.exemplars}")
     if args.n is not None:
@@ -424,8 +418,7 @@ def cmd_census(args) -> int:
         else:
             print("census: 0 graphs")
         return 0
-    summary = run_census(itertools.chain([first], source), jobs=args.jobs,
-                         exemplar_cap=args.exemplars)
+    summary = run_census(itertools.chain([first], source), exemplar_cap=args.exemplars)
     if args.json:
         print(json.dumps(census_document(summary), indent=2, sort_keys=True))
         return 0
@@ -443,8 +436,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_jobs(args)
-    results = run_checks(slow=args.slow, jobs=args.jobs, only=args.only)
+    results = run_checks(slow=args.slow, only=args.only)
     if not results:
         raise ValueError(f"no check matches --only {args.only!r}")
     if args.json:
@@ -489,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="aggregate shape statistics over many graphs")
     p.add_argument("--n", type=int, help="generate all connected graphs of this order (2..8)")
     p.add_argument("--input", help="graph6 file, one graph per line")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--exemplars", type=int, default=10, help="exemplars kept per predicate")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_census)
@@ -497,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--slow", action="store_true", help="include the order-8 census")
     p.add_argument("--only", help="run only checks whose name contains this substring")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

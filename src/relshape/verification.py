@@ -60,9 +60,18 @@ from .shape import (
 THREE_INFLECTION_ORDER7 = "7 0 4 0 5 0 6 1 4 1 6 2 5 2 6 3 6 4 5"
 
 CENSUS_EXPECTED = {
-    6: {"total": 112, "decrease": 37, "three_inflections": 0, "budget_s": 10.0},
-    7: {"total": 853, "decrease": 383, "three_inflections": 1, "budget_s": 60.0},
-    8: {"total": 11117, "decrease": 5211, "three_inflections": 84, "budget_s": 1800.0},
+    6: {"total": 112, "decrease": 37, "three_inflections": 0, "budget_s": 10.0,
+        "inflection_histogram": {0: 14, 1: 48, 2: 50},
+        "fixed_point_histogram": {0: 80, 1: 31, 2: 1},
+        "class_histogram": {"N": 37, "monotone-no-interior-fixed-point": 75}},
+    7: {"total": 853, "decrease": 383, "three_inflections": 1, "budget_s": 60.0,
+        "inflection_histogram": {0: 67, 1: 290, 2: 495, 3: 1},
+        "fixed_point_histogram": {0: 609, 1: 233, 2: 11},
+        "class_histogram": {"N": 383, "monotone-no-interior-fixed-point": 470}},
+    8: {"total": 11117, "decrease": 5211, "three_inflections": 84, "budget_s": 1800.0,
+        "inflection_histogram": {0: 483, 1: 2614, 2: 7936, 3: 84},
+        "fixed_point_histogram": {0: 8486, 1: 2457, 2: 174},
+        "class_histogram": {"N": 5211, "monotone-no-interior-fixed-point": 5906}},
 }
 
 
@@ -82,6 +91,9 @@ def _census_check(cache: CensusCache, n: int) -> CheckResult:
         ("decrease", "decrease", summary.with_decrease),
         ("three_inflections", "three-inflection count", three),
     ) if actual != expected[key]]
+    problems += [f"{key.replace('_', ' ')} {getattr(summary, key)} != {expected[key]}"
+                 for key in ("inflection_histogram", "fixed_point_histogram", "class_histogram")
+                 if getattr(summary, key) != expected[key]]
     if n == 7 and three == 1:
         reference = to_graph6(canonical_graph(parse_edge_list(THREE_INFLECTION_ORDER7)))
         exemplar = summary.exemplars.get("inflections=3", ())
@@ -221,7 +233,7 @@ def check_closed_form_equivalence(cache):
                   "{total} family instances coefficient-exact", "mismatch: ")
 
 
-def _census_graphs(cache) -> list[Graph]:
+def _census_graphs() -> list[Graph]:
     """Every census graph of orders 2..7."""
     return [g for n in range(2, 8) for g in generate_connected(n)]
 
@@ -243,20 +255,20 @@ def _cases(name: str, cases, passed: str, failed: str) -> CheckResult:
 
 
 def check_coefficient_identities_sweep(cache):
-    return _sweep("coefficient-identities-sweep", _census_graphs(cache),
+    return _sweep("coefficient-identities-sweep", _census_graphs(),
                   lambda g: all(item.passed
                                 for item in check_coefficient_identities(g, cache.profile(g))),
                   "{total} census graphs orders 2..7, {bad} failures")
 
 
 def check_coefficient_bounds_sweep(cache):
-    return _sweep("coefficient-bounds-sweep", _census_graphs(cache),
+    return _sweep("coefficient-bounds-sweep", _census_graphs(),
                   lambda g: first_bound_violation(cache.profile(g)) is None,
                   "{total} census graphs orders 2..7, {bad} failures")
 
 
 def check_early_concavity_sweep(cache):
-    return _sweep("early-concavity-sweep", _census_graphs(cache),
+    return _sweep("early-concavity-sweep", _census_graphs(),
                   lambda g: d_coefficients(cache.profile(g))[0] <= -g.n * (g.n - 1),
                   "d_1 <= -n(n-1) on {total} census graphs, {bad} failures")
 
@@ -266,18 +278,18 @@ def check_endpoint_derivative_sweep(cache):
         d1 = cache.shape(cache.profile(g), g).f1
         return eval_exact(d1, 0) == g.n and eval_exact(d1, 1) == len(cut_vertices(g))
 
-    return _sweep("endpoint-derivative-sweep", _census_graphs(cache), holds,
+    return _sweep("endpoint-derivative-sweep", _census_graphs(), holds,
                   "f'(0)=n and f'(1)=cut count on {total} census graphs, {bad} failures")
 
 
 def check_sperner_sweep(cache):
-    return _sweep("sperner-failure-sweep", _census_graphs(cache),
+    return _sweep("sperner-failure-sweep", _census_graphs(),
                   lambda g: (first_sperner_violation(cache.profile(g)) is None) == is_complete(g),
                   "failure iff non-complete on {total} census graphs, {bad} failures")
 
 
 def check_late_concavity_two_connected(cache):
-    graphs = [g for g in _census_graphs(cache) if is_two_connected(g)]
+    graphs = [g for g in _census_graphs() if is_two_connected(g)]
     return _sweep("late-concavity-two-connected-sweep", graphs,
                   lambda g: cache.shape(cache.profile(g), g).concavity_near_1 == -1,
                   "{total} 2-connected census graphs concave down near 1, {bad} failures")
@@ -350,7 +362,7 @@ def check_tree_inflections(cache):
 
 
 def check_two_cut_fixed_point(cache):
-    graphs = [g for g in _census_graphs(cache) if len(cut_vertices(g)) >= 2]
+    graphs = [g for g in _census_graphs() if len(cut_vertices(g)) >= 2]
     return _sweep("two-cut-fixed-point-sweep", graphs,
                   lambda g: cache.shape(cache.profile(g), g).fixed_points >= 1,
                   "{total} census graphs with >= 2 cut vertices, {bad} without a fixed point")
@@ -472,9 +484,8 @@ DEFAULT_CHECKS = [
 SLOW_CHECKS = [("census-order-8", check_census_order_8)]
 
 
-def run_checks(slow: bool = False, jobs: int = 1,
-               only: str | None = None) -> list[CheckResult]:
-    cache = CensusCache(jobs=jobs)
+def run_checks(slow: bool = False, only: str | None = None) -> list[CheckResult]:
+    cache = CensusCache()
     checks = DEFAULT_CHECKS + (SLOW_CHECKS if slow else [])
     results = []
     for name, check in checks:

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import automorphisms, count_calls, isomorphisms, relabel
-from relshape import census
+from relshape import census, cli
 from relshape.census import (
     _attach,
     _orbit_masks,
@@ -33,7 +33,6 @@ from relshape.graphs import (
 )
 from relshape.shape import analyze_profile
 from relshape.sturm import InternalCheckError
-from relshape.verification import CensusCache
 
 KNOWN_CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TOLS = (Fraction(1), Fraction(1, 7), Fraction(1, 10**9))
@@ -168,20 +167,14 @@ def test_order_independence(graphs6):
     assert run_census(reversed(list(graphs6))) == base
 
 
-def test_parallel_equals_sequential(graphs6, monkeypatch):
-    assert run_census(graphs6, jobs=2) == run_census(graphs6)
-    assert CensusCache(jobs=2).summary(6)[0] == run_census(graphs6)
-    parallel = CensusCache(jobs=2)
-    parallel.fill(graphs6)
-    # generation gave every graph its profile: fill counted none
-    assert parallel._profiles == {}
-    # fill leaves nothing to count or analyze in this process
-    counted = count_calls(monkeypatch, [census], "count_connected_sets")
-    analyzed = count_calls(monkeypatch, [census], "shape_counts")
-    filled = [(parallel.profile(g), parallel.shape(parallel.profile(g))) for g in graphs6]
-    assert counted == analyzed == []
-    serial = CensusCache()
-    assert filled == [(serial.profile(g), serial.shape(serial.profile(g))) for g in graphs6]
+def test_census_runs_in_one_process(graphs6, capsys):
+    assert run_census(graphs6, jobs=1) == run_census(graphs6)
+    with pytest.raises(ValueError, match="jobs must be 1, got 2"):
+        run_census(graphs6, jobs=2)
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["census", "--n", "4", "--jobs", "2"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_one_job_census_analyzes_each_graph_before_pulling_the_next(monkeypatch):

@@ -154,7 +154,16 @@ class TamperedCensus(verification.CensusCache):
     (7, TamperedCensus(7, exemplars={"inflections=3": ("F??^w",)}),
      "three-inflection exemplar ('F??^w',) != "),
     (6, TamperedCensus(6, elapsed=10.0), "elapsed 10.0s over budget 10s"),
-], ids=["total", "three-inflections", "order-7-exemplar", "budget"])
+    (6, TamperedCensus(6, inflection_histogram={0: 15, 1: 47, 2: 50}),
+     "inflection histogram {0: 15, 1: 47, 2: 50} != {0: 14, 1: 48, 2: 50}"),
+    (7, TamperedCensus(7, fixed_point_histogram={0: 609, 1: 234, 2: 10}),
+     "fixed point histogram {0: 609, 1: 234, 2: 10} != {0: 609, 1: 233, 2: 11}"),
+    (6, TamperedCensus(6, class_histogram={"M": 1, "N": 36,
+                                           "monotone-no-interior-fixed-point": 75}),
+     "class histogram {'M': 1, 'N': 36, 'monotone-no-interior-fixed-point': 75} != "
+     "{'N': 37, 'monotone-no-interior-fixed-point': 75}"),
+], ids=["total", "three-inflections", "order-7-exemplar", "budget", "inflection-histogram",
+        "fixed-point-histogram", "class-histogram"])
 def test_census_check_fails_on_a_tampered_summary(n, cache, problem):
     result = verification._census_check(cache, n)
     assert not result.passed
