@@ -64,6 +64,7 @@ from .shape import (
 from .verification import run_checks
 
 MIN_CUT_ORDER_CAP = 16  # brute-force vertex-cut search is exponential beyond this
+_STR_DIGITS = 4300  # the most digits str(int) prints: CPython's default limit
 
 
 class FamilyParseError(ValueError):
@@ -128,7 +129,12 @@ def parse_tol(text: str | None) -> Fraction:
     if text is None:
         return DEFAULT_TOL
     try:
-        tol = Fraction(decimal.Decimal(text))
+        value = decimal.Decimal(text)
+        if value and not -_STR_DIGITS - 1 < value.adjusted() < _STR_DIGITS:
+            raise ValueError  # refused before Fraction builds 10 ** exponent
+        tol = Fraction(value)
+        if max(abs(tol.numerator), tol.denominator) >= 10 ** _STR_DIGITS:
+            raise ValueError
     except (decimal.InvalidOperation, ValueError, OverflowError):  # infinities overflow
         raise ValueError(f"invalid tolerance {text!r}") from None
     if tol <= 0:

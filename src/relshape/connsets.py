@@ -52,6 +52,8 @@ class ConnSetProfile:
     c: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("profile needs order n >= 1")
         if len(self.c) != self.n + 1:
             raise ValueError("profile needs n+1 entries")
         if any(x < 0 for x in self.c):

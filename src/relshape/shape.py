@@ -22,10 +22,11 @@ the reported bracket.  The sparse-threshold optimizer is the only other
 use of floating point.
 
 ``analyze_profile`` is the one way into an analysis: it expands the
-profile once, and its report carries that f and f'.  The paper's two
-witness theorems are each one exact evaluation: ``check_sparse_decrease``
-takes f' and ``check_fixed_point_witness`` takes f, such as a report's;
-neither counts nor expands.
+profile once, isolates f', f'' and f - p through ``isolate_roots`` (a
+failed internal check names which), and its report carries f and f'.
+The paper's two witness theorems are each one exact evaluation:
+``check_sparse_decrease`` takes f' and ``check_fixed_point_witness``
+takes f, such as a report's; neither counts nor expands.
 
 Classification vocabulary (assigned from the exact report, never from
 samples):
@@ -66,7 +67,6 @@ from .sturm import (
     descartes_bound,
     descartes_transform,
     horner_ratio,
-    primitive,
     reflect,
     scale,
     sign_at,
@@ -129,12 +129,7 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
     polynomial.
     """
     tol = _positive_tol(tol)
-    return _isolate_int(to_primitive_int(coeffs), tol)
-
-
-def _isolate_int(p_int: list[int], tol: Fraction) -> list[RootRecord]:
-    """``isolate_roots`` of a primitive integer coefficient list (as
-    ``primitive`` leaves it) at a validated tol."""
+    p_int = to_primitive_int(coeffs)
     if not p_int:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if degree(p_int) == 0:
@@ -448,7 +443,7 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> Sha
     n, c = profile.n, profile.c
     poly = from_profile(profile)
     deriv_at_0 = c[1]
-    deriv_at_1 = n * c[n] - c[n - 1] if n >= 1 else 0
+    deriv_at_1 = n * c[n] - c[n - 1]
 
     d = d_coefficients(profile)
     concave_down_near_0 = n >= 2 and d[0] < 0
@@ -460,30 +455,24 @@ def analyze_profile(profile: ConnSetProfile, tol: Fraction = DEFAULT_TOL) -> Sha
     shifted = list(poly.coeffs)
     shifted[1] -= 1  # f(p) - p, zero for the single-vertex graph
 
-    critical = tuple(_isolate(f1, "f'", tol)) if any(f1) else ()
+    roots = []
+    for stage, q in (("f'", f1), ("f''", f2), ("f - p", shifted)):
+        try:
+            roots.append(tuple(isolate_roots(q, tol)) if any(q) else ())
+        except InternalCheckError as exc:  # name the polynomial that failed
+            raise InternalCheckError(f"{stage}: {exc}") from exc
+    critical, inflections, fixed = roots
     decrease = _decrease_intervals(f1, critical)
-    inflections = tuple(
-        r for r in (_isolate(f2, "f''", tol) if any(f2) else ()) if r.sign_change)
-    fixed = tuple(_isolate(shifted, "f - p", tol)) if any(shifted) else ()
 
     shape_class = _classify(poly, decrease, fixed) if any(shifted) else "identity"
     return ShapeReport(
         n=n, connected=profile.connected,
         deriv_at_0=deriv_at_0, deriv_at_1=deriv_at_1,
         decrease_intervals=decrease, critical_points=critical,
-        inflections=inflections, fixed_points=fixed,
+        inflections=tuple(r for r in inflections if r.sign_change), fixed_points=fixed,
         concave_down_near_0=concave_down_near_0,
         concavity_near_1=concavity_near_1, shape_class=shape_class,
         poly=poly, f1=f1, d=d)
-
-
-def _isolate(coeffs, stage: str, tol: Fraction) -> list[RootRecord]:
-    """isolate_roots of integer coefficients on (0,1) at a validated tol,
-    naming the polynomial when a check fails."""
-    try:
-        return _isolate_int(primitive(list(coeffs)), tol)
-    except InternalCheckError as exc:
-        raise InternalCheckError(f"{stage}: {exc}") from exc
 
 
 def _decrease_intervals(f1, critical) -> tuple[Interval, ...]:

@@ -9,10 +9,13 @@ The names are read from the benchmark's own files, not kept by hand.
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import checkout_env
 from relshape import verification
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -90,3 +93,13 @@ def test_check_tables_hold_public_functions(table):
     for name, fn in checks:
         assert is_public_function(verification, fn.__name__), name
         assert getattr(verification, fn.__name__) is fn, name
+
+
+def test_benchmark_self_check_passes():
+    # small runs of every workload through its output gate (census summary,
+    # family and sparse digests, verify check names), untraced and traced
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--self-check"],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True,
+                          env=checkout_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-check passed"

@@ -472,6 +472,26 @@ def test_non_finite_tolerance_is_a_usage_error(capsys, text):
     assert (code, out, err) == (2, "", f"error: invalid tolerance {text!r}\n")
 
 
+@pytest.mark.parametrize("text", ["1e-4299", "1e4299"])
+def test_tolerance_that_str_prints_is_accepted(capsys, text):
+    code, out, _ = run_inproc(capsys, "analyze", "--family", "path:4", "--tol", text)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("text", ["1e-4300", "1e4300"])
+def test_tolerance_that_str_cannot_print_is_refused_up_front(capsys, monkeypatch, text):
+    # 10**4300 has 4,301 digits, one more than str(int) prints by default
+    analyzed = count_calls(monkeypatch, [cli], "analyze_profile")
+    code, out, err = run_inproc(capsys, "analyze", "--family", "path:4", "--tol", text)
+    assert (code, out, err) == (2, "", f"error: invalid tolerance {text!r}\n")
+    assert analyzed == []
+
+
+def test_huge_tolerance_exponent_is_refused_before_its_power_is_built():
+    with pytest.raises(ValueError, match="invalid tolerance '1e10000000'"):
+        cli.parse_tol("1e10000000")
+
+
 def test_tolerance_below_the_float_range(capsys):
     code, out, _ = run_inproc(capsys, "analyze", "--family", "path:4", "--tol", "1e-400")
     assert code == 0 and out

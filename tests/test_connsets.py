@@ -384,3 +384,10 @@ def test_profile_validation():
         ConnSetProfile(3, (0, 3, 3))
     with pytest.raises(ValueError):
         ConnSetProfile(2, (0, -1, 1))
+
+
+@pytest.mark.parametrize("n, c", [(0, (0,)), (-1, ())])
+def test_profile_needs_order_one(n, c):
+    # every graph and family has order >= 1; n = 0 used to fail inside analysis
+    with pytest.raises(ValueError, match="order n >= 1"):
+        ConnSetProfile(n, c)

@@ -11,6 +11,9 @@ isolation that produced them.
 """
 
 import functools
+import itertools
+import math
+from collections import defaultdict
 from fractions import Fraction
 
 import networkx as nx
@@ -18,6 +21,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 
+from conftest import relabel
 from relshape import shape
 from relshape.census import generate_connected, generate_trees
 from relshape.connsets import count_connected_sets
@@ -37,6 +41,12 @@ from relshape.shape import DEFAULT_TOL, RootRecord, analyze_profile
 from strategies import graphs, sparse_graphs
 
 X = sympy.Symbol("x")
+
+# connected graphs on n = 2..8 nodes, up to isomorphism: OEIS A001349
+CONNECTED_CLASSES = (1, 2, 6, 21, 112, 853, 11117)
+
+# networkx 3.5+ warns that its WL hashes changed; only their equality matters here
+WL_HASH_NOTE = pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
 
 
 # -- sympy: the brackets of a shape report -----------------------------------------
@@ -154,13 +164,12 @@ def test_root_counts_equal_sympy_on_order_8():
 
 
 def test_oracle_sees_every_root_reported_as_a_crossing(oracle_slice, monkeypatch):
-    # analyze_profile isolates through the validated entry behind isolate_roots
-    real = shape._isolate_int
+    real = shape.isolate_roots
 
-    def all_crossings(p_int, tol):
-        return [RootRecord(r.lo, r.hi, r.approx, True) for r in real(p_int, tol)]
+    def all_crossings(coeffs, tol):
+        return [RootRecord(r.lo, r.hi, r.approx, True) for r in real(coeffs, tol)]
 
-    monkeypatch.setattr(shape, "_isolate_int", all_crossings)
+    monkeypatch.setattr(shape, "isolate_roots", all_crossings)
     assert [p.n for p in failing(oracle_slice)] == [4, 4]
 
 
@@ -175,13 +184,13 @@ def test_oracle_sees_a_cell_left_unrefined(oracle_slice, monkeypatch):
 
 def test_oracle_sees_the_last_of_three_roots_dropped(oracle_slice, three_inflection,
                                                      monkeypatch):
-    real = shape._isolate_int
+    real = shape.isolate_roots
 
-    def drop_last(p_int, tol):
-        records = real(p_int, tol)
+    def drop_last(coeffs, tol):
+        records = real(coeffs, tol)
         return records[:-1] if len(records) >= 3 else records
 
-    monkeypatch.setattr(shape, "_isolate_int", drop_last)
+    monkeypatch.setattr(shape, "isolate_roots", drop_last)
     assert failing(oracle_slice) == [three_inflection]
 
 
@@ -216,6 +225,67 @@ def test_nonisomorphic_trees_equal_generation():
     for n in range(2, 11):
         assert keys(map(to_package, nx.nonisomorphic_trees(n))) == {
             to_graph6(g) for g in generate_trees(n)}
+
+
+@functools.cache
+def wl_hash(g) -> str:
+    """networkx's Weisfeiler-Lehman hash of g, 3 iterations: isomorphic
+    graphs share it, so only graphs that share it can be isomorphic."""
+    return nx.weisfeiler_lehman_graph_hash(to_networkx(g), iterations=3)
+
+
+def wl_buckets(graphs) -> list[list]:
+    buckets = defaultdict(list)
+    for g in graphs:
+        buckets[wl_hash(g)].append(g)
+    return list(buckets.values())
+
+
+def class_list_faults(graphs, count: int) -> list[str]:
+    """Why ``graphs`` are not ``count`` connected graphs in distinct
+    isomorphism classes, by networkx alone: a disconnected graph, a wrong
+    count, or an isomorphic pair among those that share a hash bucket."""
+    faults = [f"{to_graph6(g)} is disconnected" for g in graphs
+              if not nx.is_connected(to_networkx(g))]
+    if len(graphs) != count:
+        faults.append(f"{len(graphs)} classes, not {count}")
+    faults += [f"{to_graph6(g)} is isomorphic to {to_graph6(h)}"
+               for bucket in wl_buckets(graphs) for g, h in itertools.combinations(bucket, 2)
+               if nx.is_isomorphic(to_networkx(g), to_networkx(h))]
+    return faults
+
+
+@pytest.fixture(scope="module")
+def order_8_classes():
+    return list(generate_connected(8))
+
+
+@pytest.mark.slow
+@WL_HASH_NOTE
+def test_order_8_generation_is_complete_by_networkx(order_8_classes):
+    # distinct, connected and as many as A001349 counts: so every class once
+    counts = [len(list(generate_connected(n))) for n in range(2, 9)]
+    assert counts == list(CONNECTED_CLASSES)
+    buckets = wl_buckets(order_8_classes)
+    assert len(buckets) == 10749
+    assert sum(math.comb(len(bucket), 2) for bucket in buckets) == 478
+    assert class_list_faults(order_8_classes, CONNECTED_CLASSES[-1]) == []
+
+
+@pytest.mark.slow
+@WL_HASH_NOTE
+def test_order_8_proof_sees_a_class_dropped(order_8_classes):
+    assert class_list_faults(order_8_classes[1:], CONNECTED_CLASSES[-1]) == [
+        "11116 classes, not 11117"]
+
+
+@pytest.mark.slow
+@WL_HASH_NOTE
+def test_order_8_proof_sees_a_class_replaced_by_a_relabelled_copy(order_8_classes):
+    copy = relabel(order_8_classes[1], tuple(reversed(range(8))))
+    assert copy != order_8_classes[1]
+    assert class_list_faults([copy, *order_8_classes[1:]], CONNECTED_CLASSES[-1]) == [
+        f"{to_graph6(copy)} is isomorphic to {to_graph6(order_8_classes[1])}"]
 
 
 def test_node_connectivity_equals_min_vertex_cut():

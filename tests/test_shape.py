@@ -419,6 +419,36 @@ def test_path6_report():
     assert report.deriv_at_0 == 6 and report.deriv_at_1 == 4
 
 
+def counted_isolation(monkeypatch):
+    """Route ``shape.isolate_roots`` through a counter; returns the list of
+    record counts, one entry per call."""
+    real, returned = shape.isolate_roots, []
+
+    def counted(coeffs, tol):
+        records = real(coeffs, tol)
+        returned.append(len(records))
+        return records
+
+    monkeypatch.setattr(shape, "isolate_roots", counted)
+    return returned
+
+
+def test_analyze_isolates_through_isolate_roots(monkeypatch):
+    # f', f'' and f - p, each through the one public entry the benchmark traces
+    returned = counted_isolation(monkeypatch)
+    analyze_profile(family_profile(fam("path", 6)))
+    assert len(returned) == 3
+
+
+def test_order_7_isolations_are_the_traced_benchmark_figures(monkeypatch):
+    profiles = {p.c: p for p in map(count_connected_sets, generate_connected(7))}
+    assert len(profiles) == 477
+    returned = counted_isolation(monkeypatch)
+    for profile in profiles.values():
+        analyze_profile(profile)
+    assert (len(returned), sum(returned)) == (1431, 1345)
+
+
 def test_complete_graphs_monotone_concave_down():
     for n in range(2, 8):
         report = analyze_profile(count_connected_sets(make_family(fam("complete", n))))
