@@ -5,8 +5,9 @@ Subcommands: ``analyze`` (full exact report for one graph), ``coeffs``
 streamed shape statistics), and ``verify`` (the full verification suite).
 
 Conventions: exact rationals are printed as ``numerator/denominator``
-strings, decimals carry 10 significant digits (12 in CSV output), identical
-inputs produce byte-identical output, and the exit code is 0 on success, 1 on
+strings, decimals carry 10 significant digits (12 in CSV output), rounded
+half-even whatever the caller's decimal context, identical inputs produce
+byte-identical output, and the exit code is 0 on success, 1 on
 an internal invariant violation, 2 on a usage or parse error.  ``analyze
 --tol`` sets the width of the root brackets it prints (default 1e-9); the
 other commands read only shape invariants, which exact arithmetic decides
@@ -22,6 +23,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .census import census_document, generate_connected, run_census, stream_graph6
 from .connsets import (
@@ -114,15 +116,55 @@ def fmt_exact(value) -> str:
     return str(value) if type(value) is int else str(Fraction(value))
 
 
+@functools.cache
+def _decimal_context(sig: int) -> decimal.Context:
+    """The one decimal context of precision ``sig``, every field set here."""
+    return decimal.Context(prec=sig, rounding=decimal.ROUND_HALF_EVEN,
+                           Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                           capitals=1, clamp=0, traps=[])
+
+
 def fmt_dec(value, sig: int = 10) -> str:
-    """Exact rational rounded to ``sig`` significant digits."""
+    """Exact rational rounded half-even to ``sig`` significant digits.  It
+    divides and prints in its own context, so the caller's decimal context
+    changes no digit."""
     frac = Fraction(value)
     if frac == 0:
         return "0"
-    with decimal.localcontext() as ctx:
-        ctx.prec = sig
-        d = decimal.Decimal(frac.numerator) / decimal.Decimal(frac.denominator)
-    return str(d)
+    ctx = _decimal_context(sig)
+    return ctx.to_sci_string(
+        ctx.divide(decimal.Decimal(frac.numerator), decimal.Decimal(frac.denominator)))
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """What ``json.dumps(obj, indent=2, sort_keys=True)`` returns, for
+    documents of dicts with str keys, lists, tuples, str, int, bool and
+    None; json's own writer takes its pure-Python path whenever it indents.
+    Private, so that a tracer wrapping public names leaves its recursion
+    alone."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{\n" + ",\n".join(
+            f"{inner}{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}"
+            for key in sorted(obj)) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(
+            inner + _json_text(item, inner) for item in obj) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def parse_tol(text: str | None) -> Fraction:
@@ -334,7 +376,7 @@ def cmd_analyze(args) -> int:
     g, spec = resolve_graph(args)
     doc = build_analysis_document(g, spec, parse_tol(args.tol))
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     else:
         sys.stdout.write(render_analysis_text(doc))
     return 0
@@ -360,7 +402,7 @@ def cmd_coeffs(args) -> int:
             "note": _identity_note(flagged.get(label_at.get(k))),
         })
     if args.json:
-        print(json.dumps({"n": profile.n, "rows": rows}, indent=2, sort_keys=True))
+        print(_json_text({"n": profile.n, "rows": rows}))
         return 0
     widths = {
         "k": max(len(str(r["k"])) for r in rows),
@@ -426,7 +468,7 @@ def cmd_census(args) -> int:
         return 0
     summary = run_census(itertools.chain([first], source), exemplar_cap=args.exemplars)
     if args.json:
-        print(json.dumps(census_document(summary), indent=2, sort_keys=True))
+        print(_json_text(census_document(summary)))
         return 0
     print(f"order {summary.order} census: {summary.total_connected} graphs")
     print(f"  decrease: {summary.with_decrease}/{summary.total_connected}")
@@ -446,9 +488,8 @@ def cmd_verify(args) -> int:
     if not results:
         raise ValueError(f"no check matches --only {args.only!r}")
     if args.json:
-        print(json.dumps(
-            [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
-            indent=2, sort_keys=True))
+        print(_json_text(
+            [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]))
     else:
         width = max((len(r.name) for r in results), default=0)
         for r in results:

@@ -430,9 +430,11 @@ def first_bound_violation(profile: ConnSetProfile) -> tuple[int, int] | None:
         if 2 * c[k] > (n - k + 1) * c[k - 1]:
             return k, k - 1
     for k in range(2, n + 1):
+        lhs = k * c[k]  # (k - t + 1) * c_k, from t = 1 on
         for t in range(1, k):
-            if (k - t + 1) * c[k] > comb(n - t, k - t) * c[t]:
+            if lhs > comb(n - t, k - t) * c[t]:
                 return k, t
+            lhs -= c[k]
     return None
 
 

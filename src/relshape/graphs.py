@@ -547,18 +547,15 @@ def _twin_classes(adj, n):
     return cls
 
 
-def _maximum_independent_sets(adj, n, twins):
-    """Every maximum independent set that meets each twin class (``twins``
-    from ``_twin_classes``) in its lowest members, each once, as a bit mask;
+def _maximum_independent_sets(adj, n, same):
+    """Every maximum independent set that meets each twin class (``same[v]``
+    the mask of v's class) in its lowest members, each once, as a bit mask;
     a twin swap maps any other maximum independent set onto one of these.
 
     Branches on the lowest candidate vertex (take it, or leave it out with
     the rest of its twin class) and cuts a branch that cannot reach the
     largest size found so far.
     """
-    classes = [0] * n
-    for v in range(n):
-        classes[twins[v]] |= 1 << v
     found = []
     size = 0
 
@@ -576,7 +573,7 @@ def _maximum_independent_sets(adj, n, twins):
         v = bit.bit_length() - 1
         grow(chosen | bit, count + 1, cand & ~adj[v] & ~bit)
         if cand & adj[v]:  # else every maximum extension takes v
-            grow(chosen, count, cand & ~classes[twins[v]])
+            grow(chosen, count, cand & ~same[v])
 
     grow(0, 0, (1 << n) - 1)
     return found
@@ -649,25 +646,26 @@ def canonical_form(adj) -> tuple[str, tuple[bytes, ...]]:
     if n > CANONICAL_MAX_ORDER:
         raise ValueError(f"canonical form unsupported beyond order {CANONICAL_MAX_ORDER}")
     twins = _twin_classes(adj, n)
-    live = [([s], s) for s in _maximum_independent_sets(adj, n, twins)]
+    classes = [0] * n
+    for v, t in enumerate(twins):
+        classes[t] |= 1 << v
+    same = [classes[t] for t in twins]  # same[v]: the mask of v's twin class
+    # a branch: its cells as (mask, size) pairs, and the mask of placed vertices
+    live = [([(s, s.bit_count())], s) for s in _maximum_independent_sets(adj, n, same)]
     placed = live[0][1].bit_count()
     bits = 0  # the columns of the independent set are all zero
     while placed < n:
         least = None
         chosen = []
         for cells, placed_mask in live:
-            sizes = [cell.bit_count() for cell in cells]
-            seen = 0
+            seen = placed_mask  # placed vertices and the twin classes tried
             for v in range(n):
-                if placed_mask >> v & 1:
+                if seen >> v & 1:
                     continue
-                t = 1 << twins[v]
-                if seen & t:
-                    continue
-                seen |= t
+                seen |= same[v]
                 nbrs = adj[v]
                 col = 0
-                for cell, size in zip(cells, sizes):
+                for cell, size in cells:
                     col = col << size | (1 << (cell & nbrs).bit_count()) - 1
                 if least is None or col < least:
                     least = col
@@ -678,19 +676,22 @@ def canonical_form(adj) -> tuple[str, tuple[bytes, ...]]:
         for cells, placed_mask, v in chosen:
             nbrs = adj[v]
             split = []
-            for cell in cells:
-                if cell & nbrs and cell & ~nbrs:
-                    split += (cell & ~nbrs, cell & nbrs)
+            for cell, size in cells:
+                inside = cell & nbrs
+                if inside and inside != cell:
+                    k = inside.bit_count()
+                    split += (cell ^ inside, size - k), (inside, k)
                 else:
-                    split.append(cell)
-            split.append(1 << v)
+                    split.append((cell, size))
+            split.append((1 << v, 1))
             live.append((split, placed_mask | 1 << v))
         bits = bits << placed | least
         placed += 1
     pos = [0] * n
-    for i, v in enumerate(_leaf_order(live[0][0])):
+    for i, v in enumerate(_leaf_order(cell for cell, _ in live[0][0])):
         pos[v] = i
-    generators = [bytes(pos[v] for v in _leaf_order(cells)) for cells, _ in live[1:]]
+    generators = [bytes(pos[v] for v in _leaf_order(cell for cell, _ in cells))
+                  for cells, _ in live[1:]]
     for v, t in enumerate(twins):
         if t != v:
             p = bytearray(range(n))

@@ -7,10 +7,12 @@ nonempty and induce a connected subgraph:
     nRel(p) = sum_k c_k p^k (1-p)^(n-k)
 
 with c_k the number of connected k-sets.  This module expands that c-form
-into the ordinary power basis exactly (integer coefficients) and provides
-exact differentiation and evaluation at rational points, the
-second-derivative coefficients d_k as a plain tuple, and a seeded Monte
-Carlo estimator used as an end-to-end cross-check.
+into the ordinary power basis exactly (integer coefficients) by Horner's
+scheme in (1-p) on one integer that packs every coefficient into a B-bit
+digit, B = max|c|.bit_length() + n + 2 (``expand_c_form`` proves that B is
+wide enough).  It also provides exact differentiation and evaluation at
+rational points, the second-derivative coefficients d_k as a plain tuple,
+and a seeded Monte Carlo estimator used as an end-to-end cross-check.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ _PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]
 
 def one_minus_p_power(k):
     """(1-p)^k as power-basis coefficients: row k of the signed Pascal
-    triangle, each row built once from the one before and shared."""
+    triangle, each row built once from the one before and shared.
+    ``verification.closed_form`` builds its closed forms from these rows,
+    independently of ``expand_c_form``."""
     while len(_PASCAL_ROWS) <= k:
         row = _PASCAL_ROWS[-1]
         _PASCAL_ROWS.append((1, *(b - a for a, b in zip(row, row[1:])), -row[-1]))
@@ -37,14 +41,30 @@ def one_minus_p_power(k):
 
 
 def expand_c_form(c, n):
-    """Power-basis coefficients of sum_k c[k] p^k (1-p)^(n-k)."""
-    out = [0] * (n + 1)
+    """Power-basis coefficients of sum_k c[k] p^k (1-p)^(n-k), for c of
+    length n + 1.
+
+    Horner's scheme in (1 - p) on packed integers (Kronecker substitution,
+    p = 2^B): a polynomial is held as the one integer sum_i a_i 2^(B i), so
+    multiplying by (1 - p) is ``acc - (acc << B)`` and adding c[k] p^k is
+    adding ``c[k] << B k``.  The integer is exact whatever its digits; only
+    reading the digits back needs each coefficient to fit.  By the
+    hockey-stick identity, |coeff_i| <= max|c| sum_k C(n-k, i-k) =
+    max|c| C(n+1, i) < max|c| 2^(n+1) < 2^(B-1) for
+    B = max|c|.bit_length() + n + 2, so the n + 1 digits read back as signed
+    B-bit integers are the coefficients.
+    """
+    return _expand_packed(c, n, max(map(abs, c), default=0).bit_length() + n + 2)
+
+
+def _expand_packed(c, n, width):
+    acc = 0
     for k, ck in enumerate(c):
-        if ck == 0:
-            continue
-        for j, b in enumerate(one_minus_p_power(n - k)):
-            out[k + j] += ck * b
-    return out
+        acc = acc - (acc << width) + (ck << width * k)
+    half = 1 << width - 1
+    acc += half * (((1 << width * (n + 1)) - 1) // ((1 << width) - 1))  # each digit + half
+    mask = (1 << width) - 1
+    return [(acc >> width * i & mask) - half for i in range(n + 1)]
 
 
 @dataclass(frozen=True)

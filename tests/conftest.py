@@ -32,6 +32,14 @@ def families_large_digests() -> dict[str, str]:
     return json.loads(BENCHMARK_EXPECTED.read_text())["families"]
 
 
+def sparse_pool_digests() -> dict[str, str]:
+    """{graph6: sha256 of the stdout of ``analyze --graph6 G --json``} for
+    the 200 graphs of order 22..25 that the benchmark's sparse-count
+    workload draws from, as its expected outputs record them."""
+    pool = json.loads(BENCHMARK_EXPECTED.read_text())["sparse_pool"]
+    return {g6: entry["sha256"] for g6, entry in pool.items()}
+
+
 def count_calls(monkeypatch, modules, name):
     """Route every module's binding of function ``name`` through one shared
     counter; returns the list of first arguments, one entry per call."""

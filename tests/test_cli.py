@@ -1,3 +1,4 @@
+import decimal
 import json
 import shutil
 import subprocess
@@ -61,6 +62,60 @@ def test_fmt_exact_prints_like_fraction(value):
 @given(st.one_of(st.integers(), st.integers(-2**200, 2**200), st.fractions()))
 def test_fmt_exact_prints_like_fraction_random(value):
     assert cli.fmt_exact(value) == str(Fraction(value))
+
+
+def test_decimals_ignore_the_callers_decimal_context():
+    with decimal.localcontext() as ctx:
+        ctx.rounding, ctx.prec, ctx.capitals = decimal.ROUND_DOWN, 3, 0
+        assert cli.fmt_dec(Fraction(2, 3)) == "0.6666666667"
+        assert cli.fmt_dec(Fraction(1, 3 * 10**12)) == "3.333333333E-13"
+        assert cli.fmt_dec(Fraction(2, 3), 12) == "0.666666666667"
+
+
+def test_analyze_bytes_ignore_the_callers_decimal_context(capsys):
+    # a library caller's rounding mode changes no digit of the report
+    with decimal.localcontext() as ctx:
+        ctx.rounding = decimal.ROUND_DOWN
+        code, out, _ = run_inproc(capsys, "analyze", "--family", "path:6", "--json")
+    assert code == 0
+    assert out == (ROOT / "tests" / "fixtures" / "golden" / "analyze_path6.json").read_text()
+
+
+# -- the JSON writer ----------------------------------------------------------------
+
+json_text = st.text()
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**1000, 10**1000) | json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=30)
+
+
+@given(json_documents)
+def test_json_writer_prints_what_json_dumps_prints(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], {"a": {}, "b": []}, ("tuple", 1), [True, 1, False, 0, None],
+    {"\"quote\"": "back\\slash", "ctl\x00\x1f\n\t": "caf\u00e9 \U0001d11e \u2028"},
+    {"z": 1, "a": {"y": [{"x": -(10**300)}]}},
+])
+def test_json_writer_on_edge_documents(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--family", "path:6", "--json"],
+    ["analyze", "--family", "union(star:20,complete:1)", "--json"],
+    ["analyze", "--graph6", "GJ\\{Ks", "--json"],
+    ["coeffs", "--family", "star:6", "--json"],
+    ["census", "--n", "5", "--json"],
+    ["verify", "--json"],
+])
+def test_json_stdout_is_what_json_dumps_prints(capsys, args):
+    code, out, _ = run_inproc(capsys, *args)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 # -- analyze ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import families_large_digests
+from conftest import families_large_digests, sparse_pool_digests
 from relshape import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -61,4 +61,18 @@ def test_families_large_stdout_matches_the_benchmark_digests(capsys):
         out = capsys.readouterr().out
         if hashlib.sha256(out.encode()).hexdigest() != digest:
             wrong.append(selector)
+    assert wrong == []
+
+
+def test_sparse_pool_stdout_matches_the_benchmark_digests(capsys):
+    # the counted profiles of order 22..25 that the benchmark's sparse-count
+    # workload analyzes, at the digests its gate compares against
+    digests = sparse_pool_digests()
+    assert len(digests) == 200
+    wrong = []
+    for g6, digest in digests.items():
+        assert cli.main(["analyze", "--graph6", g6, "--json"]) == 0
+        out = capsys.readouterr().out
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            wrong.append(g6)
     assert wrong == []

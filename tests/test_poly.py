@@ -10,9 +10,11 @@ from relshape.connsets import count_connected_sets, family_profile
 from relshape.graphs import FamilySpec, is_two_connected, make_family, min_vertex_cut
 from relshape.poly import (
     ReliabilityPoly,
+    _expand_packed,
     d_coefficients,
     derivative,
     eval_exact,
+    expand_c_form,
     from_profile,
     monte_carlo_estimate,
     one_minus_p_power,
@@ -22,6 +24,7 @@ from relshape.poly import (
 from relshape.verification import closed_form, poly_add, poly_scale, poly_shift
 from relshape.census import generate_connected, generate_trees
 from relshape.sturm import InternalCheckError
+from poly_oracle import expand_c_form_reference
 from strategies import graphs
 
 
@@ -42,6 +45,49 @@ def test_empty_graph_expansion():
 def test_single_vertex_is_identity():
     poly = from_profile(count_connected_sets(make_family(fam("complete", 1))))
     assert poly.coeffs == (0, 1)
+
+
+def extremal_c_form(bits, n):
+    """c_k = (-1)^k (2^bits - 1): every term adds with one sign into each
+    coefficient, whose size then reaches max|c| C(n+1, i)."""
+    return [(-1) ** k * ((1 << bits) - 1) for k in range(n + 1)]
+
+
+@st.composite
+def c_forms(draw):
+    n = draw(st.integers(0, 62))
+    if draw(st.booleans()):
+        return extremal_c_form(draw(st.integers(1, 1000)), n), n
+    bound = 10 ** draw(st.sampled_from([1, 20, 300]))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    return draw(st.lists(entry, min_size=n + 1, max_size=n + 1)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(c_forms())
+def test_packed_expansion_matches_the_reference(case):
+    c, n = case
+    assert expand_c_form(c, n) == expand_c_form_reference(c, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 62])
+def test_extremal_coefficients_reach_the_binomial_factor(n):
+    # the bound |coeff_i| <= max|c| C(n+1, i) is attained, so it is tight
+    bits = 8
+    coeffs = expand_c_form(extremal_c_form(bits, n), n)
+    assert coeffs == expand_c_form_reference(extremal_c_form(bits, n), n)
+    assert max(map(abs, coeffs)) == ((1 << bits) - 1) * math.comb(n + 1, (n + 1) // 2)
+
+
+def test_expansion_of_order_zero_profile_is_empty():
+    # the single vertex's derivatives: f'' has degree -1 and no coefficients
+    assert expand_c_form((), -1) == []
+
+
+def test_a_width_without_guard_bits_is_caught():
+    c, n = extremal_c_form(8, 10), 10
+    narrow = max(map(abs, c)).bit_length() + 2  # no n guard bits
+    assert _expand_packed(c, n, narrow) != expand_c_form_reference(c, n)
 
 
 def test_star4_closed_form():
