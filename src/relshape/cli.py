@@ -76,6 +76,9 @@ class FamilyParseError(ValueError):
 def parse_family(text: str) -> FamilySpec:
     """Parse ``kind:p1,p2`` selectors and ``union(a,b)`` compositions."""
     text = text.strip()
+    depths = [0, *itertools.accumulate((ch == "(") - (ch == ")") for ch in text)]
+    if min(depths) < 0 or depths[-1]:
+        raise FamilyParseError(f"unbalanced parentheses in {text!r}")
     for prefix in ("union(", "disjoint-union("):
         if text.startswith(prefix) and text.endswith(")"):
             inner = text[len(prefix):-1]
@@ -108,7 +111,7 @@ def _split_top_level(text: str) -> list[str]:
             parts.append(text[start:i])
             start = i + 1
     parts.append(text[start:])
-    return [p for p in parts if p.strip()]
+    return parts
 
 
 def fmt_exact(value) -> str:

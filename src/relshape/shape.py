@@ -17,9 +17,9 @@ is the root): one of the 2^k cells at the first level k below it.  A float
 Newton estimate picks that cell, in the power basis and, where its cell is
 not confirmed, in the scaled Bernstein basis of the polynomial's Descartes
 transform; a cell is taken only when two exact signs at its ends confirm
-it, else it is bisected for over the cells.  A Fraction is built only for
-the reported bracket.  The sparse-threshold optimizer is the only other
-use of floating point.
+it, else it is bisected for over the cells.  Ends and points are integer
+numerators over a denominator; a Fraction is built only for the reported
+bracket.  The sparse-threshold optimizer is the only other use of floats.
 
 ``analyze_profile`` is the one way into an analysis: it expands the
 profile once, isolates f', f'' and f - p through ``isolate_roots`` (a
@@ -70,7 +70,6 @@ from .sturm import (
     reflect,
     scale,
     sign_at,
-    sign_at_ratio,
     sign_changes,
     square_free_part,
     taylor_shift,
@@ -171,9 +170,7 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
             records.append(RootRecord(
                 *_refine(inner, transform, a_num, b_num, cell_den, sa, tol), True))
         else:
-            records += _split_isolate(square_free(), p_int, Fraction(a_num, cell_den),
-                                      Fraction(b_num, cell_den), tol)
-    records.sort(key=lambda r: r.lo)
+            records += _split_isolate(square_free(), p_int, a_num, b_num, cell_den, tol)
     return records
 
 
@@ -224,7 +221,7 @@ def _root_free_gap(poly, budget: int, square_free, end_num: int, w_num: int,
                     scale(reflect(poly), 1, k) if at_end else gap):
                 return k, rest, bound
             a, b = sorted((end_num << k, (end_num << k) + w_num))
-            if not count_roots(square_free(), Fraction(a, den << k), Fraction(b, den << k)):
+            if not count_roots(square_free(), a, b, den << k):
                 return k, rest, bound
         k += 1
 
@@ -272,33 +269,33 @@ def _cells(poly, bound: int, lo_num: int, w_num: int, den: int, tol: Fraction):
         yield a_num, a_num + w_num, den << k, bound == 1, 1 if s0 else -1
 
 
-def _split_isolate(q, p_int, lo: Fraction, hi: Fraction,
+def _split_isolate(q, p_int, a: int, b: int, den: int,
                    tol: Fraction) -> list[RootRecord]:
-    """Isolate the roots in (lo, hi) of q, the square-free part of p_int, by
-    exact counts alone (``count_roots``): split at interior non-roots until
-    each interval holds one root, and refine that on q."""
+    """Isolate the roots in (a/den, b/den) of q, the square-free part of
+    p_int, in ascending order, by exact counts alone (``count_roots``):
+    split at interior non-roots until each holds one root, refined on q."""
     transform = descartes_transform(q)
     records = []
-    stack = [(lo, hi, count_roots(q, lo, hi))]
+    stack = [(a, b, den, count_roots(q, a, b, den))]
     while stack:
-        a, b, count = stack.pop()
+        a, b, den, count = stack.pop()
         if count == 0:
             continue
         if count == 1:
-            den = math.lcm(a.denominator, b.denominator)
-            a, b, approx = _refine(q, transform, int(a * den), int(b * den), den,
-                                   sign_at(q, a), tol)
+            lo, hi, approx = _refine(q, transform, a, b, den, sign_at(q, a, den), tol)
             # q is square-free; the root's multiplicity in p_int decides the crossing
-            records.append(RootRecord(a, b, approx, sign_at(p_int, a) * sign_at(p_int, b) < 0))
+            s_lo, s_hi = (sign_at(p_int, *x.as_integer_ratio()) for x in (lo, hi))
+            records.append(RootRecord(lo, hi, approx, s_lo * s_hi < 0))
             continue
-        # split at the midpoint, else at a + (b - a) i / (deg(q) + 2): of
-        # these deg(q) + 1 distinct points at most deg(q) are roots of q
+        # split at the midpoint, else at (a + (b - a) i / parts) / den: of these
+        # deg(q) + 1 points at most deg(q) are roots.  Each is m / (s den): scale by s
         parts = degree(q) + 2
-        grid = (a + (b - a) * Fraction(i, parts) for i in range(1, parts))
-        mid = next(x for x in ((a + b) / 2, *grid) if sign_at(q, x))
-        left = count_roots(q, a, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, count - left))
+        grid = ((a * parts + (b - a) * i, parts) for i in range(1, parts))
+        mid, s = next((m, s) for m, s in ((a + b, 2), *grid) if sign_at(q, m, den * s))
+        a, b, den = a * s, b * s, den * s
+        left = count_roots(q, a, mid, den)
+        stack.append((mid, b, den, count - left))
+        stack.append((a, mid, den, left))
     return records
 
 
@@ -323,6 +320,10 @@ def _refine(q, transform, lo_num: int, hi_num: int, den: int, sa: int,
     the midpoints bisection evaluates; a midpoint that is the root gets a
     bracket centred on it, as wide as the half it ends but at most ``tol``:
     so exactly ``tol`` unless the half is narrower.
+
+    Unreduced numerators (``_split_isolate``'s) give the same bracket:
+    scaling lo_num, hi_num and den by one factor leaves k, j, each midpoint
+    and the float lo_num/den as they are, and the returned Fractions reduce.
     """
     width = hi_num - lo_num
     k = (width * tol.denominator // (tol.numerator * den)).bit_length()
@@ -337,14 +338,14 @@ def _refine(q, transform, lo_num: int, hi_num: int, den: int, sa: int,
         x_num, x_den = x.as_integer_ratio()
         j = (x_num * den_k - base * x_den) // (width * x_den)
         j = min(max(j, 0), (1 << k) - 1)  # the cell nearest an estimate outside
-        if (sign_at_ratio(q, base + j * width, den_k) == sa
-                and sign_at_ratio(q, base + (j + 1) * width, den_k) == -sa):
+        if (sign_at(q, base + j * width, den_k) == sa
+                and sign_at(q, base + (j + 1) * width, den_k) == -sa):
             break
     else:
         j, end = 0, 1 << k  # the root is in cells j .. end - 1
         while end - j > 1:
             mid = (j + end) // 2
-            sm = sign_at_ratio(q, base + mid * width, den_k)
+            sm = sign_at(q, base + mid * width, den_k)
             if sm == 0:
                 # landed exactly on the root; shrink a symmetric bracket
                 root = Fraction(base + mid * width, den_k)

@@ -72,12 +72,7 @@ def horner_ratio(coeffs, num: int, den: int):
     return acc
 
 
-def sign_at(coeffs: list[int], point: Fraction) -> int:
-    """Sign of the polynomial at an exact rational point."""
-    return sign_at_ratio(coeffs, point.numerator, point.denominator)
-
-
-def sign_at_ratio(coeffs: list[int], num: int, den: int) -> int:
+def sign_at(coeffs: list[int], num: int, den: int) -> int:
     """Sign of the polynomial at num/den for den > 0."""
     acc = horner_ratio(coeffs, num, den)
     return (acc > 0) - (acc < 0)
@@ -199,17 +194,16 @@ def square_free_part(coeffs: list[int]) -> list[int]:
     return exact_div(coeffs, a if a[-1] > 0 else [-x for x in a])
 
 
-def count_roots(q: list[int], lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots in the open interval (lo, hi) of a square-free q.
+def count_roots(q: list[int], a: int, b: int, den: int) -> int:
+    """Distinct roots of a square-free q in the open (a/den, b/den), a < b.
 
-    q is mapped onto (lo, hi) as D^d q((a + w x) / D) by Horner's scheme on
-    the homogenized form, and (0, 1) is bisected at midpoints until every
+    q is mapped onto it as den^d q((a + (b - a) x) / den) by Horner's scheme
+    on the homogenized form, and (0, 1) is bisected at midpoints until every
     cell's Descartes bound is 0 or 1, which it reaches on a polynomial
     without a multiple root (Vincent's theorem; Collins and Akritas, SYMSAC
     1976).  A root at a midpoint is counted once and divided out.
     """
-    den = lcm(lo.denominator, hi.denominator)
-    a, w = int(lo * den), int((hi - lo) * den)
+    w = b - a
     p, dp = [], 1
     for c in reversed(q):
         p = [a * x + w * y for x, y in zip(p + [0], [0] + p)]

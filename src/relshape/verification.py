@@ -54,6 +54,7 @@ from .shape import (
     isolate_roots,
     maximize_threshold_constant,
 )
+from .sturm import sign_at
 
 # the unique connected graph of order <= 7 whose reliability has three
 # inflection points (0-based edge list)
@@ -120,7 +121,7 @@ def check_census_order_8(cache):
 
 
 def _signs(coeffs, points) -> list[int]:
-    return [(v > 0) - (v < 0) for v in (eval_exact(coeffs, x) for x in points)]
+    return [sign_at(coeffs, *x.as_integer_ratio()) for x in points]
 
 
 def check_path6_decrease_endpoints(cache):

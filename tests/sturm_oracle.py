@@ -17,9 +17,17 @@ from relshape.sturm import (
     diff_int,
     exact_div,
     primitive,
-    sign_at,
     to_primitive_int,
 )
+
+
+def sign_at_point(coeffs, x):
+    """Sign of the polynomial at a rational point, by Horner's scheme on
+    Fractions, apart from the package's integer evaluation."""
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * x + c
+    return (value > 0) - (value < 0)
 
 
 def sturm_chain(coeffs):
@@ -42,7 +50,7 @@ def sturm_chain(coeffs):
 
 def variations(chain, point):
     """Sign changes along the chain at a point, zeros skipped."""
-    signs = [s for s in (sign_at(element, point) for element in chain) if s]
+    signs = [s for s in (sign_at_point(element, point) for element in chain) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -56,10 +64,10 @@ def bisect(q, a, b, tol):
     """Bisect (a, b), which holds one simple root of q, until it is narrower
     than tol; a midpoint that is the root gets a bracket centred on it, as
     wide as the half it ends but at most tol.  Returns (lo, hi, approx)."""
-    sa = sign_at(q, a)
+    sa = sign_at_point(q, a)
     while b - a >= tol:
         mid = (a + b) / 2
-        sm = sign_at(q, mid)
+        sm = sign_at_point(q, mid)
         if sm == 0:
             delta = min(mid - a, tol) / 2
             return mid - delta, mid + delta, mid
@@ -80,21 +88,21 @@ def sturm_only_isolation(coeffs, tol):
     p_int = to_primitive_int(coeffs)
     inner = p_int
     for end in (Fraction(0), Fraction(1)):
-        while sign_at(inner, end) == 0:
+        while sign_at_point(inner, end) == 0:
             inner = deflate_root(inner, end)
     if degree(inner) < 1:
         return []
     chain = sturm_chain(inner)
     q = chain[0]
     lo, hi = Fraction(0), Fraction(1)
-    if sign_at(p_int, lo) == 0:
+    if sign_at_point(p_int, lo) == 0:
         step = (hi - lo) / 4
-        while sign_at(inner, lo + step) == 0 or count_roots_open(chain, lo, lo + step):
+        while sign_at_point(inner, lo + step) == 0 or count_roots_open(chain, lo, lo + step):
             step /= 2
         lo += step
-    if sign_at(p_int, hi) == 0:
+    if sign_at_point(p_int, hi) == 0:
         step = (hi - lo) / 4
-        while sign_at(inner, hi - step) == 0 or count_roots_open(chain, hi - step, hi):
+        while sign_at_point(inner, hi - step) == 0 or count_roots_open(chain, hi - step, hi):
             step /= 2
         hi -= step
     records = []
@@ -104,11 +112,12 @@ def sturm_only_isolation(coeffs, tol):
         count = count_roots_open(chain, a, b)
         if count == 1:
             lo_r, hi_r, approx = bisect(q, a, b, tol)
-            records.append((lo_r, hi_r, approx, sign_at(p_int, lo_r) * sign_at(p_int, hi_r) < 0))
+            crossing = sign_at_point(p_int, lo_r) * sign_at_point(p_int, hi_r) < 0
+            records.append((lo_r, hi_r, approx, crossing))
         elif count > 1:
             parts = degree(q) + 2
             mid = next(x for x in [(a + b) / 2] + [a + (b - a) * Fraction(i, parts)
                                                    for i in range(1, parts)]
-                       if sign_at(q, x))
+                       if sign_at_point(q, x))
             stack += [(a, mid), (mid, b)]
     return sorted(records)

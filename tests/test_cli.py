@@ -243,7 +243,15 @@ def test_analyze_bad_inputs(capsys):
 @pytest.mark.parametrize("selector, message", [
     ("union(path:3,path:3,path:3)", "union takes two members, got 3"),
     ("path6", "family selector 'path6' needs kind:params"),
-], ids=["three-members", "no-colon"])
+    ("union(path:3,,path:4)", "union takes two members, got 3"),
+    ("union(,path:3,path:4)", "union takes two members, got 3"),
+    ("union(path:3,path:4,)", "union takes two members, got 3"),
+    ("union(path:3,union(path:2,path:2)",
+     "unbalanced parentheses in 'union(path:3,union(path:2,path:2)'"),
+    ("union(path:3,path:4))", "unbalanced parentheses in 'union(path:3,path:4))'"),
+    ("union(path:3,path:4", "unbalanced parentheses in 'union(path:3,path:4'"),
+], ids=["three-members", "no-colon", "blank-middle", "blank-first", "blank-last",
+        "unclosed-inner", "extra-close", "unclosed-outer"])
 def test_analyze_bad_selector_named(capsys, selector, message):
     code, _, err = run_inproc(capsys, "analyze", "--family", selector)
     assert code == 2

@@ -13,6 +13,7 @@ isolation that produced them.
 import functools
 import itertools
 import math
+import random
 from collections import defaultdict
 from fractions import Fraction
 
@@ -20,12 +21,15 @@ import networkx as nx
 import pytest
 import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import relabel
+from relshape import graphs as graph_module
 from relshape import shape
 from relshape.census import generate_connected, generate_trees
 from relshape.connsets import count_connected_sets
 from relshape.graphs import (
+    Graph,
     canonical_graph,
     cut_vertices,
     graph_from_edges,
@@ -286,6 +290,112 @@ def test_order_8_proof_sees_a_class_replaced_by_a_relabelled_copy(order_8_classe
     assert copy != order_8_classes[1]
     assert class_list_faults([copy, *order_8_classes[1:]], CONNECTED_CLASSES[-1]) == [
         f"{to_graph6(copy)} is isomorphic to {to_graph6(order_8_classes[1])}"]
+
+
+def paley_9() -> nx.Graph:
+    """Paley(9) over GF(9) = GF(3)[i] / (i^2 + 1), a + b i as vertex 3a + b:
+    x ~ y when x - y is a nonzero square.  (``nx.paley_graph(9)`` works
+    modulo 9, which is not a field.)"""
+    def times(x, y):
+        (a, b), (c, d) = x, y
+        return (a * c - b * d) % 3, (a * d + b * c) % 3
+
+    field = list(itertools.product(range(3), repeat=2))
+    squares = {times(x, x) for x in field if x != (0, 0)}
+    h = nx.empty_graph(9)
+    for x, y in itertools.combinations(field, 2):
+        if ((x[0] - y[0]) % 3, (x[1] - y[1]) % 3) in squares:
+            h.add_edge(3 * x[0] + x[1], 3 * y[0] + y[1])
+    return h
+
+
+def rook_3x3() -> nx.Graph:
+    """K3 □ K3, the 3 x 3 rook's graph."""
+    return nx.convert_node_labels_to_integers(
+        nx.cartesian_product(nx.complete_graph(3), nx.complete_graph(3)))
+
+
+PETERSEN = nx.petersen_graph()
+SYMMETRIC_9_10 = {
+    "petersen": PETERSEN, "petersen-complement": nx.complement(PETERSEN),
+    "paley-9": paley_9(), "k3-box-k3": rook_3x3(), "k5,5": nx.complete_bipartite_graph(5, 5),
+    "c10(1,3)": nx.circulant_graph(10, [1, 3]), "c10(1,2)": nx.circulant_graph(10, [1, 2]),
+    "c9(1,3)": nx.circulant_graph(9, [1, 3]),
+    **{f"{name}-{n}": make(n) for n in (9, 10) for name, make in
+       (("empty", nx.empty_graph), ("complete", nx.complete_graph), ("cycle", nx.cycle_graph))},
+}
+
+
+def canonical_faults(g, perm) -> list[str]:
+    """Why ``canonical_form`` fails on g, by networkx: a key that the
+    relabelling ``perm`` changes, a canonical graph that VF2 finds not
+    isomorphic to g, or a generator that is no automorphism of it."""
+    key, generators = graph_module.canonical_form(g.adj)
+    faults = []
+    if graph_module.canonical_form(relabel(g, perm).adj)[0] != key:
+        faults.append(f"{to_graph6(g)}: the relabelling {perm} changes the key")
+    canonical = canonical_graph(g)
+    if not nx.is_isomorphic(to_networkx(canonical), to_networkx(g)):
+        faults.append(f"{to_graph6(g)}: the canonical graph {key} is not isomorphic to it")
+    faults += [f"{to_graph6(g)}: generator {tuple(p)} is no automorphism of {key}"
+               for p in generators
+               if sorted(p) != list(range(g.n)) or relabel(canonical, tuple(p)) != canonical]
+    return faults
+
+
+def shuffled(g, seed: int) -> tuple[int, ...]:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return tuple(perm)
+
+
+def test_paley_9_over_gf9_is_k3_box_k3():
+    paley = SYMMETRIC_9_10["paley-9"]
+    assert paley.number_of_edges() == 18 and nx.is_regular(paley)
+    assert nx.paley_graph(9).to_undirected().number_of_edges() == 27  # not Paley(9)
+    assert to_graph6(canonical_graph(to_package(paley))) == to_graph6(
+        canonical_graph(to_package(SYMMETRIC_9_10["k3-box-k3"])))
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_9_10)
+def test_canonical_form_of_a_symmetric_graph_by_networkx(name):
+    g = to_package(SYMMETRIC_9_10[name])
+    assert g.n in (9, 10)
+    for seed in range(3):
+        assert canonical_faults(g, shuffled(g, seed)) == []
+
+
+@st.composite
+def gnp_9_10(draw):
+    """A G(n, p) graph of order 9 or 10 by networkx, and a relabelling."""
+    n = draw(st.sampled_from([9, 10]))
+    p = draw(st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9]))
+    g = to_package(nx.gnp_random_graph(n, p, seed=draw(st.integers(0, 2**32 - 1))))
+    return g, tuple(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gnp_9_10())
+def test_canonical_form_of_gnp_graphs_of_order_9_and_10_by_networkx(case):
+    assert canonical_faults(*case) == []
+
+
+def test_canonical_check_sees_a_key_that_is_the_input_itself(monkeypatch):
+    """Negative control: a canonical form that returns the input's own
+    graph6, with no generators, passes VF2, but a relabelling changes its
+    key on every symmetric graph except the empty and complete ones, which
+    every relabelling fixes."""
+    def own_graph6(adj):
+        return to_graph6(Graph(len(adj), tuple(adj))), ()
+
+    monkeypatch.setattr(graph_module, "canonical_form", own_graph6)
+    for name, h in SYMMETRIC_9_10.items():
+        g = to_package(h)
+        faults = canonical_faults(g, shuffled(g, 0))
+        if name.startswith(("empty", "complete")):
+            assert faults == []
+        else:
+            assert len(faults) == 1 and "relabelling" in faults[0]
 
 
 def test_node_connectivity_equals_min_vertex_cut():

@@ -21,9 +21,9 @@ from relshape.shape import (
     isolate_roots,
     maximize_threshold_constant,
 )
-from relshape.sturm import ZeroPolynomialError, descartes_transform, sign_at
+from relshape.sturm import ZeroPolynomialError, descartes_transform
 from strategies import mul, polys_with_known_roots
-from sturm_oracle import sturm_only_isolation
+from sturm_oracle import sign_at_point, sturm_only_isolation
 
 TOLS = (Fraction(1, 10**9), Fraction(1, 7), Fraction(1, 2**40))
 
@@ -169,30 +169,35 @@ FALLBACK = 4  # a refinement making more exact signs than this confirmed no esti
 
 
 def exact_signs(monkeypatch):
-    """Route ``shape._refine`` and ``shape.sign_at_ratio``, which only it
-    calls in ``shape``, through wrappers; returns one list per refinement of
-    the exact signs it made, each times the sign at its interval's left end.
+    """Route ``shape._refine`` and ``shape.sign_at`` through wrappers;
+    returns one list per refinement of the exact signs made inside it, each
+    times the sign at its interval's left end.
 
     A confirmed float estimate makes 2 to 4 signs: 1 or 2 for an estimate
     that fails, then 2 for the one confirmed.  With none confirmed, the
     bisection makes one more per halving, 28 from a cell 1/4 wide down to
     tol 1e-9, so more than ``FALLBACK`` at the tolerances where cells are
     many."""
-    real_refine, real_sign = shape._refine, shape.sign_at_ratio
-    refinements, left_signs = [], []
+    real_refine, real_sign = shape._refine, shape.sign_at
+    refinements, left_signs, inside = [], [], []
 
     def refine(q, transform, lo_num, hi_num, den, sa, tol):
         refinements.append([])
         left_signs.append(sa)
-        return real_refine(q, transform, lo_num, hi_num, den, sa, tol)
+        inside.append(True)
+        try:
+            return real_refine(q, transform, lo_num, hi_num, den, sa, tol)
+        finally:
+            inside.pop()
 
-    def sign_at_ratio(*args):
+    def sign_at(*args):
         sign = real_sign(*args)
-        refinements[-1].append(sign * left_signs[-1])
+        if inside:
+            refinements[-1].append(sign * left_signs[-1])
         return sign
 
     monkeypatch.setattr(shape, "_refine", refine)
-    monkeypatch.setattr(shape, "sign_at_ratio", sign_at_ratio)
+    monkeypatch.setattr(shape, "sign_at", sign_at)
     return refinements
 
 
@@ -212,6 +217,45 @@ def test_the_estimates_confirm_almost_every_final_cell(monkeypatch):
     for profile in profiles.values():
         analyze_profile(profile)
     assert refinements and all(len(signs) <= FALLBACK for signs in refinements)
+
+
+def test_order_7_census_makes_2770_exact_signs(graphs7, monkeypatch):
+    """A work-count pin: the 477 distinct profiles of order 7 make 2,770
+    exact sign evaluations through ``shape.sign_at``, in the refinements
+    and on the square-free path."""
+    signs = count_calls(monkeypatch, [shape], "sign_at")
+    profiles = {p.c: p for p in map(count_connected_sets, graphs7)}
+    assert len(profiles) == 477
+    for profile in profiles.values():
+        analyze_profile(profile)
+    assert len(signs) == 2770
+
+
+def test_refine_is_unchanged_by_unreduced_numerators(bracket_polys, monkeypatch):
+    """Scaling lo_num, hi_num and den by s in {2, 3, 7} leaves the bracket
+    of every refinement of the bracket polynomials as it is, with the float
+    estimates and with the bisection alone, and where a midpoint is the
+    root."""
+    calls, real = [], shape._refine
+
+    def refine(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shape, "_refine", refine)
+    for coeffs in bracket_polys:
+        for tol in TOLS:
+            isolate_roots(coeffs, tol)
+    monkeypatch.undo()
+    assert len(calls) > 100
+    calls += [([-1, 2], descartes_transform([-1, 2]), 0, 1, 1, -1, tol) for tol in TOLS]
+    for newton in (NEWTON, overflow):
+        monkeypatch.setattr(shape, "_newton", newton)
+        for q, transform, lo_num, hi_num, den, sa, tol in calls:
+            bracket = shape._refine(q, transform, lo_num, hi_num, den, sa, tol)
+            for s in (2, 3, 7):
+                assert shape._refine(q, transform, s * lo_num, s * hi_num, s * den,
+                                     sa, tol) == bracket
 
 
 @pytest.mark.parametrize("power", ["overflow", "outside", "estimated"])
@@ -323,8 +367,8 @@ def test_a_gap_with_a_complex_pair_is_counted_root_free(coeffs, gaps, monkeypatc
     real = shape.count_roots
     counted = []
 
-    def count_roots(q, lo, hi):
-        counted.append((lo, hi, real(q, lo, hi)))
+    def count_roots(q, a, b, den):
+        counted.append((Fraction(a, den), Fraction(b, den), real(q, a, b, den)))
         return counted[-1][2]
 
     monkeypatch.setattr(shape, "count_roots", count_roots)
@@ -526,7 +570,7 @@ def decrease_by_midpoint_signs(f1, critical):
     brackets, with the runs of negative gaps merged."""
     bounds = [(Fraction(0), None), *((r.approx, r) for r in critical), (Fraction(1), None)]
     ends = [Fraction(0), *(x for r in critical for x in (r.lo, r.hi)), Fraction(1)]
-    negative = [sign_at(f1, (a + b) / 2) < 0 for a, b in zip(ends[::2], ends[1::2])]
+    negative = [sign_at_point(f1, (a + b) / 2) < 0 for a, b in zip(ends[::2], ends[1::2])]
     intervals, start = [], None
     for i, neg in enumerate(negative + [False]):
         if neg and start is None:

@@ -26,7 +26,7 @@ from relshape.sturm import (
     to_primitive_int,
 )
 from strategies import mul, polys_with_known_roots
-from sturm_oracle import count_roots_open, sturm_chain
+from sturm_oracle import count_roots_open, sign_at_point, sturm_chain
 
 # -- oracle: rational long division, kept independent of the module ---------------
 
@@ -103,8 +103,8 @@ def test_chain_head_is_square_free_part(case):
     assert head == to_primitive_int(head)
     derivative = diff_int(head)
     for r in roots:
-        assert sign_at(head, r) == 0
-        assert sign_at(derivative, r) != 0  # simple
+        assert sign_at_point(head, r) == 0
+        assert sign_at_point(derivative, r) != 0  # simple
 
 
 def test_chain_of_constant_is_itself():
@@ -129,7 +129,7 @@ def test_square_free_part_keeps_each_distinct_root_once(case):
     assert degree(q) == len(roots) + complex_degree
     assert q[-1] * coeffs[-1] > 0
     for r in roots:
-        assert sign_at(q, r) == 0
+        assert sign_at_point(q, r) == 0
     # q shares no root with q', and q divides p exactly
     assert len(frac_gcd(q, diff_int(q))) == 1
     assert not frac_rem(coeffs, q)
@@ -170,17 +170,38 @@ def test_count_roots_equals_the_sturm_count(case, planted):
     q = square_free_part(coeffs)
     chain = sturm_chain(coeffs)
     for lo, hi in INTERVALS:
-        if sign_at(coeffs, lo) and sign_at(coeffs, hi):
-            assert count_roots(q, lo, hi) == count_roots_open(chain, lo, hi)
+        if sign_at_point(coeffs, lo) and sign_at_point(coeffs, hi):
+            den = lcm(lo.denominator, hi.denominator)
+            count = count_roots(q, int(lo * den), int(hi * den), den)
+            assert count == count_roots_open(chain, lo, hi)
+            # numerators need not be reduced
+            for s in (2, 3, 7):
+                assert count_roots(q, int(lo * den) * s, int(hi * den) * s, den * s) == count
 
 
 def test_count_roots_counts_a_midpoint_root_once():
     # (2x - 1)(4x - 1)(4x - 3)(8x - 3): three roots on midpoints of (0, 1)
     q = mul(mul([-1, 2], [-1, 4]), mul([-3, 4], [-3, 8]))
-    assert count_roots(q, Fraction(0), Fraction(1)) == 4
-    assert count_roots(q, Fraction(1, 3), Fraction(1)) == 3
-    assert count_roots(q, Fraction(1, 4), Fraction(3, 4)) == 2  # open at both ends
-    assert count_roots([1, 0, 1], Fraction(-5), Fraction(5)) == 0
+    assert count_roots(q, 0, 1, 1) == 4
+    assert count_roots(q, 1, 3, 3) == 3
+    assert count_roots(q, 1, 3, 4) == 2  # open at both ends
+    assert count_roots(q, 2, 6, 8) == 2
+    assert count_roots([1, 0, 1], -5, 5, 1) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_polys, st.integers(-50, 50), st.integers(1, 30), st.booleans(), st.integers(2, 7))
+def test_sign_at_equals_the_fraction_sign(coeffs, num, den, planted, s):
+    """The integer sign at num/den equals the oracle's sign on Fractions,
+    with num/den reduced, as drawn and scaled by s, and a planted root
+    there makes it 0."""
+    if planted:
+        coeffs = mul(coeffs, [-num, den])
+    point = Fraction(num, den)
+    expected = sign_at_point(coeffs, point)
+    assert (expected == 0) >= planted
+    for n, d in [(point.numerator, point.denominator), (num, den), (num * s, den * s)]:
+        assert sign_at(coeffs, n, d) == expected
 
 
 # -- Descartes' rule of signs ------------------------------------------------------
@@ -193,7 +214,7 @@ def test_descartes_bound_counts_roots_in_unit_interval(case):
     inside = 0
     for r in (r for r in roots if 0 < r < 1):
         quotient = coeffs
-        while sign_at(quotient, r) == 0:
+        while sign_at_point(quotient, r) == 0:
             quotient = deflate_root(quotient, r)
             inside += 1
     bound = descartes_bound(coeffs)
@@ -231,9 +252,9 @@ def eval_poly(coeffs, x):
 def test_interval_maps_keep_signs(coeffs):
     for x in (Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
               Fraction(5, 2)):
-        assert sign_at(taylor_shift(coeffs), x) == sign_at(coeffs, x + 1)
-        assert sign_at(reflect(coeffs), x) == sign_at(coeffs, 1 - x)
-        assert sign_at(scale(coeffs, 3, 2), x) == sign_at(coeffs, x * 3 / 4)
+        assert sign_at_point(taylor_shift(coeffs), x) == sign_at_point(coeffs, x + 1)
+        assert sign_at_point(reflect(coeffs), x) == sign_at_point(coeffs, 1 - x)
+        assert sign_at_point(scale(coeffs, 3, 2), x) == sign_at_point(coeffs, x * 3 / 4)
 
 
 def end_parity(coeffs):
@@ -282,7 +303,7 @@ def test_deflate_root_divides_known_roots_and_rejects_others(case, probe):
         quotient = deflate_root(coeffs, r)
         assert mul(quotient, [-r.numerator, r.denominator]) == coeffs
     point = Fraction(*probe)
-    if sign_at(coeffs, point) != 0:
+    if sign_at_point(coeffs, point) != 0:
         with pytest.raises(InternalCheckError):
             deflate_root(coeffs, point)
 
