@@ -80,9 +80,11 @@ def parse_family(text: str) -> FamilySpec:
     if min(depths) < 0 or depths[-1]:
         raise FamilyParseError(f"unbalanced parentheses in {text!r}")
     for prefix in ("union(", "disjoint-union("):
-        if text.startswith(prefix) and text.endswith(")"):
-            inner = text[len(prefix):-1]
-            parts = _split_top_level(inner)
+        if text.startswith(prefix):
+            if depths.index(0, len(prefix)) != len(text):
+                raise FamilyParseError(
+                    f"union in {text!r} does not close at the end of the selector")
+            parts = _split_top_level(text[len(prefix):-1])
             if len(parts) != 2:
                 raise FamilyParseError(f"union takes two members, got {len(parts)}")
             return FamilySpec("disjoint-union",

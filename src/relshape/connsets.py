@@ -10,9 +10,11 @@ reliability polynomial in this package.  Two exact counters produce it:
   Iwashita and Minato, IEICE Trans. Fundamentals E100-A(9), 2017; Knuth,
   TAOCP 4A 7.1.4) tracks how the selected vertices on the frontier are
   connected, so its cost grows with the number of such states, at most
-  ``Bell(w + 1)`` for a frontier of width ``w``.  States are interned as
-  small ints, and each transition is worked out once per process and then
-  looked up, up to ``FRONTIER_MEMO_CAP`` stored transitions.
+  ``Bell(w + 1)`` for a frontier of width ``w``.  Its greedy vertex order
+  scores only the boundary of the processed vertices at each step.  States
+  are interned as small ints, and each transition is worked out once per
+  process and then looked up, up to ``FRONTIER_MEMO_CAP`` stored
+  transitions.
 
 ``count_connected_sets`` picks between them from the graph alone: below
 order ``FRONTIER_MIN_ORDER`` enumeration is always cheaper in practice, and
@@ -146,17 +148,23 @@ def frontier_order(g: Graph) -> tuple[list[int], list[int]]:
     The frontier is the set of processed vertices with an unprocessed
     neighbour.  Each step takes the unprocessed vertex that leaves the
     smallest frontier, then the one with more processed neighbours, then the
-    lowest index.  ``ones`` holds the processed vertices with exactly one
-    unprocessed neighbour, so a candidate is scored with two popcounts.
+    lowest index.  Only the boundary, the unprocessed neighbours of processed
+    vertices, is scored, and every unprocessed vertex only when the boundary
+    is empty: a vertex off it scores width |F| + 1 with no processed
+    neighbour when it has a neighbour, and a boundary vertex width at most
+    |F| + 1 with at least one, so the boundary wins; degree-0 vertices score
+    |F| and all go first, while the boundary is still empty.  ``ones`` holds
+    the processed vertices with exactly one unprocessed neighbour, so a
+    candidate is scored with two popcounts.
     """
     n, adj = g.n, g.adj
     unprocessed = (1 << n) - 1
-    processed = frontier = ones = 0
+    processed = frontier = ones = boundary = 0
     order: list[int] = []
     widths: list[int] = []
     for _ in range(n):
         best = None
-        rest = unprocessed
+        rest = boundary or unprocessed
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -170,6 +178,7 @@ def frontier_order(g: Graph) -> tuple[list[int], list[int]]:
         bit = 1 << u
         unprocessed ^= bit
         processed |= bit
+        boundary = (boundary | adj[u]) & unprocessed
         touched = adj[u] & processed | bit
         while touched:
             low = touched & -touched
@@ -280,10 +289,12 @@ def _frontier_profile(g: Graph, order: list[int]) -> ConnSetProfile:
     closed = 0
     for v in order:
         unprocessed &= ~(1 << v)
-        joins = tuple(i for i, u in enumerate(frontier) if adj[v] >> u & 1)
-        extended = frontier + [v]
-        keep = tuple(i for i, u in enumerate(extended) if adj[u] & unprocessed)
-        frontier = [extended[i] for i in keep]
+        near = adj[v]
+        joins = tuple([i for i, u in enumerate(frontier) if near >> u & 1])
+        frontier.append(v)
+        keep = tuple([i for i, u in enumerate(frontier) if adj[u] & unprocessed])
+        if len(keep) < len(frontier):
+            frontier = [frontier[i] for i in keep]
         table = _STEPS.get((joins, keep))
         if table is None:
             table = {}
@@ -315,24 +326,27 @@ def _transition(state: tuple[int, ...], joins: tuple[int, ...],
                 keep: tuple[int, ...]) -> tuple[int, int]:
     """The outcomes of leaving out and of selecting the vertex that joins
     the frontier positions ``joins`` of ``state``, after which the
-    positions ``keep`` of the extended frontier stay on it."""
+    positions ``keep`` of the extended frontier stay on it.  A label ends
+    when no kept position holds it; none can end when every position
+    stays."""
     fresh = len(state) + 1
-    leave = [i for i in range(fresh) if i not in keep]
     merged = {state[i] for i in joins} - {0}
     if merged:
         target = min(merged)
-        taken = tuple(target if x in merged else x for x in state) + (target,)
+        taken = (*[target if x in merged else x for x in state], target)
     else:
-        taken = state + (fresh,)
+        taken = (*state, fresh)
+    every_stays = len(keep) == fresh
     outcomes = []
-    for labels in (state + (0,), taken):
+    for labels in ((*state, 0), taken):
         kept = [labels[i] for i in keep]
-        ending = {labels[i] for i in leave} - {0} - set(kept)
-        if ending:
-            outcomes.append(_CLOSES if len(ending) == 1 and not any(kept) else _DIES)
-            continue
-        relabel: dict[int, int] = {}
-        key = tuple(relabel.setdefault(x, len(relabel) + 1) if x else 0 for x in kept)
+        if not every_stays:
+            ending = set(labels).difference(kept, (0,))
+            if ending:
+                outcomes.append(_CLOSES if len(ending) == 1 and not any(kept) else _DIES)
+                continue
+        relabel = {0: 0}
+        key = tuple([relabel.setdefault(x, len(relabel)) for x in kept])
         sid = _STATE_IDS.get(key)
         if sid is None:
             sid = _STATE_IDS[key] = len(_STATES)

@@ -175,7 +175,11 @@ def isolate_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list[RootRecord]:
 
 
 def _positive_tol(tol) -> Fraction:
-    """tol as a Fraction; ValueError unless it is finite and > 0."""
+    """tol as a Fraction; ValueError unless it is finite and > 0.  A
+    positive Fraction comes back as it is, since every isolation checks its
+    tol again."""
+    if type(tol) is Fraction and tol.numerator > 0:
+        return tol
     try:
         if (tol := Fraction(tol)) > 0:
             return tol

@@ -250,8 +250,15 @@ def test_analyze_bad_inputs(capsys):
      "unbalanced parentheses in 'union(path:3,union(path:2,path:2)'"),
     ("union(path:3,path:4))", "unbalanced parentheses in 'union(path:3,path:4))'"),
     ("union(path:3,path:4", "unbalanced parentheses in 'union(path:3,path:4'"),
+    ("union(path:3)(path:4)",
+     "union in 'union(path:3)(path:4)' does not close at the end of the selector"),
+    ("union(path:3,path:4)x",
+     "union in 'union(path:3,path:4)x' does not close at the end of the selector"),
+    ("disjoint-union(path:3,path:4)x",
+     "union in 'disjoint-union(path:3,path:4)x' does not close at the end of the selector"),
 ], ids=["three-members", "no-colon", "blank-middle", "blank-first", "blank-last",
-        "unclosed-inner", "extra-close", "unclosed-outer"])
+        "unclosed-inner", "extra-close", "unclosed-outer", "text-after-close",
+        "trailing-text", "disjoint-trailing-text"])
 def test_analyze_bad_selector_named(capsys, selector, message):
     code, _, err = run_inproc(capsys, "analyze", "--family", selector)
     assert code == 2

@@ -1,10 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import count_connected_sets_frontier
-from connsets_oracle import BRUTEFORCE_CAP, count_connected_sets_bruteforce
+from conftest import count_connected_sets_frontier, relabel, sparse_pool_digests
+from connsets_oracle import (
+    BRUTEFORCE_CAP,
+    count_connected_sets_bruteforce,
+    frontier_order_full_scan,
+    transition_reference,
+)
 from relshape import connsets
 from relshape.connsets import (
     FRONTIER_MEMO_CAP,
@@ -31,7 +37,9 @@ from relshape.graphs import (
     graph_from_edges,
     is_complete,
     make_family,
+    parse_graph6,
 )
+from relshape.verification import sparse_decrease_graphs
 from strategies import graphs, sparse_graphs
 
 
@@ -199,6 +207,87 @@ def test_frontier_order_widths():
     # star: the centre (lowest index among the ties) first, then one leaf at a time
     order, widths = frontier_order(make_family(fam("star", 6)))
     assert order == [0, 1, 2, 3, 4, 5] and widths == [1, 1, 1, 1, 1, 0]
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A dense or a sparse graph (forests split often) of order up to 27,
+    plus up to three degree-0 vertices, relabelled so that any index can be
+    isolated: order 1..30."""
+    g = draw(st.one_of(graphs(max_n=27), sparse_graphs(max_n=27)))
+    isolated = draw(st.integers(0, 3))
+    if isolated:
+        g = disjoint_union(g, make_family(fam("empty", isolated)))
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+P3_P3 = disjoint_union(make_family(fam("path", 3)), make_family(fam("path", 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_isolated_vertices())
+@example(P3_P3)
+@example(make_family(fam("empty", 5)))
+@example(relabel(disjoint_union(make_family(fam("star", 4)), make_family(fam("empty", 2))),
+                 [5, 0, 3, 1, 4, 2]))
+@example(graph_from_edges(7, [(1, 6), (6, 3), (2, 5)]))
+def test_frontier_order_matches_the_full_scan(g):
+    # scoring only the boundary picks the vertex the full scan picks
+    assert frontier_order(g) == frontier_order_full_scan(g)
+
+
+def test_frontier_order_matches_the_full_scan_on_the_sparse_pool():
+    pool = [parse_graph6(g6) for g6 in sparse_pool_digests()]
+    assert len(pool) == 200
+    assert [frontier_order(g) for g in pool] == [frontier_order_full_scan(g) for g in pool]
+
+
+def test_a_boundary_scan_needs_its_fallback():
+    # negative control: scoring only the boundary, and every vertex only at
+    # the first step (no vertex is processed yet), agrees on a connected
+    # graph but stops after the first component of P3 + P3
+    def boundary_only(unprocessed, boundary):
+        return unprocessed if unprocessed == (1 << 6) - 1 else boundary
+
+    path6 = make_family(fam("path", 6))
+    assert frontier_order_full_scan(path6, boundary_only) == frontier_order(path6)
+    assert frontier_order_full_scan(P3_P3, boundary_only) == ([0, 1, 2], [1, 1, 0])
+    assert frontier_order_full_scan(P3_P3, boundary_only) != frontier_order(P3_P3)
+    assert frontier_order(P3_P3) == ([0, 1, 2, 3, 4, 5], [1, 1, 0, 1, 1, 0])
+
+
+def test_transitions_match_the_reference(monkeypatch):
+    # from an empty memo the 200 sparse-pool graphs need exactly the 5,416
+    # transitions the memo comment names, each worked out once and stored;
+    # every transition met there and over the sparse-decrease graphs equals
+    # the reference, whose states are label tuples rather than ids
+    met = []
+    transition = connsets._transition
+
+    def recorded(state, joins, keep):
+        outcome = transition(state, joins, keep)
+        met.append(((state, joins, keep), outcome))
+        return outcome
+
+    monkeypatch.setattr(connsets, "_transition", recorded)
+    clear_frontier_memo()
+    for g6 in sparse_pool_digests():
+        g = parse_graph6(g6)
+        assert frontier_plan(g) is not None
+        count_connected_sets(g)
+    assert len(met) == 5416
+    assert frontier_memo_size() == 5416
+    for g in sparse_decrease_graphs():
+        count_connected_sets_frontier(g)
+    assert len(met) > 5416
+    assert len({args for args, _ in met}) == len(met)
+
+    def labels(outcome):
+        return connsets._STATES[outcome] if outcome >= 0 else outcome
+
+    wrong = [args for args, outcome in met
+             if tuple(map(labels, outcome)) != transition_reference(*args)]
+    assert wrong == []
 
 
 @pytest.mark.parametrize("g, use_frontier", [

@@ -71,6 +71,17 @@ def test_isolate_roots_needs_a_positive_tol(tol):
         analyze_profile(family_profile(fam("path", 4)), tol)
 
 
+def test_a_positive_fraction_tol_comes_back_as_it_is():
+    tol = Fraction(1, 10**9)
+    assert shape._positive_tol(tol) is tol
+    assert shape._positive_tol(0.5) == Fraction(1, 2)
+    for bad in (Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            shape._positive_tol(bad)
+        with pytest.raises(ValueError):
+            isolate_roots([-1, 2], bad)
+
+
 def test_isolating_intervals_meet_tolerance():
     tol = Fraction(1, 10**6)
     records = isolate_roots(derivative(from_profile(
